@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .alu import AluResult, AluTask, alu_execute
+from .alu import AluError, AluResult, AluTask, alu_execute
 from .cognitive_core import (
     CognitiveCore,
     CognitiveDecision,
@@ -105,7 +105,12 @@ class Agent:
             if decision.flags is None:
                 raise StepFailure("decision names a task but no flags to emit")
             alu_r = None if decision.t_task is AluTask.INIT_SYN else cinput.r
-            alu_result = alu_execute(decision.t_task, self.state, alu_r)
+            try:
+                alu_result = alu_execute(decision.t_task, self.state, alu_r)
+            except AluError as exc:
+                # A schema-valid decision can still name a task the inputs
+                # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
+                raise StepFailure(str(exc)) from exc
             payload = event.action.data if (
                 event.kind is EventKind.LOCAL_ACTION
                 and event.action.kind is ActionKind.SEND
@@ -672,15 +677,32 @@ def run_trials(
     """Run n independent full-lifecycle sessions with derived seeds.
 
     session_faults optionally plants a fault in specific sessions (used for
-    robustness scenarios and report fixtures)."""
+    robustness scenarios and report fixtures). Sessions run on
+    min(n, client_core.concurrency, server_core.concurrency) threads;
+    transcripts come back in seed order and are the same as a serial run's.
+    The first exception in seed order (a TransportError, say) drops the
+    sessions not yet started and is re-raised here."""
     if n < 1:
         raise ValueError("need at least one session")
     scenario = scenario or Scenario()
     session_faults = session_faults or {}
-    transcripts = []
-    for i, seed in enumerate(derive_seeds(base_seed, n)):
+    seeds = derive_seeds(base_seed, n)
+
+    def session(i: int) -> SessionTranscript:
         fault = session_faults.get(i, NO_FAULT)
-        transcripts.append(run_session(client_core, server_core, scenario, seed, fault=fault))
+        return run_session(client_core, server_core, scenario, seeds[i], fault=fault)
+
+    workers = min(n, client_core.concurrency, server_core.concurrency)
+    if workers == 1:
+        # A one-thread pool cost the CPU-bound oracle ~10% of its sessions/s.
+        transcripts = [session(i) for i in range(n)]
+    else:
+        # Sessions share nothing but the cores, so I/O-bound cores serve
+        # several at once; each transcript still depends on its seed alone.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            transcripts = list(pool.map(session, range(n)))
     phases = ("handshake", "data_transfer", "termination")
     rates = {
         p: sum(1 for t in transcripts if t.phase_results[p].passed) / n for p in phases

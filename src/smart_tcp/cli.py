@@ -94,12 +94,15 @@ def cmd_simulate(args) -> int:
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    scenario = Scenario.load(args.scenario) if args.scenario else Scenario()
     try:
+        scenario = Scenario.load(args.scenario) if args.scenario else Scenario()
         report = run_trials(client, server, args.sessions, args.seed, scenario)
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    finally:
+        client.close()
+        server.close()
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

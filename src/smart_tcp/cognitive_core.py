@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -341,9 +342,15 @@ class CognitiveCore:
     """Decision interface: maps (S, R, A) to (S', F, P_L, T_task, verdict)."""
 
     name = "base"
+    # How many decide calls one instance can serve at once. Cores that are
+    # CPU-bound keep 1: threads would only add switching under the GIL.
+    concurrency = 1
 
     def decide(self, input: CognitiveInput) -> CognitiveDecision:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the core holds open; nothing by default."""
 
 
 class OracleCore(CognitiveCore):
@@ -408,6 +415,10 @@ def build_prompt(input: CognitiveInput, config: PromptConfig) -> PromptBundle:
 
 ENDPOINT_ENV = "SMART_TCP_MODEL_ENDPOINT"
 KEY_ENV = "SMART_TCP_MODEL_KEY"
+# Decisions one RemoteCore keeps in flight, and the size of its connection
+# pool. A remote decision is a blocking round trip, so independent sessions
+# overlap their waits.
+REMOTE_CONCURRENCY = 4
 
 
 @dataclass
@@ -435,15 +446,26 @@ class RemoteCore(CognitiveCore):
     """
 
     name = "remote"
+    concurrency = REMOTE_CONCURRENCY
 
     def __init__(self, config: RemoteConfig, prompt_config: Optional[PromptConfig] = None):
         import requests
+        from requests.adapters import HTTPAdapter
 
-        self._requests = requests
         self.config = config
         self.prompt_config = prompt_config or PromptConfig(fine_tuned=True)
         self.malformed_count = 0
         self.request_count = 0
+        self._count_lock = threading.Lock()
+        # One keep-alive pool per core, shared by the threads that call decide.
+        self._session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=self.concurrency)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
+
+    def close(self) -> None:
+        """Close the pooled keep-alive connections."""
+        self._session.close()
 
     def _complete(self, messages: List[dict]) -> str:
         headers = {"Content-Type": "application/json"}
@@ -455,7 +477,7 @@ class RemoteCore(CognitiveCore):
             "temperature": self.config.temperature,
         }
         try:
-            resp = self._requests.post(
+            resp = self._session.post(
                 self.config.endpoint, json=body, headers=headers, timeout=self.config.timeout
             )
             resp.raise_for_status()
@@ -482,11 +504,13 @@ class RemoteCore(CognitiveCore):
         bundle = build_prompt(input, self.prompt_config)
         last_error: Optional[Exception] = None
         for _ in range(2):
-            self.request_count += 1
+            with self._count_lock:
+                self.request_count += 1
             raw = self._complete(bundle.messages())
             try:
                 return parse_decision(raw)
             except MalformedDecision as exc:
                 last_error = exc
-        self.malformed_count += 1
+        with self._count_lock:
+            self.malformed_count += 1
         raise MalformedDecision(str(last_error))

@@ -23,6 +23,7 @@ from smart_tcp.cognitive_core import (
     CognitiveDecision,
     OracleCore,
     Verdict,
+    oracle_transition,
 )
 from smart_tcp.tcp_core import (
     ActionKind,
@@ -195,6 +196,20 @@ class AlwaysAckCore(CognitiveCore):
         )
 
 
+class AckBeforeReceiveCore(CognitiveCore):
+    """Schema-valid but unfeedable: names CALCULATE_ACK on OPEN_ACTIVE,
+    before any segment has arrived; otherwise the oracle."""
+
+    name = "ack-before-receive"
+
+    def decide(self, input):
+        if input.a.kind is ActionKind.OPEN_ACTIVE:
+            return CognitiveDecision(
+                TcpState.SYN_SENT, flags_parse("SYN"), 0, AluTask.CALCULATE_ACK
+            )
+        return oracle_transition(input.s, input.r, input.a)
+
+
 class TestRunTrials:
     def test_oracle_trials_all_pass(self):
         report = run_trials(OracleCore(), OracleCore(), 10, base_seed=7)
@@ -212,6 +227,15 @@ class TestRunTrials:
         t = report.transcripts[0]
         assert not t.phase_results["data_transfer"].passed
         assert not t.phase_results["termination"].passed
+
+    def test_alu_error_halts_and_grades_the_session(self):
+        report = run_trials(AckBeforeReceiveCore(), OracleCore(), 3, base_seed=1)
+        assert report.handshake == 0.0
+        for t in report.transcripts:
+            assert t.halt_reason == (
+                "CLIENT step failure: CALCULATE_ACK requires a received segment"
+            )
+            assert not t.phase_results["handshake"].passed
 
     def test_sessions_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,236 @@
+"""Remote-core sessions run concurrently: same transcripts, exact counts,
+transport failures surface, and connections are reused and closed."""
+
+import json
+import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from smart_tcp import cli
+from smart_tcp.agent_runtime import FaultKind, FaultSpec, run_trials
+from smart_tcp.cognitive_core import (
+    CognitiveInput,
+    OracleCore,
+    RemoteConfig,
+    RemoteCore,
+    TransportError,
+    oracle_transition,
+    serialize_decision,
+)
+from smart_tcp.tcp_core import flags_parse
+
+
+def oracle_reply(messages):
+    """What a perfectly trained model answers to a prompt."""
+    inp = CognitiveInput.from_wire(json.loads(messages[-1]["content"]))
+    return serialize_decision(oracle_transition(inp.s, inp.r, inp.a))
+
+
+class CountingOracle(OracleCore):
+    def __init__(self):
+        self.decisions = 0
+
+    def decide(self, input):
+        self.decisions += 1
+        return super().decide(input)
+
+
+def oracle_run(n, seed, session_faults=None):
+    """Serial reference run; returns (report, decisions made)."""
+    client, server = CountingOracle(), CountingOracle()
+    report = run_trials(client, server, n, seed, session_faults=session_faults)
+    return report, client.decisions + server.decisions
+
+
+def transcript_wire(report):
+    return [
+        (
+            [json.dumps(e.to_wire()) for e in t.entries],
+            t.halt_reason,
+            {k: v.to_wire() for k, v in t.phase_results.items()},
+        )
+        for t in report.transcripts
+    ]
+
+
+class SleepyRemote(RemoteCore):
+    """RemoteCore whose transport answers like the oracle after a short
+    sleep, and optionally fails on the k-th call across all threads."""
+
+    def __init__(self, fail_on=None):
+        super().__init__(RemoteConfig(endpoint="http://example.invalid"))
+        self.fail_on = fail_on
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def _complete(self, messages):
+        with self.lock:
+            self.calls += 1
+            k = self.calls
+        if k == self.fail_on:
+            raise TransportError(f"call {k} failed")
+        time.sleep(0.0005)
+        return oracle_reply(messages)
+
+
+class TestConcurrentTrials:
+    def test_matches_serial_oracle_with_exact_counts(self):
+        faults = {
+            3: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=flags_parse("SYN|FIN")),
+            17: FaultSpec(FaultKind.REORDER_SWAP, target_index=3),
+        }
+        expected, decisions = oracle_run(30, 7, faults)
+        client, server = SleepyRemote(), SleepyRemote()
+        assert client.concurrency > 1
+        # Switch threads often so that an unlocked count would lose updates.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run_trials(client, server, 30, 7, session_faults=faults)
+        finally:
+            sys.setswitchinterval(interval)
+        assert transcript_wire(report) == transcript_wire(expected)
+        assert report.to_wire() == expected.to_wire()
+        assert report.trial_accuracy < 1.0
+        assert client.request_count + server.request_count == decisions
+        assert client.malformed_count == server.malformed_count == 0
+
+    def test_transport_error_on_kth_call_reaches_caller(self):
+        client, server = SleepyRemote(fail_on=5), SleepyRemote()
+        with pytest.raises(TransportError, match="call 5 failed"):
+            run_trials(client, server, 64, 3)
+        # Sessions not yet started when the error surfaced were dropped.
+        _, decisions = oracle_run(64, 3)
+        assert client.request_count + server.request_count < decisions // 2
+
+    def test_a_serial_core_never_serves_two_decisions_at_once(self):
+        class OneAtATime(OracleCore):
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = self.most_in_flight = 0
+
+            def decide(self, input):
+                with self.lock:
+                    self.in_flight += 1
+                    self.most_in_flight = max(self.most_in_flight, self.in_flight)
+                time.sleep(0.0005)
+                with self.lock:
+                    self.in_flight -= 1
+                return super().decide(input)
+
+        server = OneAtATime()
+        assert server.concurrency == 1
+        report = run_trials(SleepyRemote(), server, 8, 1)
+        assert report.trial_accuracy == 1.0
+        assert server.most_in_flight == 1
+
+
+class LoopbackModel:
+    """A chat-completion endpoint on 127.0.0.1 answering like the oracle;
+    counts the connections it accepted, those still open, and requests."""
+
+    def __init__(self):
+        stats = self
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.open = 0
+        self.requests = 0
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                with stats.lock:
+                    stats.connections += 1
+                    stats.open += 1
+
+            def finish(self):
+                with stats.lock:
+                    stats.open -= 1
+                super().finish()
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                content = oracle_reply(json.loads(body)["messages"])
+                payload = json.dumps(
+                    {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                ).encode()
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+                with stats.lock:
+                    stats.requests += 1
+
+            def log_message(self, format, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat/completions"
+        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+    def wait_all_closed(self, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if self.open == 0:
+                    return True
+            time.sleep(0.01)
+        return False
+
+
+class TestRemoteTransport:
+    def test_loopback_model_matches_oracle_over_reused_connections(self):
+        expected, decisions = oracle_run(6, 11)
+        with LoopbackModel() as model:
+            client = RemoteCore(RemoteConfig(endpoint=model.url))
+            server = RemoteCore(RemoteConfig(endpoint=model.url))
+            try:
+                report = run_trials(client, server, 6, 11)
+            finally:
+                client.close()
+                server.close()
+            assert model.wait_all_closed()
+        assert transcript_wire(report) == transcript_wire(expected)
+        assert client.request_count + server.request_count == decisions
+        assert model.requests == decisions
+        assert model.connections < model.requests
+
+    def test_simulate_closes_its_connections(self, capsys, monkeypatch):
+        assert cli.main(["simulate", "--core", "oracle", "--sessions", "4", "--seed", "2"]) == 0
+        oracle_out = capsys.readouterr().out
+        # Keep the cores alive, so that only close(), not garbage
+        # collection, can release their sockets.
+        made = []
+
+        class KeptRemote(RemoteCore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "RemoteCore", KeptRemote)
+        with LoopbackModel() as model:
+            code = cli.main([
+                "simulate", "--core", "remote", "--endpoint", model.url,
+                "--sessions", "4", "--seed", "2",
+            ])
+            assert code == 0
+            assert capsys.readouterr().out == oracle_out
+            assert len(made) == 2 and model.connections > 0
+            assert model.wait_all_closed()
