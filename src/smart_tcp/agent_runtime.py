@@ -33,6 +33,7 @@ from .tcp_core import (
     ISN_MAX,
     ISN_MIN,
     LocalAction,
+    MAX_PAYLOAD_LEN,
     Role,
     Segment,
     TcpFlags,
@@ -201,10 +202,16 @@ class Scenario:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Scenario":
+        data_script = tuple(
+            (Role(e["side"]), int(e["payload_len"])) for e in obj.get("data_script", [])
+        )
+        # Each scripted send goes out as one segment, which Segment.from_wire
+        # must be able to read back from the transcript.
+        for _, n in data_script:
+            if n > MAX_PAYLOAD_LEN:
+                raise ValueError(f"scripted payload_len {n} exceeds {MAX_PAYLOAD_LEN}")
         return cls(
-            data_script=tuple(
-                (Role(e["side"]), int(e["payload_len"])) for e in obj.get("data_script", [])
-            ),
+            data_script=data_script,
             closer=Role(obj.get("closer", "CLIENT")),
             steps_budget=int(obj.get("steps_budget", 64)),
             scenario_id=str(obj.get("scenario_id", "unnamed")),

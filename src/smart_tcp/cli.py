@@ -133,7 +133,7 @@ def cmd_trace2sft(args) -> int:
         try:
             samples.extend(
                 generate_error_dataset(
-                    complete, count=args.errors, ratio=args.error_ratio, seed=args.seed
+                    samples, count=args.errors, ratio=args.error_ratio, seed=args.seed
                 )
             )
         except ValueError as exc:

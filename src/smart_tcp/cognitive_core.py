@@ -165,15 +165,17 @@ def _extract_json_object(text: str) -> Optional[str]:
 
 def parse_decision(raw: str) -> CognitiveDecision:
     """Strict schema validation, with one lenient pass over prose-wrapped JSON."""
+    # ValueError, not only JSONDecodeError: json.loads also raises it for an
+    # integer longer than the interpreter's digit limit.
     try:
         obj = json.loads(raw)
-    except (json.JSONDecodeError, TypeError):
+    except (ValueError, TypeError):
         candidate = _extract_json_object(raw or "")
         if candidate is None:
             raise MalformedDecision("no JSON object found in output") from None
         try:
             obj = json.loads(candidate)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise MalformedDecision(f"embedded object unparseable: {exc}") from None
     return _decision_from_obj(obj)
 

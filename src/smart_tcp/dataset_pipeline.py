@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -155,16 +156,21 @@ def ingest_trace(path) -> IngestResult:
             total += 1
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError(f"not a JSON object: {type(obj).__name__}")
                 proto = str(obj.get("proto", "")).lower()
                 if proto != TCP_PROTO:
                     rejects.append((lineno, f"non-tcp protocol: {proto!r}"))
                     continue
+                ts = float(obj["ts"])
+                if not math.isfinite(ts):
+                    raise ValueError(f"non-finite ts: {ts}")
                 rec = TraceRecord(
-                    ts=float(obj["ts"]),
+                    ts=ts,
                     five_tuple=FiveTuple(src=str(obj["src"]), dst=str(obj["dst"])),
                     segment=Segment.from_wire(obj),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 malformed += 1
                 rejects.append((lineno, f"malformed: {exc}"))
                 continue
@@ -380,26 +386,24 @@ def _mutate(r: Segment, kind: MutationKind, rng: random.Random) -> Segment:
 
 
 def generate_error_dataset(
-    flows: List[Flow], count: int = 2000, ratio: float = 0.5, seed: int = 0
+    samples: List[LabeledSample], count: int = 2000, ratio: float = 0.5, seed: int = 0
 ) -> List[LabeledSample]:
     """Build a labeled anomaly set by mutating received segments inside
-    reconstructed synchronized-state contexts. Exact category counts: with
-    the default 50/50 ratio, half the samples are order errors."""
+    synchronized-state contexts taken from reconstructed samples, given in
+    flow order as reconstruct_labels returns them. Exact category counts:
+    with the default 50/50 ratio, half the samples are order errors."""
     if count < 2:
         raise ValueError("need at least 2 samples")
     contexts = []
-    for flow in flows:
-        if flow.completeness is not Completeness.COMPLETE:
+    for sample in samples:
+        s, r = sample.input.s, sample.input.r
+        # Only segment-triggered contexts: r must be the live trigger at
+        # seq == rcv_nxt, not a stale last-received segment.
+        if r is None or sample.input.a.kind is not ActionKind.NONE:
             continue
-        for sample in reconstruct_labels(flow):
-            s, r = sample.input.s, sample.input.r
-            # Only segment-triggered contexts: r must be the live trigger at
-            # seq == rcv_nxt, not a stale last-received segment.
-            if r is None or sample.input.a.kind is not ActionKind.NONE:
-                continue
-            if s.state not in SYNCHRONIZED_STATES:
-                continue
-            contexts.append((s, r, sample.provenance))
+        if s.state not in SYNCHRONIZED_STATES:
+            continue
+        contexts.append((s, r, sample.provenance))
     if not contexts:
         raise ValueError("no synchronized-state contexts available for mutation")
 

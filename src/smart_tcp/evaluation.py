@@ -330,11 +330,14 @@ def load_prediction_records(path) -> List[PredictionRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                truth = _decision_from_obj(obj["truth"]["decision"])
-            except (json.JSONDecodeError, KeyError, MalformedDecision) as exc:
+                truth_obj = obj["truth"]
+                truth = _decision_from_obj(truth_obj["decision"])
+            except (json.JSONDecodeError, KeyError, TypeError, MalformedDecision) as exc:
                 raise ValueError(f"bad truth record in {path}: {exc}") from None
-            tn = obj["truth"].get("numbers")
-            pred_obj = obj.get("predicted") or {}
+            tn = truth_obj.get("numbers")
+            pred_obj = obj.get("predicted")
+            if not isinstance(pred_obj, dict):
+                pred_obj = {}
             predicted = _load_decision(pred_obj.get("decision"))
             pn = pred_obj.get("numbers")
             records.append(

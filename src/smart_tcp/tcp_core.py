@@ -9,6 +9,7 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 SEQ_MOD = 2**32
@@ -98,6 +99,8 @@ class TcpFlags:
     def any(self) -> bool:
         return self.syn or self.ack or self.fin or self.rst or self.psh or self.urg
 
+    # At most 64 flag values exist, so the memo keeps every one of them.
+    @lru_cache(maxsize=64)
     def render(self) -> str:
         tokens = [t for t in _FLAG_ORDER if getattr(self, t.lower())]
         if not tokens:
@@ -105,9 +108,27 @@ class TcpFlags:
         return "|".join(tokens)
 
 
+# Bound on memoized flag spellings: a trace may spell one flag set in any
+# case, order and spacing, and those spellings must not grow the memo.
+FLAGS_PARSE_CACHE_SIZE = 256
+
+
 def flags_parse(text: str) -> TcpFlags:
-    """Parse a pipe-separated flag list (any order, case-insensitive)."""
-    if not text or not text.strip():
+    """Parse a pipe-separated flag list (any order, case-insensitive).
+
+    Raises ValueError for anything but a valid flag string, including a
+    non-string value read from a trace line or a model's JSON.
+    """
+    # Checked before the memo: an unhashable value would make the cache
+    # lookup raise TypeError.
+    if not isinstance(text, str):
+        raise ValueError(f"flags must be a string, not {type(text).__name__}")
+    return _flags_parse_text(text)
+
+
+@lru_cache(maxsize=FLAGS_PARSE_CACHE_SIZE)
+def _flags_parse_text(text: str) -> TcpFlags:
+    if not text.strip():
         raise ValueError("empty flag string")
     seen = set()
     for raw in text.split("|"):
@@ -130,6 +151,12 @@ FLAGS_ACK = TcpFlags(ack=True)
 FLAGS_SYN_ACK = TcpFlags(syn=True, ack=True)
 FLAGS_FIN_ACK = TcpFlags(fin=True, ack=True)
 FLAGS_PSH_ACK = TcpFlags(psh=True, ack=True)
+
+
+# The IPv4 total-length field is 16 bits, so no segment carries more. A
+# larger declared length is corrupt input, and from_wire would otherwise
+# allocate a filler of that size.
+MAX_PAYLOAD_LEN = 65535
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,8 +198,10 @@ class Segment:
     def from_wire(cls, obj: dict) -> "Segment":
         payload = b""
         if obj.get("payload_b64"):
-            payload = base64.b64decode(obj["payload_b64"])
+            payload = base64.b64decode(obj["payload_b64"], validate=True)
         declared = int(obj["payload_len"])
+        if not 0 <= declared <= MAX_PAYLOAD_LEN:
+            raise ValueError(f"payload_len out of range: {declared}")
         if payload and len(payload) != declared:
             raise ValueError("payload_len does not match payload")
         if not payload and declared:

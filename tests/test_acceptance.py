@@ -26,6 +26,7 @@ from smart_tcp.cognitive_core import (
     serialize_decision,
 )
 from smart_tcp.dataset_pipeline import (
+    Completeness,
     check_alu_consistency,
     extract_flows,
     generate_error_dataset,
@@ -167,6 +168,13 @@ def test_criterion_3_retrospective_round_trip():
     )
 
 
+def _reconstructed(flows):
+    """The samples trace2sft reconstructs from flows, in flow order."""
+    return [
+        s for f in flows if f.completeness is Completeness.COMPLETE for s in reconstruct_labels(f)
+    ]
+
+
 def _error_detection_fixture_records():
     def d(v):
         return CognitiveDecision(TcpState.ESTABLISHED, None, 0, None, v)
@@ -182,7 +190,7 @@ def test_criterion_4_error_detection_oracle():
     flows = []
     for t in _sessions(10, base_seed=300):
         flows.extend(extract_flows(transcript_to_trace_records(t)))
-    samples = generate_error_dataset(flows, count=200, ratio=0.5, seed=5)
+    samples = generate_error_dataset(_reconstructed(flows), count=200, ratio=0.5, seed=5)
     counts = {
         Verdict.ORDER_ERROR: sum(1 for s in samples if s.label.verdict is Verdict.ORDER_ERROR),
         Verdict.FLAG_ERROR: sum(1 for s in samples if s.label.verdict is Verdict.FLAG_ERROR),
@@ -294,7 +302,7 @@ def test_criterion_6_property_suites():
     flows = []
     for t in _sessions(6, base_seed=600):
         flows.extend(extract_flows(transcript_to_trace_records(t)))
-    for s in generate_error_dataset(flows, count=10_000, ratio=0.5, seed=9):
+    for s in generate_error_dataset(_reconstructed(flows), count=10_000, ratio=0.5, seed=9):
         decision = oracle_transition(s.input.s, s.input.r, ACTION_NONE)
         assert decision.verdict is s.label.verdict
         assert decision.next_state is s.input.s.state

@@ -30,6 +30,7 @@ from smart_tcp.tcp_core import (
     ISN_MAX,
     ISN_MIN,
     LocalAction,
+    MAX_PAYLOAD_LEN,
     Role,
     SEQ_MOD,
     Segment,
@@ -317,6 +318,12 @@ class TestScenario:
             scenario_id="rt",
         )
         assert Scenario.from_wire(sc.to_wire()) == sc
+
+    def test_send_larger_than_a_segment_rejected(self):
+        obj = Scenario().to_wire()
+        obj["data_script"][0]["payload_len"] = MAX_PAYLOAD_LEN + 1
+        with pytest.raises(ValueError):
+            Scenario.from_wire(obj)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"

@@ -126,6 +126,38 @@ class TestTrace2Sft:
         first = json.loads(out.read_text().splitlines()[0])
         assert set(first) == {"instruction", "input", "output"}
 
+    def test_reconstructs_each_complete_flow_once(self, tmp_path, capsys, monkeypatch):
+        from smart_tcp import cli, dataset_pipeline
+
+        trace = make_trace(tmp_path, capsys)
+        replayed = []
+        for module in (cli, dataset_pipeline):
+            original = module.reconstruct_labels
+
+            def counting(flow, original=original):
+                replayed.append(flow.flow_id)
+                return original(flow)
+
+            monkeypatch.setattr(module, "reconstruct_labels", counting)
+        code, stdout, _ = run(
+            capsys,
+            "trace2sft", "--in", str(trace), "--out", str(tmp_path / "sft.jsonl"),
+            "--errors", "20", "--seed", "3",
+        )
+        assert code == EXIT_OK and "3 flows" in stdout
+        assert sorted(replayed) == ["flow-0000", "flow-0001", "flow-0002"]
+
+    def test_non_string_flags_line_is_rejected(self, tmp_path, capsys):
+        trace = make_trace(tmp_path, capsys)
+        first = json.loads(trace.read_text().splitlines()[0])
+        with open(trace, "a") as fh:
+            for flags in (5, ["SYN"]):
+                fh.write(json.dumps(dict(first, flags=flags)) + "\n")
+        out = tmp_path / "sft.jsonl"
+        code, stdout, _ = run(capsys, "trace2sft", "--in", str(trace), "--out", str(out))
+        assert code == EXIT_OK
+        assert "2 rejected lines" in stdout and "33 samples" in stdout
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys,
@@ -172,6 +204,16 @@ class TestEvaluate:
         )
         assert code == EXIT_OK
         assert "Field-Level Accuracy" in out.read_text()
+
+    def test_non_string_predicted_flags_scores_malformed(self, tmp_path, capsys):
+        pred = self.write_predictions(tmp_path, n_correct=3, n_wrong=0)
+        lines = [json.loads(line) for line in pred.read_text().splitlines()]
+        lines[0]["predicted"]["decision"]["flags"] = ["ACK"]
+        pred.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
+        assert code == EXIT_OK
+        assert "records=3 malformed=1" in stdout
 
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"

@@ -234,6 +234,25 @@ class TestDecisionSchema:
         with pytest.raises(MalformedDecision):
             parse_decision("no json here at all")
 
+    @pytest.mark.parametrize("flags", [5, ["ACK"], {"ACK": True}, True])
+    def test_non_string_flags_malformed(self, flags):
+        raw = json.dumps(
+            {"next_state": "ESTABLISHED", "flags": flags, "payload_len": 0,
+             "t_task": None, "verdict": "NORMAL"}
+        )
+        with pytest.raises(MalformedDecision):
+            parse_decision(raw)
+
+    def test_integer_past_digit_limit_malformed(self):
+        # json.loads raises a plain ValueError for it, not JSONDecodeError.
+        raw = (
+            '{"next_state":"ESTABLISHED","flags":"ACK","payload_len":'
+            + "1" * 5000
+            + ',"t_task":null,"verdict":"NORMAL"}'
+        )
+        with pytest.raises(MalformedDecision):
+            parse_decision(raw)
+
     def test_parse_serialize_identity(self):
         s = state()
         decisions = [

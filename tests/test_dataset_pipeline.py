@@ -92,6 +92,36 @@ class TestIngest:
         assert result.malformed == 1
         assert len(result.records) == len(records)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (None, [1, 2]),
+            (None, "str"),
+            (None, None),
+            (None, 5),
+            ("ts", "nan"),
+            ("ts", "inf"),
+            ("ts", 1e400),
+            ("ts", 10**400),
+            ("flags", 5),
+            ("flags", ["SYN"]),
+            ("payload_len", -3),
+            ("payload_b64", "!!"),
+        ],
+    )
+    def test_bad_line_is_malformed(self, tmp_path, field, value):
+        # field None: the whole line is the value, valid JSON but no object.
+        records = session_records()  # 11 lines
+        bad = value if field is None else dict(records[0].to_wire(), **{field: value})
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps(bad) + "\n")
+            for r in records:
+                fh.write(json.dumps(r.to_wire()) + "\n")
+        result = ingest_trace(path)
+        assert result.malformed == 1 and result.rejects[0][0] == 1
+        assert len(result.records) == len(records)
+
     def test_malformed_above_threshold_hard_fails(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = session_records()
@@ -176,20 +206,27 @@ class TestReconstruct:
         assert a == b
 
 
+def reconstructed(flows):
+    """The samples trace2sft reconstructs from flows, in flow order."""
+    return [
+        s for f in flows if f.completeness is Completeness.COMPLETE for s in reconstruct_labels(f)
+    ]
+
+
 class TestErrorDataset:
-    def make_flows(self, n=3):
-        return extract_flows(
-            [r for i in range(n) for r in session_records(seed=10 + i, t0=float(i))]
+    def make_samples(self, n=3):
+        return reconstructed(
+            extract_flows([r for i in range(n) for r in session_records(seed=10 + i, t0=float(i))])
         )
 
     def test_exact_category_counts(self):
-        samples = generate_error_dataset(self.make_flows(), count=10, ratio=0.5, seed=0)
+        samples = generate_error_dataset(self.make_samples(), count=10, ratio=0.5, seed=0)
         verdicts = [s.label.verdict for s in samples]
         assert verdicts.count(Verdict.ORDER_ERROR) == 5
         assert verdicts.count(Verdict.FLAG_ERROR) == 5
 
     def test_uneven_ratio(self):
-        samples = generate_error_dataset(self.make_flows(), count=10, ratio=0.3, seed=0)
+        samples = generate_error_dataset(self.make_samples(), count=10, ratio=0.3, seed=0)
         verdicts = [s.label.verdict for s in samples]
         assert verdicts.count(Verdict.ORDER_ERROR) == 3
         assert verdicts.count(Verdict.FLAG_ERROR) == 7
@@ -197,7 +234,7 @@ class TestErrorDataset:
     def test_labels_are_sound_under_oracle(self):
         # The oracle, replayed on each mutated input, reaches the labeled
         # verdict and keeps the state unchanged.
-        samples = generate_error_dataset(self.make_flows(), count=40, ratio=0.5, seed=1)
+        samples = generate_error_dataset(self.make_samples(), count=40, ratio=0.5, seed=1)
         for sample in samples:
             decision = oracle_transition(sample.input.s, sample.input.r, ACTION_NONE)
             assert decision.verdict is sample.label.verdict, sample.provenance
@@ -205,21 +242,21 @@ class TestErrorDataset:
             assert sample.label.flags is None and sample.label.t_task is None
 
     def test_inputs_are_segment_triggered(self):
-        for sample in generate_error_dataset(self.make_flows(), count=10, seed=0):
+        for sample in generate_error_dataset(self.make_samples(), count=10, seed=0):
             assert sample.input.a.kind is ActionKind.NONE
             assert sample.input.r is not None
 
     def test_deterministic_per_seed(self):
-        flows = self.make_flows()
-        a = [s.to_wire() for s in generate_error_dataset(flows, count=20, seed=7)]
-        b = [s.to_wire() for s in generate_error_dataset(flows, count=20, seed=7)]
-        c = [s.to_wire() for s in generate_error_dataset(flows, count=20, seed=8)]
+        samples = self.make_samples()
+        a = [s.to_wire() for s in generate_error_dataset(samples, count=20, seed=7)]
+        b = [s.to_wire() for s in generate_error_dataset(samples, count=20, seed=7)]
+        c = [s.to_wire() for s in generate_error_dataset(samples, count=20, seed=8)]
         assert a == b
         assert a != c
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            generate_error_dataset(self.make_flows(), count=1)
+            generate_error_dataset(self.make_samples(), count=1)
 
 
 class TestEmitSft:

@@ -307,6 +307,19 @@ class TestLoadPredictionRecords:
         records = load_prediction_records(self.write(tmp_path, [line]))
         assert records[0].predicted is None
 
+    @pytest.mark.parametrize("predicted", [[1], "x", 5, {"decision": [1]}])
+    def test_non_object_predicted_is_malformed(self, tmp_path, predicted):
+        line = self.good_line()
+        line["predicted"] = predicted
+        records = load_prediction_records(self.write(tmp_path, [line]))
+        assert records[0].predicted is None and records[0].predicted_numbers is None
+        assert compute_report(records).malformed_count == 1
+
+    @pytest.mark.parametrize("line", [[1], "x", None, {"truth": [1], "predicted": None}])
+    def test_non_object_truth_raises(self, tmp_path, line):
+        with pytest.raises(ValueError, match="bad truth record"):
+            load_prediction_records(self.write(tmp_path, [line]))
+
     def test_bad_truth_raises(self, tmp_path):
         line = self.good_line()
         del line["truth"]["decision"]["verdict"]

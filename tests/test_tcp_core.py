@@ -1,5 +1,6 @@
 """Sequence arithmetic, flag canonicalization and segment invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from smart_tcp.tcp_core import (
     AgentState,
     LocalAction,
     ActionKind,
+    MAX_PAYLOAD_LEN,
     Role,
     SEQ_MOD,
     Segment,
@@ -86,10 +88,23 @@ class TestFlags:
         assert flags_render(f) == "ACK|FIN"
         assert flags_parse(flags_render(f)) == f
 
-    @pytest.mark.parametrize("bad", ["SIN", "", "  ", "SYN|SYN", "SYN|", "SYN|XXX"])
+    @pytest.mark.parametrize(
+        "bad", ["SIN", "", "  ", "SYN|SYN", "SYN|", "SYN|XXX", 5, ["SYN"], None, b"SYN"]
+    )
     def test_parse_errors(self, bad):
-        with pytest.raises(ValueError):
-            flags_parse(bad)
+        # Errors are never memoized: every call raises, not only the first.
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                flags_parse(bad)
+
+    def test_every_flag_set_round_trips(self):
+        sets = [TcpFlags(*bits) for bits in itertools.product((False, True), repeat=6)]
+        nonempty = [f for f in sets if f.any()]
+        assert len(nonempty) == 63
+        for f in nonempty:
+            text = f.render()
+            assert flags_parse(text) == f
+            assert flags_parse(text.lower()) == f
 
     def test_case_insensitive_any_order(self):
         assert flags_parse("psh|Ack") == TcpFlags(ack=True, psh=True)
@@ -152,6 +167,21 @@ class TestSegment:
         seg = Segment(seq=10, ack=20, flags=flags_parse("ACK|PSH"), payload=b"abc")
         back = Segment.from_wire(seg.to_wire(with_payload=True))
         assert back == seg
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("payload_len", -3),
+            ("payload_len", MAX_PAYLOAD_LEN + 1),
+            ("payload_len", 10**30),
+            ("payload_b64", "!!"),
+        ],
+    )
+    def test_from_wire_rejects_bad_field(self, field, value):
+        obj = {"seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
+        obj[field] = value
+        with pytest.raises(ValueError):
+            Segment.from_wire(obj)
 
     def test_payload_len_mismatch_rejected(self):
         obj = {"seq": 1, "ack": 0, "flags": "SYN", "payload_len": 5, "payload_b64": "YWJj"}
