@@ -30,6 +30,9 @@ from .tcp_core import (
     ACTION_NONE,
     ActionKind,
     AgentState,
+    FLAGS_ACK,
+    FLAGS_SYN,
+    FLAGS_SYN_ACK,
     ISN_MAX,
     ISN_MIN,
     LocalAction,
@@ -38,30 +41,10 @@ from .tcp_core import (
     Segment,
     TcpFlags,
     TcpState,
-    flags_parse,
+    flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
     segment_consumes,
 )
-
-
-class EventKind(Enum):
-    SEGMENT_ARRIVED = "SEGMENT_ARRIVED"
-    LOCAL_ACTION = "LOCAL_ACTION"
-
-
-@dataclass(frozen=True, slots=True)
-class AgentEvent:
-    kind: EventKind
-    segment: Optional[Segment] = None
-    action: Optional[LocalAction] = None
-
-    def __post_init__(self):
-        if self.kind is EventKind.SEGMENT_ARRIVED:
-            if self.segment is None or self.action is not None:
-                raise ValueError("SEGMENT_ARRIVED carries exactly a segment")
-        else:
-            if self.action is None or self.segment is not None:
-                raise ValueError("LOCAL_ACTION carries exactly an action")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +69,19 @@ class Agent:
         self.state = AgentState(role=role, state=TcpState.CLOSED, iss=iss, snd_nxt=iss)
         self.last_received: Optional[Segment] = None
 
-    def step(self, event: AgentEvent) -> StepOutcome:
+    def step(
+        self, segment: Optional[Segment] = None, action: Optional[LocalAction] = None
+    ) -> StepOutcome:
+        """Take one step on exactly one trigger: an arrived segment or a
+        local action."""
+        if (segment is None) == (action is None):
+            raise ValueError("a step takes exactly one of a segment or an action")
         # Context aggregation: internal state + trigger (+ last perception
         # for action-driven steps, which the ALU needs for ack computation).
-        if event.kind is EventKind.SEGMENT_ARRIVED:
-            cinput = CognitiveInput(s=self.state, r=event.segment, a=ACTION_NONE)
+        if segment is not None:
+            cinput = CognitiveInput(s=self.state, r=segment, a=ACTION_NONE)
         else:
-            cinput = CognitiveInput(s=self.state, r=self.last_received, a=event.action)
+            cinput = CognitiveInput(s=self.state, r=self.last_received, a=action)
 
         decision = self.core.decide(cinput)
 
@@ -112,15 +101,12 @@ class Agent:
                 # A schema-valid decision can still name a task the inputs
                 # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
                 raise StepFailure(str(exc)) from exc
-            payload = event.action.data if (
-                event.kind is EventKind.LOCAL_ACTION
-                and event.action.kind is ActionKind.SEND
-            ) else b""
+            payload = action.data if action is not None and action.kind is ActionKind.SEND else b""
             emitted = Segment(
                 seq=alu_result.seq,
                 ack=alu_result.ack if decision.flags.ack else 0,
                 flags=decision.flags,
-                payload=payload or b"",
+                payload=payload,
             )
 
         new_state = decision.next_state
@@ -129,12 +115,11 @@ class Agent:
         rcv_nxt = self.state.rcv_nxt
         if emitted is not None:
             snd_nxt = seq_add(snd_nxt, segment_consumes(emitted))
-        if event.kind is EventKind.SEGMENT_ARRIVED:
-            r = event.segment
-            if irs is None and r.flags.syn:
-                irs = r.seq
-            rcv_nxt = seq_add(r.seq, segment_consumes(r))
-            self.last_received = r
+        if segment is not None:
+            if irs is None and segment.flags.syn:
+                irs = segment.seq
+            rcv_nxt = seq_add(segment.seq, segment_consumes(segment))
+            self.last_received = segment
         # No 2MSL timer in a lossless ordered simulation.
         if new_state is TcpState.TIME_WAIT:
             new_state = TcpState.CLOSED
@@ -147,10 +132,6 @@ class Agent:
             rcv_nxt=rcv_nxt,
         )
         return StepOutcome(emitted, self.state, decision, alu_result, cinput)
-
-
-def agent_step(agent: Agent, event: AgentEvent) -> StepOutcome:
-    return agent.step(event)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +183,29 @@ class Scenario:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Scenario":
-        data_script = tuple(
-            (Role(e["side"]), int(e["payload_len"])) for e in obj.get("data_script", [])
-        )
-        # Each scripted send goes out as one segment, which Segment.from_wire
-        # must be able to read back from the transcript.
-        for _, n in data_script:
-            if n > MAX_PAYLOAD_LEN:
-                raise ValueError(f"scripted payload_len {n} exceeds {MAX_PAYLOAD_LEN}")
+        """Raises ValueError for anything but a valid scenario object."""
+        if not isinstance(obj, dict):
+            raise ValueError("a scenario must be a JSON object")
+        entries = obj.get("data_script", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("data_script must be a list of objects")
+        data_script = []
+        for e in entries:
+            n = e.get("payload_len")
+            # Each scripted send goes out as one segment, which
+            # Segment.from_wire must be able to read back from the transcript.
+            if type(n) is not int or not 0 <= n <= MAX_PAYLOAD_LEN:
+                raise ValueError(
+                    f"scripted payload_len must be an integer in [0, {MAX_PAYLOAD_LEN}]: {n!r}"
+                )
+            data_script.append((Role(e.get("side")), n))
+        steps_budget = obj.get("steps_budget", 64)
+        if type(steps_budget) is not int or steps_budget < 0:
+            raise ValueError(f"steps_budget must be a non-negative integer: {steps_budget!r}")
         return cls(
-            data_script=data_script,
+            data_script=tuple(data_script),
             closer=Role(obj.get("closer", "CLIENT")),
-            steps_budget=int(obj.get("steps_budget", 64)),
+            steps_budget=steps_budget,
             scenario_id=str(obj.get("scenario_id", "unnamed")),
         )
 
@@ -488,9 +480,7 @@ def run_session(
             step += 1
             transcript.entries.append(entry)
             try:
-                outcome = agents[receiver].step(
-                    AgentEvent(EventKind.SEGMENT_ARRIVED, segment=entry.segment)
-                )
+                outcome = agents[receiver].step(segment=entry.segment)
             except (MalformedDecision, StepFailure) as exc:
                 transcript.halt_reason = f"{receiver.value} step failure: {exc}"
                 break
@@ -505,9 +495,7 @@ def run_session(
             role, action = actions.popleft()
             step += 1
             try:
-                outcome = agents[role].step(
-                    AgentEvent(EventKind.LOCAL_ACTION, action=action)
-                )
+                outcome = agents[role].step(action=action)
             except (MalformedDecision, StepFailure) as exc:
                 transcript.halt_reason = f"{role.value} step failure: {exc}"
                 break
@@ -550,13 +538,13 @@ def grade_session(
         hs_fail = "fewer than three segments"
     else:
         (d0, s0), (d1, s1), (d2, s2) = segs[0], segs[1], segs[2]
-        if d0 is not Role.CLIENT or s0.flags != flags_parse("SYN") or s0.payload_len:
+        if d0 is not Role.CLIENT or s0.flags != FLAGS_SYN or s0.payload_len:
             hs_fail = "first segment is not a client SYN"
-        elif d1 is not Role.SERVER or s1.flags != flags_parse("SYN|ACK"):
+        elif d1 is not Role.SERVER or s1.flags != FLAGS_SYN_ACK:
             hs_fail = "second segment is not a server SYN|ACK"
         elif s1.ack != seq_add(s0.seq, 1):
             hs_fail = "SYN|ACK does not acknowledge client ISN+1"
-        elif d2 is not Role.CLIENT or s2.flags != flags_parse("ACK") or s2.payload_len:
+        elif d2 is not Role.CLIENT or s2.flags != FLAGS_ACK or s2.payload_len:
             hs_fail = "third segment is not a pure ACK"
         elif s2.ack != seq_add(s1.seq, 1) or s2.seq != seq_add(s0.seq, 1):
             hs_fail = "handshake ACK numbers wrong"

@@ -89,13 +89,20 @@ def cmd_simulate(args) -> int:
         print("error: --sessions must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
+        scenario = Scenario.load(args.scenario) if args.scenario else Scenario()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:  # bad JSON and undecodable bytes included
+        print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         client = _make_core(args, cfg)
         server = _make_core(args, cfg)
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     try:
-        scenario = Scenario.load(args.scenario) if args.scenario else Scenario()
         report = run_trials(client, server, args.sessions, args.seed, scenario)
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -224,20 +224,42 @@ def _check_order(s: AgentState, r: Segment) -> Optional[CognitiveDecision]:
     return None
 
 
+# Every oracle reply that depends on nothing but the transition taken. A
+# decision is frozen, so one instance serves every step. _TO_<STATE> moves
+# silently; _TO_<STATE>_<FLAGS> also emits a segment.
+_TO_SYN_SENT_SYN = _reply(TcpState.SYN_SENT, FLAGS_SYN, 0, AluTask.INIT_SYN)
+_TO_LISTEN = _reply(TcpState.LISTEN, None)
+_TO_FIN_WAIT_1_FIN_ACK = _reply(TcpState.FIN_WAIT_1, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+_TO_LAST_ACK_FIN_ACK = _reply(TcpState.LAST_ACK, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+_TO_SYN_RCVD_SYN_ACK = _reply(TcpState.SYN_RCVD, FLAGS_SYN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+_TO_ESTABLISHED_ACK = _reply(TcpState.ESTABLISHED, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_ESTABLISHED = _reply(TcpState.ESTABLISHED, None)
+_TO_CLOSE_WAIT_ACK = _reply(TcpState.CLOSE_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_CLOSE_WAIT = _reply(TcpState.CLOSE_WAIT, None)
+_TO_FIN_WAIT_1_ACK = _reply(TcpState.FIN_WAIT_1, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_FIN_WAIT_1 = _reply(TcpState.FIN_WAIT_1, None)
+_TO_FIN_WAIT_2_ACK = _reply(TcpState.FIN_WAIT_2, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_FIN_WAIT_2 = _reply(TcpState.FIN_WAIT_2, None)
+_TO_CLOSING_ACK = _reply(TcpState.CLOSING, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_TIME_WAIT_ACK = _reply(TcpState.TIME_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+_TO_TIME_WAIT = _reply(TcpState.TIME_WAIT, None)
+_TO_CLOSED = _reply(TcpState.CLOSED, None)
+
+
 def _on_action(s: AgentState, a: LocalAction) -> CognitiveDecision:
     kind = a.kind
     if s.state is TcpState.CLOSED and kind is ActionKind.OPEN_ACTIVE:
-        return _reply(TcpState.SYN_SENT, FLAGS_SYN, 0, AluTask.INIT_SYN)
+        return _TO_SYN_SENT_SYN
     if s.state is TcpState.CLOSED and kind is ActionKind.OPEN_PASSIVE:
-        return _reply(TcpState.LISTEN, None)
+        return _TO_LISTEN
     if s.state is TcpState.ESTABLISHED and kind is ActionKind.SEND:
         return _reply(
             TcpState.ESTABLISHED, FLAGS_PSH_ACK, len(a.data or b""), AluTask.CALCULATE_SEQ_ACK
         )
     if s.state is TcpState.ESTABLISHED and kind is ActionKind.CLOSE:
-        return _reply(TcpState.FIN_WAIT_1, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+        return _TO_FIN_WAIT_1_FIN_ACK
     if s.state is TcpState.CLOSE_WAIT and kind is ActionKind.CLOSE:
-        return _reply(TcpState.LAST_ACK, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+        return _TO_LAST_ACK_FIN_ACK
     raise ValueError(f"action {kind.value} is not valid in state {s.state.value}")
 
 
@@ -254,58 +276,58 @@ def _on_segment(s: AgentState, r: Segment) -> CognitiveDecision:
 
     if state is TcpState.LISTEN:
         if f.syn and not f.ack:
-            return _reply(TcpState.SYN_RCVD, FLAGS_SYN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
+            return _TO_SYN_RCVD_SYN_ACK
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.SYN_SENT:
         if f.syn and f.ack:
             if r.ack != s.snd_nxt:
                 return _verdict(s, Verdict.ORDER_ERROR)
-            return _reply(TcpState.ESTABLISHED, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_ESTABLISHED_ACK
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.SYN_RCVD:
         if f.ack and not f.syn and not f.fin and r.payload_len == 0:
             if r.ack != s.snd_nxt or (s.rcv_nxt is not None and r.seq != s.rcv_nxt):
                 return _verdict(s, Verdict.ORDER_ERROR)
-            return _reply(TcpState.ESTABLISHED, None)
+            return _TO_ESTABLISHED
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.ESTABLISHED:
         if f.fin:
-            return _reply(TcpState.CLOSE_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_CLOSE_WAIT_ACK
         if r.payload_len > 0:
-            return _reply(TcpState.ESTABLISHED, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_ESTABLISHED_ACK
         if f.ack:
-            return _reply(TcpState.ESTABLISHED, None)
+            return _TO_ESTABLISHED
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.FIN_WAIT_1:
         if f.fin:
             if f.ack and r.ack == s.snd_nxt:
                 # Peer's FIN also acknowledges ours.
-                return _reply(TcpState.TIME_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-            return _reply(TcpState.CLOSING, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+                return _TO_TIME_WAIT_ACK
+            return _TO_CLOSING_ACK
         if r.payload_len > 0:
-            return _reply(TcpState.FIN_WAIT_1, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_FIN_WAIT_1_ACK
         if f.ack:
             if r.ack == s.snd_nxt:
-                return _reply(TcpState.FIN_WAIT_2, None)
-            return _reply(TcpState.FIN_WAIT_1, None)
+                return _TO_FIN_WAIT_2
+            return _TO_FIN_WAIT_1
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.FIN_WAIT_2:
         if f.fin:
-            return _reply(TcpState.TIME_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_TIME_WAIT_ACK
         if r.payload_len > 0:
-            return _reply(TcpState.FIN_WAIT_2, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
+            return _TO_FIN_WAIT_2_ACK
         if f.ack:
-            return _reply(TcpState.FIN_WAIT_2, None)
+            return _TO_FIN_WAIT_2
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.CLOSING:
         if f.ack and not f.fin and r.payload_len == 0 and r.ack == s.snd_nxt:
-            return _reply(TcpState.TIME_WAIT, None)
+            return _TO_TIME_WAIT
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.CLOSE_WAIT:
@@ -313,12 +335,12 @@ def _on_segment(s: AgentState, r: Segment) -> CognitiveDecision:
             # The inbound stream already terminated.
             return _verdict(s, Verdict.ORDER_ERROR)
         if f.ack:
-            return _reply(TcpState.CLOSE_WAIT, None)
+            return _TO_CLOSE_WAIT
         return _verdict(s, Verdict.ORDER_ERROR)
 
     if state is TcpState.LAST_ACK:
         if f.ack and not f.fin and r.payload_len == 0 and r.ack == s.snd_nxt:
-            return _reply(TcpState.CLOSED, None)
+            return _TO_CLOSED
         return _verdict(s, Verdict.ORDER_ERROR)
 
     # CLOSED / TIME_WAIT: nothing should arrive.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .agent_runtime import Agent, AgentEvent, EventKind, SessionTranscript, StepOutcome
+from .agent_runtime import Agent, SessionTranscript, StepOutcome
 from .alu import alu_execute
 from .cognitive_core import (
     CognitiveDecision,
@@ -148,13 +148,20 @@ def ingest_trace(path) -> IngestResult:
     rejects: List[Tuple[int, str]] = []
     malformed = 0
     total = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes come through as lone surrogates, so a bad line is
+    # rejected on its own instead of ending the read.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             total += 1
             try:
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError("line is not valid UTF-8") from None
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError(f"not a JSON object: {type(obj).__name__}")
@@ -267,9 +274,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         Role.CLIENT: Agent(Role.CLIENT, oracle, client_iss),
         Role.SERVER: Agent(Role.SERVER, oracle, server_iss),
     }
-    agents[Role.SERVER].step(
-        AgentEvent(EventKind.LOCAL_ACTION, action=LocalAction(ActionKind.OPEN_PASSIVE))
-    )
+    agents[Role.SERVER].step(action=LocalAction(ActionKind.OPEN_PASSIVE))
 
     undelivered: Dict[Role, List[Segment]] = {Role.CLIENT: [], Role.SERVER: []}
     sent_fin = {Role.CLIENT: False, Role.SERVER: False}
@@ -294,7 +299,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         # reply recorded here.
         while undelivered[sender] and not produced:
             inbound = undelivered[sender].pop(0)
-            outcome = agent.step(AgentEvent(EventKind.SEGMENT_ARRIVED, segment=inbound))
+            outcome = agent.step(segment=inbound)
             if outcome.decision.verdict is not Verdict.NORMAL:
                 log.info(
                     "%s: anomalous inbound segment during replay (%s), ignored",
@@ -325,7 +330,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
                 skipped += 1
             else:
                 try:
-                    outcome = agent.step(AgentEvent(EventKind.LOCAL_ACTION, action=action))
+                    outcome = agent.step(action=action)
                 except ValueError:
                     outcome = None
                 if outcome is not None and outcome.emitted is not None and _seg_matches(

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .cognitive_core import CognitiveDecision, Verdict, _decision_from_obj, MalformedDecision
-from .tcp_core import TcpState
+from .tcp_core import SEQ_MOD, TcpState
 
 FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
 
@@ -319,9 +319,23 @@ def _load_decision(obj) -> Optional[CognitiveDecision]:
         return None
 
 
+def _load_numbers(value) -> Optional[Tuple[int, int]]:
+    """(seq, ack) from null or a list of exactly two integers in [0, 2^32).
+    Raises ValueError for anything else."""
+    if value is None:
+        return None
+    if type(value) is list and len(value) == 2:
+        seq, ack = value
+        # type() rather than isinstance: JSON true/false load as bools.
+        if type(seq) is int and type(ack) is int and 0 <= seq < SEQ_MOD and 0 <= ack < SEQ_MOD:
+            return (seq, ack)
+    raise ValueError(f"numbers must be null or two integers in [0, 2^32): {value!r}")
+
+
 def load_prediction_records(path) -> List[PredictionRecord]:
     """Read newline-delimited {input, truth, predicted} records. A record
-    whose predicted side is null or schema-invalid scores as malformed."""
+    whose predicted side is null or schema-invalid scores as malformed; a
+    predicted side with bad numbers scores as wrong numbers."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -332,20 +346,23 @@ def load_prediction_records(path) -> List[PredictionRecord]:
                 obj = json.loads(line)
                 truth_obj = obj["truth"]
                 truth = _decision_from_obj(truth_obj["decision"])
-            except (json.JSONDecodeError, KeyError, TypeError, MalformedDecision) as exc:
+                truth_numbers = _load_numbers(truth_obj.get("numbers"))
+            except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
                 raise ValueError(f"bad truth record in {path}: {exc}") from None
-            tn = truth_obj.get("numbers")
             pred_obj = obj.get("predicted")
             if not isinstance(pred_obj, dict):
                 pred_obj = {}
             predicted = _load_decision(pred_obj.get("decision"))
-            pn = pred_obj.get("numbers")
+            try:
+                predicted_numbers = _load_numbers(pred_obj.get("numbers"))
+            except ValueError:
+                predicted_numbers = None
             records.append(
                 PredictionRecord(
                     truth=truth,
                     predicted=predicted,
-                    truth_numbers=tuple(tn) if tn else None,
-                    predicted_numbers=tuple(pn) if pn else None,
+                    truth_numbers=truth_numbers,
+                    predicted_numbers=predicted_numbers,
                     provenance=obj.get("provenance"),
                 )
             )

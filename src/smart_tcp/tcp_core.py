@@ -55,6 +55,11 @@ class TcpState(Enum):
     CLOSE_WAIT = "CLOSE_WAIT"
     LAST_ACK = "LAST_ACK"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # keeps the hash contract; Enum's own __hash__ runs as Python code on
+    # every dict and set lookup.
+    __hash__ = object.__hash__
+
 
 # States where the SYN exchange has completed: receiving another SYN here is
 # a protocol violation, as is a FIN without ACK.
@@ -81,6 +86,8 @@ def parse_state(token: str) -> TcpState:
 class Role(Enum):
     CLIENT = "CLIENT"
     SERVER = "SERVER"
+
+    __hash__ = object.__hash__  # see TcpState
 
 
 # Canonical flag order for the text rendering.

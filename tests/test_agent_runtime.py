@@ -6,8 +6,6 @@ import pytest
 
 from smart_tcp.agent_runtime import (
     Agent,
-    AgentEvent,
-    EventKind,
     FaultKind,
     FaultSpec,
     Scenario,
@@ -41,18 +39,14 @@ from smart_tcp.tcp_core import (
 )
 
 
-def segment_event(seg):
-    return AgentEvent(EventKind.SEGMENT_ARRIVED, segment=seg)
-
-
-def action_event(kind, data=None):
-    return AgentEvent(EventKind.LOCAL_ACTION, action=LocalAction(kind, data))
+def act(agent, kind, data=None):
+    return agent.step(action=LocalAction(kind, data))
 
 
 class TestAgentStep:
     def test_active_open_emits_syn(self):
         agent = Agent(Role.CLIENT, OracleCore(), iss=3000000000)
-        out = agent.step(action_event(ActionKind.OPEN_ACTIVE))
+        out = act(agent, ActionKind.OPEN_ACTIVE)
         assert out.emitted is not None
         assert out.emitted.seq == 3000000000
         assert out.emitted.ack == 0
@@ -63,12 +57,10 @@ class TestAgentStep:
 
     def test_third_handshake_ack_no_emission(self):
         server = Agent(Role.SERVER, OracleCore(), iss=7000)
-        server.step(action_event(ActionKind.OPEN_PASSIVE))
-        server.step(segment_event(Segment(seq=100, ack=0, flags=flags_parse("SYN"))))
+        act(server, ActionKind.OPEN_PASSIVE)
+        server.step(segment=Segment(seq=100, ack=0, flags=flags_parse("SYN")))
         assert server.state.state is TcpState.SYN_RCVD
-        out = server.step(
-            segment_event(Segment(seq=101, ack=7001, flags=flags_parse("ACK")))
-        )
+        out = server.step(segment=Segment(seq=101, ack=7001, flags=flags_parse("ACK")))
         assert out.emitted is None
         assert server.state.state is TcpState.ESTABLISHED
 
@@ -76,31 +68,34 @@ class TestAgentStep:
         client, server = handshake_pair()
         before = client.state
         out = client.step(
-            segment_event(Segment(seq=client.state.rcv_nxt, ack=0, flags=flags_parse("SYN")))
+            segment=Segment(seq=client.state.rcv_nxt, ack=0, flags=flags_parse("SYN"))
         )
         assert out.decision.verdict is Verdict.FLAG_ERROR
         assert out.emitted is None
         assert client.state == before
 
-    def test_event_payload_validation(self):
+    def test_step_takes_exactly_one_trigger(self):
+        agent = Agent(Role.CLIENT, OracleCore(), iss=5000)
+        before = agent.state
         with pytest.raises(ValueError):
-            AgentEvent(EventKind.SEGMENT_ARRIVED)
+            agent.step()
         with pytest.raises(ValueError):
-            AgentEvent(
-                EventKind.LOCAL_ACTION,
+            agent.step(
                 segment=Segment(seq=0, ack=0, flags=flags_parse("SYN")),
-                action=LocalAction(ActionKind.CLOSE),
+                action=LocalAction(ActionKind.OPEN_ACTIVE),
             )
+        assert agent.state == before
+        assert agent.last_received is None
 
 
 def handshake_pair(client_iss=1_000_000, server_iss=2_000_000):
     client = Agent(Role.CLIENT, OracleCore(), iss=client_iss)
     server = Agent(Role.SERVER, OracleCore(), iss=server_iss)
-    server.step(action_event(ActionKind.OPEN_PASSIVE))
-    syn = client.step(action_event(ActionKind.OPEN_ACTIVE)).emitted
-    synack = server.step(segment_event(syn)).emitted
-    ack = client.step(segment_event(synack)).emitted
-    server.step(segment_event(ack))
+    act(server, ActionKind.OPEN_PASSIVE)
+    syn = act(client, ActionKind.OPEN_ACTIVE).emitted
+    synack = server.step(segment=syn).emitted
+    ack = client.step(segment=synack).emitted
+    server.step(segment=ack)
     assert client.state.state is TcpState.ESTABLISHED
     assert server.state.state is TcpState.ESTABLISHED
     return client, server

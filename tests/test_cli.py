@@ -61,6 +61,40 @@ class TestSimulate:
         )
         assert code == EXIT_OK and "trial=100.00%" in stdout
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"data_script":[{"side":"X","payload_len":3}]}',
+            '{"data_script":[{"side":"CLIENT","payload_len":"abc"}]}',
+            '{"data_script":[{"side":"CLIENT","payload_len":2.5}]}',
+            '{"data_script":[{"side":"CLIENT","payload_len":65536}]}',
+            '{"data_script":[{"side":"CLIENT","payload_len":-1}]}',
+            '{"data_script":[{"side":"CLIENT"}]}',
+            '{"data_script":[7]}',
+            '{"data_script":5}',
+            '{"closer":"NOBODY"}',
+            '{"steps_budget":"many"}',
+            '[1, 2]',
+            '{"data_script": [',
+            b"\xff\xfe",
+        ],
+    )
+    def test_malformed_scenario_is_usage_error(self, tmp_path, capsys, text):
+        sc = tmp_path / "scenario.json"
+        if isinstance(text, bytes):
+            sc.write_bytes(text)
+        else:
+            sc.write_text(text)
+        code, stdout, stderr = run(capsys, "simulate", "--sessions", "1", "--scenario", str(sc))
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: ") and stdout == ""
+
+    def test_missing_scenario_is_io_error(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, "simulate", "--sessions", "1", "--scenario", str(tmp_path / "nope.json")
+        )
+        assert code == EXIT_IO and stderr.startswith("error: ")
+
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
@@ -158,6 +192,15 @@ class TestTrace2Sft:
         assert code == EXIT_OK
         assert "2 rejected lines" in stdout and "33 samples" in stdout
 
+    def test_invalid_utf8_line_is_rejected(self, tmp_path, capsys):
+        trace = make_trace(tmp_path, capsys)
+        with open(trace, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        out = tmp_path / "sft.jsonl"
+        code, stdout, _ = run(capsys, "trace2sft", "--in", str(trace), "--out", str(out))
+        assert code == EXIT_OK
+        assert "1 rejected lines" in stdout and "33 samples" in stdout
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys,
@@ -214,6 +257,27 @@ class TestEvaluate:
         code, stdout, _ = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
         assert code == EXIT_OK
         assert "records=3 malformed=1" in stdout
+
+    def test_numbers_checked(self, tmp_path, capsys):
+        pred = self.write_predictions(tmp_path, n_correct=4, n_wrong=0)
+        lines = [json.loads(line) for line in pred.read_text().splitlines()]
+        for line in lines:
+            line["truth"]["numbers"] = [7, 9]
+            line["predicted"]["numbers"] = [7, 9]
+        lines[0]["predicted"]["numbers"] = 5
+        lines[1]["predicted"]["numbers"] = ["a", "b"]
+        pred.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
+        assert code == EXIT_OK
+        assert "records=4 malformed=0 atomic=50.00%" in stdout
+        report = json.loads(out.read_text())
+        assert report["field_accuracy"]["Seq"] == "50.00%"
+
+        lines[2]["truth"]["numbers"] = 5
+        pred.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        code, _, stderr = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
+        assert code == EXIT_IO and "bad truth record" in stderr
 
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"

@@ -122,6 +122,38 @@ class TestIngest:
         assert result.malformed == 1 and result.rejects[0][0] == 1
         assert len(result.records) == len(records)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe",
+            # Invalid bytes inside a JSON string value of an otherwise good line.
+            b'{"ts": 0.5, "src": "10.0.0.1:\xff", "dst": "b:2", "proto": "tcp", '
+            b'"seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}',
+        ],
+    )
+    def test_invalid_utf8_line_is_malformed(self, tmp_path, raw):
+        records = session_records()  # 11 lines
+        path = tmp_path / "trace.jsonl"
+        with open(path, "wb") as fh:
+            for r in records[:5]:
+                fh.write(json.dumps(r.to_wire()).encode() + b"\n")
+            fh.write(raw + b"\n")
+            for r in records[5:]:
+                fh.write(json.dumps(r.to_wire()).encode() + b"\n")
+        result = ingest_trace(path)
+        assert result.malformed == 1
+        assert result.rejects == [(6, "malformed: line is not valid UTF-8")]
+        assert len(result.records) == len(records)
+
+    def test_invalid_utf8_counts_toward_threshold(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        records = session_records()
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(records[0].to_wire()).encode() + b"\n")
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(TraceFormatError):
+            ingest_trace(path)
+
     def test_malformed_above_threshold_hard_fails(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         records = session_records()

@@ -325,3 +325,35 @@ class TestLoadPredictionRecords:
         del line["truth"]["decision"]["verdict"]
         with pytest.raises(ValueError):
             load_prediction_records(self.write(tmp_path, [line]))
+
+    BAD_NUMBERS = [5, "12", [], [1], [1, 2, 3], ["a", "b"], [1.0, 2], [True, 0], [-1, 0], [0, 2**32], {"seq": 1}]
+
+    @pytest.mark.parametrize("numbers", BAD_NUMBERS)
+    def test_bad_truth_numbers_raise(self, tmp_path, numbers):
+        line = self.good_line()
+        line["truth"]["numbers"] = numbers
+        with pytest.raises(ValueError, match="bad truth record"):
+            load_prediction_records(self.write(tmp_path, [line]))
+
+    @pytest.mark.parametrize("numbers", BAD_NUMBERS)
+    def test_bad_predicted_numbers_score_wrong(self, tmp_path, numbers):
+        line = self.good_line()
+        line["predicted"]["numbers"] = numbers
+        records = load_prediction_records(self.write(tmp_path, [line]))
+        assert records[0].predicted is not None
+        assert records[0].predicted_numbers is None
+        assert records[0].field_correct("Seq") is False
+        assert records[0].field_correct("Ack") is False
+        assert atomic_accuracy(records) == 0.0
+
+    def test_null_and_boundary_numbers_accepted(self, tmp_path):
+        line = self.good_line()
+        line["truth"]["numbers"] = [0, 2**32 - 1]
+        line["predicted"]["numbers"] = [0, 2**32 - 1]
+        other = self.good_line()
+        other["truth"]["numbers"] = None
+        del other["predicted"]["numbers"]
+        records = load_prediction_records(self.write(tmp_path, [line, other]))
+        assert records[0].truth_numbers == (0, 2**32 - 1) == records[0].predicted_numbers
+        assert records[1].truth_numbers is None and records[1].predicted_numbers is None
+        assert atomic_accuracy(records) == 1.0
