@@ -193,10 +193,11 @@ class Scenario:
         for e in entries:
             n = e.get("payload_len")
             # Each scripted send goes out as one segment, which
-            # Segment.from_wire must be able to read back from the transcript.
-            if type(n) is not int or not 0 <= n <= MAX_PAYLOAD_LEN:
+            # Segment.from_wire must be able to read back from the transcript;
+            # a SEND carries at least one byte.
+            if type(n) is not int or not 1 <= n <= MAX_PAYLOAD_LEN:
                 raise ValueError(
-                    f"scripted payload_len must be an integer in [0, {MAX_PAYLOAD_LEN}]: {n!r}"
+                    f"scripted payload_len must be an integer in [1, {MAX_PAYLOAD_LEN}]: {n!r}"
                 )
             data_script.append((Role(e.get("side")), n))
         steps_budget = obj.get("steps_budget", 64)
@@ -436,7 +437,7 @@ def run_session(
     actions.append((Role.SERVER, LocalAction(ActionKind.OPEN_PASSIVE)))
     actions.append((Role.CLIENT, LocalAction(ActionKind.OPEN_ACTIVE)))
     for side, n in scenario.data_script:
-        actions.append((side, LocalAction(ActionKind.SEND, rng.randbytes(max(1, n)))))
+        actions.append((side, LocalAction(ActionKind.SEND, rng.randbytes(n))))
     other = Role.SERVER if scenario.closer is Role.CLIENT else Role.CLIENT
     actions.append((scenario.closer, LocalAction(ActionKind.CLOSE)))
     actions.append((other, LocalAction(ActionKind.CLOSE)))

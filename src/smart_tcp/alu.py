@@ -30,10 +30,14 @@ class AluResult:
     ack: int
 
 
+_TASK_BY_TOKEN = {task.value: task for task in AluTask}
+
+
 def alu_parse_task(token: str) -> AluTask:
     """Exact, case-sensitive match over the closed task vocabulary."""
-    for task in AluTask:
-        if token == task.value:
+    if isinstance(token, str):
+        task = _TASK_BY_TOKEN.get(token)
+        if task is not None:
             return task
     raise AluError(f"unknown ALU task token: {token!r}")
 

@@ -42,6 +42,9 @@ class Verdict(Enum):
     FLAG_ERROR = "FLAG_ERROR"
 
 
+_VERDICT_BY_TOKEN = {verdict.value: verdict for verdict in Verdict}
+
+
 class MalformedDecision(Exception):
     """Model output that does not satisfy the decision schema."""
 
@@ -101,8 +104,36 @@ class CognitiveDecision:
             "verdict": self.verdict.value,
         }
 
+    @classmethod
+    def from_wire(cls, obj) -> "CognitiveDecision":
+        """Decode a decision object; MalformedDecision for anything that does
+        not satisfy the schema."""
+        if not isinstance(obj, dict):
+            raise MalformedDecision("decision must be a JSON object")
+        if obj.keys() != _DECISION_KEY_SET:
+            unknown = set(obj) - _DECISION_KEY_SET
+            if unknown:
+                raise MalformedDecision(f"unknown keys: {sorted(unknown)}")
+            raise MalformedDecision(f"missing keys: {sorted(_DECISION_KEY_SET - set(obj))}")
+        try:
+            next_state = parse_state(obj["next_state"])
+            flags = flags_parse(obj["flags"]) if obj["flags"] is not None else None
+            payload_len = obj["payload_len"]
+            if not isinstance(payload_len, int) or payload_len < 0:
+                raise ValueError(f"bad payload_len: {payload_len!r}")
+            t_task = alu_parse_task(obj["t_task"]) if obj["t_task"] is not None else None
+            token = obj["verdict"]
+            verdict = _VERDICT_BY_TOKEN.get(token) if isinstance(token, str) else None
+            if verdict is None:
+                # Verdict(token)'s wording: remote transcripts carry it in halt_reason.
+                raise ValueError(f"{token!r} is not a valid Verdict")
+        except ValueError as exc:
+            raise MalformedDecision(str(exc)) from None
+        return cls(next_state, flags, payload_len, t_task, verdict)
+
 
 DECISION_KEYS = ("next_state", "flags", "payload_len", "t_task", "verdict")
+_DECISION_KEY_SET = frozenset(DECISION_KEYS)
 
 
 def serialize_decision(d: CognitiveDecision) -> str:
@@ -111,28 +142,6 @@ def serialize_decision(d: CognitiveDecision) -> str:
 
 def serialize_input(i: CognitiveInput) -> str:
     return json.dumps(i.to_wire(), separators=(",", ":"))
-
-
-def _decision_from_obj(obj: dict) -> CognitiveDecision:
-    if not isinstance(obj, dict):
-        raise MalformedDecision("decision must be a JSON object")
-    unknown = set(obj) - set(DECISION_KEYS)
-    if unknown:
-        raise MalformedDecision(f"unknown keys: {sorted(unknown)}")
-    missing = set(DECISION_KEYS) - set(obj)
-    if missing:
-        raise MalformedDecision(f"missing keys: {sorted(missing)}")
-    try:
-        next_state = parse_state(obj["next_state"])
-        flags = flags_parse(obj["flags"]) if obj["flags"] is not None else None
-        payload_len = obj["payload_len"]
-        if not isinstance(payload_len, int) or payload_len < 0:
-            raise ValueError(f"bad payload_len: {payload_len!r}")
-        t_task = alu_parse_task(obj["t_task"]) if obj["t_task"] is not None else None
-        verdict = Verdict(obj["verdict"])
-    except ValueError as exc:
-        raise MalformedDecision(str(exc)) from None
-    return CognitiveDecision(next_state, flags, payload_len, t_task, verdict)
 
 
 def _extract_json_object(text: str) -> Optional[str]:
@@ -177,7 +186,7 @@ def parse_decision(raw: str) -> CognitiveDecision:
             obj = json.loads(candidate)
         except ValueError as exc:
             raise MalformedDecision(f"embedded object unparseable: {exc}") from None
-    return _decision_from_obj(obj)
+    return CognitiveDecision.from_wire(obj)
 
 
 # ---------------------------------------------------------------------------

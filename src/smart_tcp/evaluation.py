@@ -2,21 +2,25 @@
 
 Field-level accuracy, atomic accuracy, per-class precision/recall with macro
 averages, a row-normalized state confusion matrix and error-detection
-metrics; all computed from immutable prediction records, so results are
-independent of record order.
+metrics, all counted in one pass over immutable prediction records. Every
+score is independent of record order; the order of confusion rows and
+columns and of error-category counts is the order of first appearance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .cognitive_core import CognitiveDecision, Verdict, _decision_from_obj, MalformedDecision
-from .tcp_core import SEQ_MOD, TcpState
+from .cognitive_core import CognitiveDecision, MalformedDecision, Verdict
+from .tcp_core import SEQ_MOD
 
 FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
+
+# Predicted-side class label of a record whose prediction is malformed.
+MALFORMED = "MALFORMED"
 
 
 @dataclass(frozen=True)
@@ -27,50 +31,6 @@ class PredictionRecord:
     predicted_numbers: Optional[Tuple[int, int]] = None
     provenance: Optional[dict] = None
 
-    def field_correct(self, field_name: str) -> Optional[bool]:
-        """True/False for a scored field, None when not applicable
-        (no ground-truth numbers for Seq/Ack)."""
-        if field_name == "Seq" or field_name == "Ack":
-            if self.truth_numbers is None:
-                return None
-            if self.predicted is None or self.predicted_numbers is None:
-                return False
-            i = 0 if field_name == "Seq" else 1
-            return self.truth_numbers[i] == self.predicted_numbers[i]
-        if self.predicted is None:
-            return False
-        if field_name == "NewState":
-            return self.truth.next_state == self.predicted.next_state
-        if field_name == "Flags":
-            return self.truth.flags == self.predicted.flags
-        if field_name == "PayloadLen":
-            return self.truth.payload_len == self.predicted.payload_len
-        raise ValueError(f"unknown field: {field_name}")
-
-
-def field_accuracy(records: List[PredictionRecord], field_name: str) -> float:
-    if not records:
-        raise ValueError("no records")
-    if field_name not in FIELD_NAMES:
-        raise ValueError(f"unknown field: {field_name}")
-    outcomes = [r.field_correct(field_name) for r in records]
-    scored = [o for o in outcomes if o is not None]
-    if not scored:
-        return 0.0
-    return sum(scored) / len(scored)
-
-
-def atomic_accuracy(records: List[PredictionRecord]) -> float:
-    """Fraction of records correct on every protocol field simultaneously."""
-    if not records:
-        raise ValueError("no records")
-    hits = 0
-    for r in records:
-        outcomes = [r.field_correct(f) for f in FIELD_NAMES]
-        if all(o is not False for o in outcomes) and r.predicted is not None:
-            hits += 1
-    return hits / len(records)
-
 
 @dataclass
 class ClassScore:
@@ -80,95 +40,11 @@ class ClassScore:
     undefined_precision: bool = False
 
 
-def _class_label(d: Optional[CognitiveDecision], field_name: str) -> Optional[str]:
-    if d is None:
-        return None
-    if field_name == "NewState":
-        return d.next_state.value
-    if field_name == "Flags":
-        return d.flags.render() if d.flags is not None else "(none)"
-    raise ValueError(f"unsupported classification field: {field_name}")
-
-
-def precision_recall(
-    records: List[PredictionRecord], field_name: str
-) -> Tuple[Dict[str, ClassScore], float, float]:
-    """One-vs-rest P/R per class plus macro averages over classes with
-    nonzero support. Zero-denominator precision reports 0 with a flag."""
-    if not records:
-        raise ValueError("no records")
-    truths = [_class_label(r.truth, field_name) for r in records]
-    preds = [_class_label(r.predicted, field_name) for r in records]
-    classes = sorted(set(truths))
-    scores: Dict[str, ClassScore] = {}
-    for c in classes:
-        tp = sum(1 for t, p in zip(truths, preds) if t == c and p == c)
-        fp = sum(1 for t, p in zip(truths, preds) if t != c and p == c)
-        fn = sum(1 for t, p in zip(truths, preds) if t == c and p != c)
-        support = tp + fn
-        undefined = (tp + fp) == 0
-        precision = 0.0 if undefined else tp / (tp + fp)
-        recall = tp / support if support else 0.0
-        scores[c] = ClassScore(precision, recall, support, undefined)
-    supported = [s for s in scores.values() if s.support > 0]
-    macro_p = sum(s.precision for s in supported) / len(supported) if supported else 0.0
-    macro_r = sum(s.recall for s in supported) / len(supported) if supported else 0.0
-    return scores, macro_p, macro_r
-
-
-def confusion_matrix(
-    records: List[PredictionRecord],
-) -> Dict[str, Dict[str, float]]:
-    """Row-normalized state confusion: rows are true states with nonzero
-    support, entries are percentages rounded to one decimal."""
-    if not records:
-        raise ValueError("no records")
-    counts: Dict[str, Dict[str, int]] = {}
-    for r in records:
-        t = r.truth.next_state.value
-        p = r.predicted.next_state.value if r.predicted is not None else "MALFORMED"
-        counts.setdefault(t, {})
-        counts[t][p] = counts[t].get(p, 0) + 1
-    matrix: Dict[str, Dict[str, float]] = {}
-    for t, row in counts.items():
-        support = sum(row.values())
-        matrix[t] = {p: round(100.0 * n / support, 1) for p, n in row.items()}
-    return matrix
-
-
 @dataclass
 class ErrorDetectionMetrics:
     overall_accuracy: float
     recall_by_category: Dict[str, float]
     counts: Dict[str, int]
-
-
-def error_detection_metrics(records: List[PredictionRecord]) -> ErrorDetectionMetrics:
-    """Verdict scoring over a labeled error set; a NORMAL verdict on an
-    error sample is a miss."""
-    if not records:
-        raise ValueError("no records")
-    correct = 0
-    per_cat_hits: Dict[str, int] = {}
-    per_cat_total: Dict[str, int] = {}
-    for r in records:
-        truth_v = r.truth.verdict
-        pred_v = r.predicted.verdict if r.predicted is not None else None
-        if pred_v == truth_v:
-            correct += 1
-        if truth_v is not Verdict.NORMAL:
-            cat = truth_v.value
-            per_cat_total[cat] = per_cat_total.get(cat, 0) + 1
-            if pred_v == truth_v:
-                per_cat_hits[cat] = per_cat_hits.get(cat, 0) + 1
-    recalls = {
-        cat: per_cat_hits.get(cat, 0) / n for cat, n in sorted(per_cat_total.items())
-    }
-    return ErrorDetectionMetrics(
-        overall_accuracy=correct / len(records),
-        recall_by_category=recalls,
-        counts={"records": len(records), **per_cat_total},
-    )
 
 
 @dataclass
@@ -185,23 +61,145 @@ class MetricsReport:
     malformed_count: int
 
 
+def _class_scores(
+    pairs: Dict[Tuple[str, str], int],
+) -> Tuple[Dict[str, ClassScore], float, float]:
+    """One-vs-rest P/R per true class from (true, predicted) label counts,
+    plus macro averages. Zero-denominator precision reports 0 with a flag."""
+    support: Dict[str, int] = {}
+    predicted: Dict[str, int] = {}
+    hits: Dict[str, int] = {}
+    for (t, p), n in pairs.items():
+        support[t] = support.get(t, 0) + n
+        predicted[p] = predicted.get(p, 0) + n
+        if t == p:
+            hits[t] = n
+    scores: Dict[str, ClassScore] = {}
+    for c in sorted(support):
+        tp = hits.get(c, 0)
+        n_pred = predicted.get(c, 0)
+        undefined = n_pred == 0
+        precision = 0.0 if undefined else tp / n_pred
+        scores[c] = ClassScore(precision, tp / support[c], support[c], undefined)
+    macro_p = sum(s.precision for s in scores.values()) / len(scores)
+    macro_r = sum(s.recall for s in scores.values()) / len(scores)
+    return scores, macro_p, macro_r
+
+
+def _flags_label(flags) -> str:
+    if flags is MALFORMED:
+        return MALFORMED
+    return flags.render() if flags is not None else "(none)"
+
+
 def compute_report(records: List[PredictionRecord]) -> MetricsReport:
+    """Every score of the report, from one pass over the records.
+
+    A malformed prediction is wrong on every field. Seq/Ack are scored only
+    on records with ground-truth numbers. Confusion rows are true states,
+    each cell the percentage of its row rounded to one decimal. A NORMAL
+    verdict on an error sample is a miss; error detection is reported only
+    when the truth set holds an error sample.
+    """
     if not records:
         raise ValueError("cannot build a report from an empty record set")
-    ns_scores, ns_p, ns_r = precision_recall(records, "NewState")
-    fl_scores, fl_p, fl_r = precision_recall(records, "Flags")
-    has_verdicts = any(r.truth.verdict is not Verdict.NORMAL for r in records)
+    normal = Verdict.NORMAL
+    state_hits = flags_hits = plen_hits = seq_hits = ack_hits = atomic_hits = 0
+    numbered = malformed = verdict_hits = 0
+    # confusion[true state][predicted state or MALFORMED] and
+    # flag_pairs[(true flags, predicted flags or MALFORMED)]: record counts.
+    confusion: Dict = {}
+    flag_pairs: Dict = {}
+    category_totals: Dict[Verdict, int] = {}
+    category_hits: Dict[Verdict, int] = {}
+    for r in records:
+        t = r.truth
+        p = r.predicted
+        tn = r.truth_numbers
+        t_verdict = t.verdict
+        if tn is not None:
+            numbered += 1
+        if p is None:
+            malformed += 1
+            p_state = p_flags = MALFORMED
+            verdict_hit = False
+        else:
+            p_state = p.next_state
+            p_flags = p.flags
+            state_ok = p_state is t.next_state
+            # Decoded flags are memoized, so equal flags are mostly one object.
+            flags_ok = p_flags is t.flags or p_flags == t.flags
+            plen_ok = p.payload_len == t.payload_len
+            state_hits += state_ok
+            flags_hits += flags_ok
+            plen_hits += plen_ok
+            atom = state_ok and flags_ok and plen_ok
+            if tn is not None:
+                pn = r.predicted_numbers
+                seq_ok = pn is not None and tn[0] == pn[0]
+                ack_ok = pn is not None and tn[1] == pn[1]
+                seq_hits += seq_ok
+                ack_hits += ack_ok
+                atom = atom and seq_ok and ack_ok
+            atomic_hits += atom
+            verdict_hit = p.verdict is t_verdict
+            verdict_hits += verdict_hit
+        row = confusion.get(t.next_state)
+        if row is None:
+            row = confusion[t.next_state] = {}
+        row[p_state] = row.get(p_state, 0) + 1
+        key = (t.flags, p_flags)
+        flag_pairs[key] = flag_pairs.get(key, 0) + 1
+        if t_verdict is not normal:
+            category_totals[t_verdict] = category_totals.get(t_verdict, 0) + 1
+            if verdict_hit:
+                category_hits[t_verdict] = category_hits.get(t_verdict, 0) + 1
+
+    n = len(records)
+    state_pairs: Dict[Tuple[str, str], int] = {}
+    matrix: Dict[str, Dict[str, float]] = {}
+    for t_state, row in confusion.items():
+        row_support = sum(row.values())
+        cells = {}
+        for p_state, count in row.items():
+            label = p_state if p_state is MALFORMED else p_state.value
+            state_pairs[(t_state.value, label)] = count
+            cells[label] = round(100.0 * count / row_support, 1)
+        matrix[t_state.value] = cells
+    label_pairs: Dict[Tuple[str, str], int] = {}
+    for (t_flags, p_flags), count in flag_pairs.items():
+        key = (_flags_label(t_flags), _flags_label(p_flags))
+        label_pairs[key] = label_pairs.get(key, 0) + count
+    ns_scores, ns_p, ns_r = _class_scores(state_pairs)
+    fl_scores, fl_p, fl_r = _class_scores(label_pairs)
+
+    error_detection = None
+    if category_totals:
+        error_detection = ErrorDetectionMetrics(
+            overall_accuracy=verdict_hits / n,
+            recall_by_category={
+                v.value: category_hits.get(v, 0) / total
+                for v, total in sorted(category_totals.items(), key=lambda kv: kv[0].value)
+            },
+            counts={"records": n, **{v.value: total for v, total in category_totals.items()}},
+        )
     return MetricsReport(
-        field_accuracy={f: field_accuracy(records, f) for f in FIELD_NAMES},
-        atomic_accuracy=atomic_accuracy(records),
+        field_accuracy={
+            "NewState": state_hits / n,
+            "Flags": flags_hits / n,
+            "PayloadLen": plen_hits / n,
+            "Seq": seq_hits / numbered if numbered else 0.0,
+            "Ack": ack_hits / numbered if numbered else 0.0,
+        },
+        atomic_accuracy=atomic_hits / n,
         newstate_scores=ns_scores,
         newstate_macro=(ns_p, ns_r),
         flags_scores=fl_scores,
         flags_macro=(fl_p, fl_r),
-        confusion=confusion_matrix(records),
-        error_detection=error_detection_metrics(records) if has_verdicts else None,
-        record_count=len(records),
-        malformed_count=sum(1 for r in records if r.predicted is None),
+        confusion=matrix,
+        error_detection=error_detection,
+        record_count=n,
+        malformed_count=malformed,
     )
 
 
@@ -214,38 +212,30 @@ def _pct2(rate: float) -> str:
     return f"{rate * 100:.2f}%"
 
 
+def _classes_to_wire(scores: Dict[str, ClassScore], macro: Tuple[float, float]) -> dict:
+    return {
+        "macro_precision": _pct2(macro[0]),
+        "macro_recall": _pct2(macro[1]),
+        "classes": {
+            c: {
+                "precision": _pct2(s.precision),
+                "recall": _pct2(s.recall),
+                "support": s.support,
+                "undefined_precision": s.undefined_precision,
+            }
+            for c, s in scores.items()
+        },
+    }
+
+
 def report_to_wire(report: MetricsReport) -> dict:
     obj = {
         "records": report.record_count,
         "malformed": report.malformed_count,
         "field_accuracy": {k: _pct2(v) for k, v in report.field_accuracy.items()},
         "atomic_accuracy": _pct2(report.atomic_accuracy),
-        "newstate": {
-            "macro_precision": _pct2(report.newstate_macro[0]),
-            "macro_recall": _pct2(report.newstate_macro[1]),
-            "classes": {
-                c: {
-                    "precision": _pct2(s.precision),
-                    "recall": _pct2(s.recall),
-                    "support": s.support,
-                    "undefined_precision": s.undefined_precision,
-                }
-                for c, s in report.newstate_scores.items()
-            },
-        },
-        "flags": {
-            "macro_precision": _pct2(report.flags_macro[0]),
-            "macro_recall": _pct2(report.flags_macro[1]),
-            "classes": {
-                c: {
-                    "precision": _pct2(s.precision),
-                    "recall": _pct2(s.recall),
-                    "support": s.support,
-                    "undefined_precision": s.undefined_precision,
-                }
-                for c, s in report.flags_scores.items()
-            },
-        },
+        "newstate": _classes_to_wire(report.newstate_scores, report.newstate_macro),
+        "flags": _classes_to_wire(report.flags_scores, report.flags_macro),
         "confusion_matrix": report.confusion,
     }
     if report.error_detection is not None:
@@ -314,7 +304,7 @@ def _load_decision(obj) -> Optional[CognitiveDecision]:
     if obj is None:
         return None
     try:
-        return _decision_from_obj(obj)
+        return CognitiveDecision.from_wire(obj)
     except MalformedDecision:
         return None
 
@@ -345,7 +335,7 @@ def load_prediction_records(path) -> List[PredictionRecord]:
             try:
                 obj = json.loads(line)
                 truth_obj = obj["truth"]
-                truth = _decision_from_obj(truth_obj["decision"])
+                truth = CognitiveDecision.from_wire(truth_obj["decision"])
                 truth_numbers = _load_numbers(truth_obj.get("numbers"))
             except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
                 raise ValueError(f"bad truth record in {path}: {exc}") from None

@@ -76,11 +76,17 @@ SYNCHRONIZED_STATES = frozenset(
 )
 
 
+_STATE_BY_TOKEN = {state.value: state for state in TcpState}
+
+
 def parse_state(token: str) -> TcpState:
-    try:
-        return TcpState(token)
-    except ValueError:
-        raise ValueError(f"unknown TCP state token: {token!r}") from None
+    """Exact, case-sensitive match over the state vocabulary. Raises
+    ValueError for anything else, including a non-string JSON value."""
+    if isinstance(token, str):
+        state = _STATE_BY_TOKEN.get(token)
+        if state is not None:
+            return state
+    raise ValueError(f"unknown TCP state token: {token!r}")
 
 
 class Role(Enum):

@@ -33,14 +33,7 @@ from smart_tcp.dataset_pipeline import (
     reconstruct_labels,
     transcript_to_trace_records,
 )
-from smart_tcp.evaluation import (
-    FIELD_NAMES,
-    PredictionRecord,
-    atomic_accuracy,
-    confusion_matrix,
-    error_detection_metrics,
-    field_accuracy,
-)
+from smart_tcp.evaluation import FIELD_NAMES, PredictionRecord, compute_report
 from smart_tcp.tcp_core import (
     ACTION_NONE,
     AgentState,
@@ -202,14 +195,14 @@ def test_criterion_4_error_detection_oracle():
         )
         for s in samples
     ]
-    m = error_detection_metrics(records)
+    m = compute_report(records).error_detection
     ok = (
         counts == {Verdict.ORDER_ERROR: 100, Verdict.FLAG_ERROR: 100}
         and m.overall_accuracy == 1.0
         and all(v == 1.0 for v in m.recall_by_category.values())
     )
     # Model-result numbers from a synthetic fixture with 93 and 96 planted hits.
-    fm = error_detection_metrics(_error_detection_fixture_records())
+    fm = compute_report(_error_detection_fixture_records()).error_detection
     ok = ok and (
         f"{fm.overall_accuracy * 100:.1f}" == "94.5"
         and f"{fm.recall_by_category['ORDER_ERROR'] * 100:.1f}" == "93.0"
@@ -234,7 +227,7 @@ def test_criterion_5_metric_fidelity_fixtures():
     ack_records += [
         PredictionRecord(est, est, truth_numbers=(0, 1), predicted_numbers=(0, 2))
     ] * 104
-    ok = f"{field_accuracy(ack_records, 'Ack') * 100:.2f}%" == "49.27%"
+    ok = f"{compute_report(ack_records).field_accuracy['Ack'] * 100:.2f}%" == "49.27%"
 
     # 35-of-36 fully correct -> 97.22%.
     atom_records = [
@@ -243,12 +236,12 @@ def test_criterion_5_metric_fidelity_fixtures():
     atom_records.append(
         PredictionRecord(est, d("CLOSE_WAIT"), truth_numbers=(1, 2), predicted_numbers=(1, 2))
     )
-    ok = ok and f"{atomic_accuracy(atom_records) * 100:.2f}%" == "97.22%"
+    ok = ok and f"{compute_report(atom_records).atomic_accuracy * 100:.2f}%" == "97.22%"
 
     # 2-of-36 FIN_WAIT_1 truths predicted ESTABLISHED -> 5.6 / 94.4 row cells.
     fw1 = d("FIN_WAIT_1", "FIN|ACK")
     conf_records = [PredictionRecord(fw1, fw1)] * 34 + [PredictionRecord(fw1, est)] * 2
-    m = confusion_matrix(conf_records)
+    m = compute_report(conf_records).confusion
     ok = ok and m["FIN_WAIT_1"]["ESTABLISHED"] == 5.6 and m["FIN_WAIT_1"]["FIN_WAIT_1"] == 94.4
     verdict_line("5 metric fidelity fixtures (49.27% / 97.22% / 5.6)", ok)
 
@@ -321,9 +314,9 @@ def test_criterion_6_property_suites():
                 predicted_numbers=(rng.randrange(40), rng.randrange(40)),
             )
         )
-    atom = atomic_accuracy(records)
+    report = compute_report(records)
     for name in FIELD_NAMES:
-        assert atom <= field_accuracy(records, name) + 1e-12
+        assert report.atomic_accuracy <= report.field_accuracy[name] + 1e-12
 
     elapsed = time.perf_counter() - t0
     verdict_line(f"6 property suites (>=10^4 cases each, {elapsed:.1f}s < 60s)", elapsed < 60.0)

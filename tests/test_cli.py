@@ -69,6 +69,7 @@ class TestSimulate:
             '{"data_script":[{"side":"CLIENT","payload_len":2.5}]}',
             '{"data_script":[{"side":"CLIENT","payload_len":65536}]}',
             '{"data_script":[{"side":"CLIENT","payload_len":-1}]}',
+            '{"data_script":[{"side":"CLIENT","payload_len":0}]}',
             '{"data_script":[{"side":"CLIENT"}]}',
             '{"data_script":[7]}',
             '{"data_script":5}',

@@ -221,6 +221,21 @@ class TestDecisionSchema:
         with pytest.raises(MalformedDecision):
             parse_decision(raw)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"next_state": "OPEN", "zeta": 1, "alpha": 2}, "unknown keys: ['alpha', 'zeta']"),
+            ({"next_state": "OPEN", "verdict": "NORMAL"}, "missing keys: ['flags', 'payload_len', 't_task']"),
+            ({}, "missing keys: ['flags', 'next_state', 'payload_len', 't_task', 'verdict']"),
+        ],
+    )
+    def test_key_check_messages(self, obj, message):
+        # Remote transcripts carry the message in halt_reason; unknown keys
+        # are reported before missing ones.
+        with pytest.raises(MalformedDecision) as exc:
+            parse_decision(json.dumps(obj))
+        assert str(exc.value) == message
+
     def test_prose_wrapped_object_extracted(self):
         raw = (
             "Sure! Here is my decision:\n"

@@ -1,26 +1,33 @@
-"""Metric definitions, report fixtures and invariants."""
+"""Metric definitions, report fixtures and invariants.
 
+Every score is read off ``compute_report``, its one definition. The
+multi-pass definitions below are kept as a test oracle: a property holds
+the one-pass report to them, byte for byte.
+"""
+
+import hashlib
 import json
 import random
+from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smart_tcp.cognitive_core import CognitiveDecision, Verdict
 from smart_tcp.evaluation import (
     FIELD_NAMES,
+    ClassScore,
+    ErrorDetectionMetrics,
+    MetricsReport,
     PredictionRecord,
     ReportFormat,
-    atomic_accuracy,
+    _render_text,
     compute_report,
-    confusion_matrix,
     emit_report,
-    error_detection_metrics,
-    field_accuracy,
     load_prediction_records,
-    precision_recall,
     report_to_wire,
 )
-from smart_tcp.tcp_core import flags_parse, parse_state
+from smart_tcp.tcp_core import TcpFlags, TcpState, flags_parse, parse_state
 
 
 def decision(state="ESTABLISHED", flags="ACK", plen=0, verdict=Verdict.NORMAL):
@@ -42,35 +49,241 @@ def perfect(n, state="ESTABLISHED"):
     return [rec(d, d, tn=(100, 200), pn=(100, 200)) for _ in range(n)]
 
 
+# ---------------------------------------------------------------------------
+# Reference: the multi-pass definition of every score, one function each.
+# ---------------------------------------------------------------------------
+
+
+def ref_field_correct(r: PredictionRecord, field_name: str) -> Optional[bool]:
+    """True/False for a scored field, None when not applicable (no
+    ground-truth numbers for Seq/Ack)."""
+    if field_name == "Seq" or field_name == "Ack":
+        if r.truth_numbers is None:
+            return None
+        if r.predicted is None or r.predicted_numbers is None:
+            return False
+        i = 0 if field_name == "Seq" else 1
+        return r.truth_numbers[i] == r.predicted_numbers[i]
+    if r.predicted is None:
+        return False
+    if field_name == "NewState":
+        return r.truth.next_state == r.predicted.next_state
+    if field_name == "Flags":
+        return r.truth.flags == r.predicted.flags
+    if field_name == "PayloadLen":
+        return r.truth.payload_len == r.predicted.payload_len
+    raise ValueError(f"unknown field: {field_name}")
+
+
+def ref_field_accuracy(records: List[PredictionRecord], field_name: str) -> float:
+    scored = [o for o in (ref_field_correct(r, field_name) for r in records) if o is not None]
+    return sum(scored) / len(scored) if scored else 0.0
+
+
+def ref_atomic_accuracy(records: List[PredictionRecord]) -> float:
+    hits = 0
+    for r in records:
+        outcomes = [ref_field_correct(r, f) for f in FIELD_NAMES]
+        if all(o is not False for o in outcomes) and r.predicted is not None:
+            hits += 1
+    return hits / len(records)
+
+
+def ref_class_label(d: Optional[CognitiveDecision], field_name: str) -> Optional[str]:
+    if d is None:
+        return None
+    if field_name == "NewState":
+        return d.next_state.value
+    return d.flags.render() if d.flags is not None else "(none)"
+
+
+def ref_precision_recall(
+    records: List[PredictionRecord], field_name: str
+) -> Tuple[Dict[str, ClassScore], float, float]:
+    truths = [ref_class_label(r.truth, field_name) for r in records]
+    preds = [ref_class_label(r.predicted, field_name) for r in records]
+    scores: Dict[str, ClassScore] = {}
+    for c in sorted(set(truths)):
+        tp = sum(1 for t, p in zip(truths, preds) if t == c and p == c)
+        fp = sum(1 for t, p in zip(truths, preds) if t != c and p == c)
+        fn = sum(1 for t, p in zip(truths, preds) if t == c and p != c)
+        support = tp + fn
+        undefined = (tp + fp) == 0
+        precision = 0.0 if undefined else tp / (tp + fp)
+        recall = tp / support if support else 0.0
+        scores[c] = ClassScore(precision, recall, support, undefined)
+    supported = [s for s in scores.values() if s.support > 0]
+    macro_p = sum(s.precision for s in supported) / len(supported) if supported else 0.0
+    macro_r = sum(s.recall for s in supported) / len(supported) if supported else 0.0
+    return scores, macro_p, macro_r
+
+
+def ref_confusion_matrix(records: List[PredictionRecord]) -> Dict[str, Dict[str, float]]:
+    counts: Dict[str, Dict[str, int]] = {}
+    for r in records:
+        t = r.truth.next_state.value
+        p = r.predicted.next_state.value if r.predicted is not None else "MALFORMED"
+        counts.setdefault(t, {})
+        counts[t][p] = counts[t].get(p, 0) + 1
+    matrix: Dict[str, Dict[str, float]] = {}
+    for t, row in counts.items():
+        support = sum(row.values())
+        matrix[t] = {p: round(100.0 * n / support, 1) for p, n in row.items()}
+    return matrix
+
+
+def ref_error_detection(records: List[PredictionRecord]) -> ErrorDetectionMetrics:
+    correct = 0
+    per_cat_hits: Dict[str, int] = {}
+    per_cat_total: Dict[str, int] = {}
+    for r in records:
+        truth_v = r.truth.verdict
+        pred_v = r.predicted.verdict if r.predicted is not None else None
+        if pred_v == truth_v:
+            correct += 1
+        if truth_v is not Verdict.NORMAL:
+            cat = truth_v.value
+            per_cat_total[cat] = per_cat_total.get(cat, 0) + 1
+            if pred_v == truth_v:
+                per_cat_hits[cat] = per_cat_hits.get(cat, 0) + 1
+    recalls = {cat: per_cat_hits.get(cat, 0) / n for cat, n in sorted(per_cat_total.items())}
+    return ErrorDetectionMetrics(
+        overall_accuracy=correct / len(records),
+        recall_by_category=recalls,
+        counts={"records": len(records), **per_cat_total},
+    )
+
+
+def ref_report(records: List[PredictionRecord]) -> MetricsReport:
+    ns_scores, ns_p, ns_r = ref_precision_recall(records, "NewState")
+    fl_scores, fl_p, fl_r = ref_precision_recall(records, "Flags")
+    has_verdicts = any(r.truth.verdict is not Verdict.NORMAL for r in records)
+    return MetricsReport(
+        field_accuracy={f: ref_field_accuracy(records, f) for f in FIELD_NAMES},
+        atomic_accuracy=ref_atomic_accuracy(records),
+        newstate_scores=ns_scores,
+        newstate_macro=(ns_p, ns_r),
+        flags_scores=fl_scores,
+        flags_macro=(fl_p, fl_r),
+        confusion=ref_confusion_matrix(records),
+        error_detection=ref_error_detection(records) if has_verdicts else None,
+        record_count=len(records),
+        malformed_count=sum(1 for r in records if r.predicted is None),
+    )
+
+
+# Flag sets built fresh on each draw, so equal flags are not always the
+# same object.
+flag_sets = st.builds(
+    TcpFlags, *([st.booleans()] * 6)
+).filter(TcpFlags.any)
+decisions = st.builds(
+    CognitiveDecision,
+    next_state=st.sampled_from(list(TcpState)),
+    flags=st.none() | st.sampled_from([flags_parse("ACK"), flags_parse("SYN|ACK")]) | flag_sets,
+    payload_len=st.integers(min_value=0, max_value=3),
+    t_task=st.none(),
+    verdict=st.sampled_from(list(Verdict)),
+)
+numbers = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2))
+records_lists = st.lists(
+    st.builds(
+        PredictionRecord,
+        truth=decisions,
+        predicted=st.none() | decisions,
+        truth_numbers=numbers,
+        predicted_numbers=numbers,
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(deadline=None)
+@given(records_lists)
+def test_one_pass_report_matches_reference(records):
+    report = compute_report(records)
+    expected = ref_report(records)
+    assert json.dumps(report_to_wire(report)) == json.dumps(report_to_wire(expected))
+    assert _render_text(report) == _render_text(expected)
+
+
+def seeded_records(seed: int, n: int) -> List[PredictionRecord]:
+    """Predictions mostly right, with wrong states, flags, payload lengths,
+    numbers and verdicts, malformed ones and records without numbers."""
+    rng = random.Random(seed)
+    states = [s.value for s in TcpState]
+    flag_texts = [None, "SYN", "ACK", "SYN|ACK", "FIN|ACK", "PSH|ACK", "RST"]
+    verdicts = list(Verdict)
+    records = []
+    for _ in range(n):
+        verdict = rng.choice(verdicts) if rng.random() < 0.4 else Verdict.NORMAL
+        truth = decision(rng.choice(states), rng.choice(flag_texts), rng.choice([0, 1, 512]), verdict)
+        tn = (rng.randrange(2**32), rng.randrange(2**32)) if rng.random() < 0.8 else None
+        roll = rng.random()
+        pred, pn = truth, tn
+        if roll < 0.06:
+            pred = None
+        elif roll < 0.14:
+            pred = decision(rng.choice(states), truth.flags and truth.flags.render(), truth.payload_len, verdict)
+        elif roll < 0.22:
+            pred = decision(truth.next_state.value, rng.choice(flag_texts), truth.payload_len, verdict)
+        elif roll < 0.28:
+            pred = decision(
+                truth.next_state.value, truth.flags and truth.flags.render(), truth.payload_len + 1, verdict
+            )
+        elif roll < 0.36:
+            pn = (rng.randrange(2**32), tn[1]) if tn is not None and rng.random() < 0.5 else None
+        elif roll < 0.44:
+            pred = decision(
+                truth.next_state.value,
+                truth.flags and truth.flags.render(),
+                truth.payload_len,
+                rng.choice(verdicts),
+            )
+        records.append(rec(truth, pred, tn=tn, pn=pn))
+    return records
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    # Digests of the reports of the multi-pass implementation.
+    report = compute_report(seeded_records(5, 600))
+    digests = {}
+    for fmt in ReportFormat:
+        path = tmp_path / fmt.value
+        emit_report(report, path, fmt)
+        digests[fmt.value] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        "MACHINE": "6177235dd47139ebeca6e66103e8423a39306b75014a6fe49afdb1656abf0b7e",
+        "TEXT_TABLE": "75695a5db72b0bd8744ed0630e4761e659962aa2fad1b2a58b15b51bce879354",
+    }
+
+
 class TestFieldAccuracy:
     def test_all_correct(self):
-        assert field_accuracy(perfect(5), "NewState") == 1.0
+        assert compute_report(perfect(5)).field_accuracy["NewState"] == 1.0
 
     def test_malformed_counts_as_wrong(self):
         records = perfect(3) + [rec(decision(), None, tn=(1, 2))]
-        assert field_accuracy(records, "NewState") == 0.75
-        assert field_accuracy(records, "Seq") == 0.75
+        acc = compute_report(records).field_accuracy
+        assert acc["NewState"] == 0.75
+        assert acc["Seq"] == 0.75
 
     def test_seq_ack_excluded_without_truth_numbers(self):
         d = decision()
         records = perfect(2) + [rec(d, d)]  # no numbers on the third
-        assert field_accuracy(records, "Ack") == 1.0  # denominator is 2
-        assert field_accuracy(records, "NewState") == 1.0
+        acc = compute_report(records).field_accuracy
+        assert acc["Ack"] == 1.0  # denominator is 2
+        assert acc["NewState"] == 1.0
 
     def test_ack_fixture_49_27(self):
         # 101 of 205 correct acknowledgment numbers.
         d = decision()
         records = [rec(d, d, tn=(0, 10), pn=(0, 10)) for _ in range(101)]
         records += [rec(d, d, tn=(0, 10), pn=(0, 11)) for _ in range(104)]
-        acc = field_accuracy(records, "Ack")
+        acc = compute_report(records).field_accuracy["Ack"]
         assert acc == pytest.approx(101 / 205)
         assert f"{acc * 100:.2f}%" == "49.27%"
-
-    def test_unknown_field_and_empty(self):
-        with pytest.raises(ValueError):
-            field_accuracy(perfect(1), "Window")
-        with pytest.raises(ValueError):
-            field_accuracy([], "NewState")
 
 
 class TestAtomicAccuracy:
@@ -80,14 +293,14 @@ class TestAtomicAccuracy:
         records.append(
             rec(decision("ESTABLISHED"), decision("CLOSE_WAIT"), tn=(1, 2), pn=(1, 2))
         )
-        acc = atomic_accuracy(records)
+        acc = compute_report(records).atomic_accuracy
         assert acc == pytest.approx(35 / 36)
         assert f"{acc * 100:.2f}%" == "97.22%"
 
     def test_single_wrong_field_breaks_atom(self):
         d = decision()
         records = [rec(d, d, tn=(5, 6), pn=(5, 7))]  # only Ack wrong
-        assert atomic_accuracy(records) == 0.0
+        assert compute_report(records).atomic_accuracy == 0.0
 
     def test_never_exceeds_any_field_accuracy(self):
         rng = random.Random(3)
@@ -99,22 +312,23 @@ class TestAtomicAccuracy:
             tn = (rng.randrange(50), rng.randrange(50))
             pn = (rng.randrange(50), rng.randrange(50))
             records.append(rec(t, p, tn=tn, pn=pn))
-        atom = atomic_accuracy(records)
+        report = compute_report(records)
         for f in FIELD_NAMES:
-            assert atom <= field_accuracy(records, f) + 1e-12
+            assert report.atomic_accuracy <= report.field_accuracy[f] + 1e-12
 
 
 class TestPrecisionRecall:
     def test_perfect_is_unit(self):
-        scores, mp, mr = precision_recall(perfect(4), "NewState")
-        assert mp == mr == 1.0
-        assert scores["ESTABLISHED"].support == 4
+        report = compute_report(perfect(4))
+        assert report.newstate_macro == (1.0, 1.0)
+        assert report.newstate_scores["ESTABLISHED"].support == 4
 
     def test_two_class_example(self):
         a, b = decision("ESTABLISHED"), decision("CLOSE_WAIT")
         # truths: 3 EST, 1 CW; predictions: EST,EST,CW,CW
         records = [rec(a, a), rec(a, a), rec(a, b), rec(b, b)]
-        scores, mp, mr = precision_recall(records, "NewState")
+        report = compute_report(records)
+        scores, (mp, mr) = report.newstate_scores, report.newstate_macro
         assert scores["ESTABLISHED"].precision == 1.0
         assert scores["ESTABLISHED"].recall == pytest.approx(2 / 3)
         assert scores["CLOSE_WAIT"].precision == 0.5
@@ -125,7 +339,7 @@ class TestPrecisionRecall:
     def test_undefined_precision_flagged(self):
         a, b = decision("ESTABLISHED"), decision("CLOSE_WAIT")
         records = [rec(b, a)]  # CLOSE_WAIT never predicted
-        scores, _, _ = precision_recall(records, "NewState")
+        scores = compute_report(records).newstate_scores
         assert scores["CLOSE_WAIT"].undefined_precision
         assert scores["CLOSE_WAIT"].precision == 0.0
 
@@ -136,14 +350,15 @@ class TestPrecisionRecall:
             rec(decision(rng.choice(states)), decision(rng.choice(states)))
             for _ in range(200)
         ]
-        scores, _, _ = precision_recall(records, "NewState")
+        report = compute_report(records)
+        scores = report.newstate_scores
         micro = sum(s.recall * s.support for s in scores.values()) / len(records)
-        assert micro == pytest.approx(field_accuracy(records, "NewState"))
+        assert micro == pytest.approx(report.field_accuracy["NewState"])
 
     def test_flags_classes(self):
         t = decision(flags="FIN|ACK")
         p = decision(flags="ACK")
-        scores, _, _ = precision_recall([rec(t, p), rec(t, t)], "Flags")
+        scores = compute_report([rec(t, p), rec(t, t)]).flags_scores
         assert set(scores) == {"ACK|FIN"}
         assert scores["ACK|FIN"].recall == 0.5
 
@@ -154,7 +369,7 @@ class TestConfusionMatrix:
         t = decision("FIN_WAIT_1", flags="FIN|ACK")
         records = [rec(t, t) for _ in range(34)]
         records += [rec(t, decision("ESTABLISHED")) for _ in range(2)]
-        m = confusion_matrix(records)
+        m = compute_report(records).confusion
         assert m["FIN_WAIT_1"]["ESTABLISHED"] == 5.6
         assert m["FIN_WAIT_1"]["FIN_WAIT_1"] == 94.4
 
@@ -165,7 +380,7 @@ class TestConfusionMatrix:
             rec(decision(rng.choice(states)), decision(rng.choice(states)))
             for _ in range(400)
         ]
-        for row in confusion_matrix(records).values():
+        for row in compute_report(records).confusion.values():
             assert sum(row.values()) == pytest.approx(100.0, abs=0.3)
 
     def test_diagonal_matches_recall(self):
@@ -175,14 +390,14 @@ class TestConfusionMatrix:
             rec(decision(rng.choice(states)), decision(rng.choice(states)))
             for _ in range(100)
         ]
-        m = confusion_matrix(records)
-        scores, _, _ = precision_recall(records, "NewState")
-        for c, s in scores.items():
+        report = compute_report(records)
+        m = report.confusion
+        for c, s in report.newstate_scores.items():
             assert m[c].get(c, 0.0) == round(100.0 * s.recall, 1)
 
     def test_malformed_column(self):
         records = [rec(decision(), None), rec(decision(), decision())]
-        m = confusion_matrix(records)
+        m = compute_report(records).confusion
         assert m["ESTABLISHED"]["MALFORMED"] == 50.0
 
 
@@ -200,7 +415,7 @@ class TestErrorDetection:
         return records
 
     def test_fixture_94_5_93_0_96_0(self):
-        m = error_detection_metrics(self.fixture_records())
+        m = compute_report(self.fixture_records()).error_detection
         assert f"{m.overall_accuracy * 100:.1f}" == "94.5"
         assert f"{m.recall_by_category['ORDER_ERROR'] * 100:.1f}" == "93.0"
         assert f"{m.recall_by_category['FLAG_ERROR'] * 100:.1f}" == "96.0"
@@ -208,14 +423,14 @@ class TestErrorDetection:
 
     def test_malformed_prediction_is_a_miss(self):
         t = decision(verdict=Verdict.ORDER_ERROR, flags=None)
-        m = error_detection_metrics([rec(t, None)])
+        m = compute_report([rec(t, None)]).error_detection
         assert m.overall_accuracy == 0.0
         assert m.recall_by_category == {"ORDER_ERROR": 0.0}
 
     def test_all_normal_set_has_no_recall_rows(self):
-        m = error_detection_metrics(perfect(5))
-        assert m.overall_accuracy == 1.0
-        assert m.recall_by_category == {}
+        # An all-NORMAL truth set has no error category to recall, so the
+        # report leaves error detection out.
+        assert compute_report(perfect(5)).error_detection is None
 
 
 class TestReport:
@@ -253,9 +468,8 @@ class TestReport:
         assert a == b
 
     def test_empty_set_raises(self):
-        for fn in (compute_report, atomic_accuracy, confusion_matrix, error_detection_metrics):
-            with pytest.raises(ValueError):
-                fn([])
+        with pytest.raises(ValueError):
+            compute_report([])
 
     def test_emit_machine_round_trips(self, tmp_path):
         report = compute_report(perfect(3))
@@ -292,7 +506,7 @@ class TestLoadPredictionRecords:
         records = load_prediction_records(path)
         assert len(records) == 1
         assert records[0].truth_numbers == (10, 20)
-        assert atomic_accuracy(records) == 1.0
+        assert compute_report(records).atomic_accuracy == 1.0
 
     def test_null_predicted_is_malformed(self, tmp_path):
         line = self.good_line()
@@ -342,9 +556,10 @@ class TestLoadPredictionRecords:
         records = load_prediction_records(self.write(tmp_path, [line]))
         assert records[0].predicted is not None
         assert records[0].predicted_numbers is None
-        assert records[0].field_correct("Seq") is False
-        assert records[0].field_correct("Ack") is False
-        assert atomic_accuracy(records) == 0.0
+        report = compute_report(records)
+        assert report.field_accuracy["Seq"] == 0.0
+        assert report.field_accuracy["Ack"] == 0.0
+        assert report.atomic_accuracy == 0.0
 
     def test_null_and_boundary_numbers_accepted(self, tmp_path):
         line = self.good_line()
@@ -356,4 +571,4 @@ class TestLoadPredictionRecords:
         records = load_prediction_records(self.write(tmp_path, [line, other]))
         assert records[0].truth_numbers == (0, 2**32 - 1) == records[0].predicted_numbers
         assert records[1].truth_numbers is None and records[1].predicted_numbers is None
-        assert atomic_accuracy(records) == 1.0
+        assert compute_report(records).atomic_accuracy == 1.0

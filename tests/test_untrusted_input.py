@@ -5,10 +5,13 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from smart_tcp.cognitive_core import CognitiveDecision, MalformedDecision, parse_decision
+from smart_tcp.alu import AluError, AluTask, alu_parse_task
+from smart_tcp.cognitive_core import CognitiveDecision, MalformedDecision, Verdict, parse_decision
 from smart_tcp.dataset_pipeline import IngestResult, TraceFormatError, ingest_trace
+from smart_tcp.tcp_core import TcpState, parse_state
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -77,3 +80,47 @@ def test_parse_decision_returns_or_raises_malformed(raw):
     except MalformedDecision:
         return
     assert isinstance(decision, CognitiveDecision)
+
+
+def tokens(enum):
+    """Arbitrary JSON values, the enum's tokens and near misses of them."""
+    values = [m.value for m in enum]
+    near = [v.lower() for v in values] + [v + " " for v in values] + [[v] for v in values]
+    return st.one_of(json_values, st.sampled_from(values + near))
+
+
+@given(tokens(TcpState))
+def test_parse_state_accepts_what_the_enum_accepts(x):
+    try:
+        expected = TcpState(x)
+    except ValueError:
+        with pytest.raises(ValueError) as exc:
+            parse_state(x)
+        assert str(exc.value) == f"unknown TCP state token: {x!r}"
+    else:
+        assert parse_state(x) is expected
+
+
+@given(tokens(AluTask))
+def test_alu_parse_task_accepts_what_the_enum_accepts(x):
+    try:
+        expected = AluTask(x)
+    except ValueError:
+        with pytest.raises(AluError) as exc:
+            alu_parse_task(x)
+        assert str(exc.value) == f"unknown ALU task token: {x!r}"
+    else:
+        assert alu_parse_task(x) is expected
+
+
+@given(tokens(Verdict))
+def test_verdict_decode_accepts_what_the_enum_accepts(x):
+    obj = {"next_state": "CLOSED", "flags": None, "payload_len": 0, "t_task": None, "verdict": x}
+    try:
+        expected = Verdict(x)
+    except ValueError as enum_exc:
+        with pytest.raises(MalformedDecision) as exc:
+            CognitiveDecision.from_wire(obj)
+        assert str(exc.value) == str(enum_exc) == f"{x!r} is not a valid Verdict"
+    else:
+        assert CognitiveDecision.from_wire(obj).verdict is expected
