@@ -8,6 +8,7 @@ sees `decide(input) -> decision`.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -26,6 +27,7 @@ from .tcp_core import (
     FLAGS_SYN,
     FLAGS_SYN_ACK,
     LocalAction,
+    MAX_PAYLOAD_LEN,
     Segment,
     SYNCHRONIZED_STATES,
     TcpFlags,
@@ -119,7 +121,8 @@ class CognitiveDecision:
             next_state = parse_state(obj["next_state"])
             flags = flags_parse(obj["flags"]) if obj["flags"] is not None else None
             payload_len = obj["payload_len"]
-            if not isinstance(payload_len, int) or payload_len < 0:
+            # type() rather than isinstance: JSON true/false load as bools.
+            if type(payload_len) is not int or not 0 <= payload_len <= MAX_PAYLOAD_LEN:
                 raise ValueError(f"bad payload_len: {payload_len!r}")
             t_task = alu_parse_task(obj["t_task"]) if obj["t_task"] is not None else None
             token = obj["verdict"]
@@ -482,39 +485,103 @@ class RemoteCore(CognitiveCore):
     concurrency = REMOTE_CONCURRENCY
 
     def __init__(self, config: RemoteConfig, prompt_config: Optional[PromptConfig] = None):
-        import requests
-        from requests.adapters import HTTPAdapter
+        # Imported here, not at module level: http.client costs ~40 ms to
+        # import, which no oracle-only command should pay.
+        import http.client
+        from urllib.parse import urlsplit
 
         self.config = config
         self.prompt_config = prompt_config or PromptConfig(fine_tuned=True)
         self.malformed_count = 0
         self.request_count = 0
         self._count_lock = threading.Lock()
-        # One keep-alive pool per core, shared by the threads that call decide.
-        self._session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=self.concurrency)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        url = urlsplit(config.endpoint)
+        try:
+            port = url.port
+        except ValueError as exc:
+            raise TransportError(f"bad model endpoint {config.endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise TransportError(f"model endpoint must be an http(s) URL: {config.endpoint!r}")
+        kwargs = {"timeout": config.timeout}
+        if url.scheme == "https":
+            import ssl
+
+            kwargs["context"] = ssl.create_default_context()
+            connection = http.client.HTTPSConnection
+        else:
+            connection = http.client.HTTPConnection
+        # Pass the port: given none, http.client takes an IPv6 host's last
+        # group for the port.
+        self._connect = functools.partial(
+            connection, url.hostname, port or connection.default_port, **kwargs
+        )
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if config.api_key:
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        # Idle keep-alive connections, shared by the threads that call decide.
+        # Each thread pops one (or opens one) and pushes it back when done, so
+        # no more are ever open than decisions in flight.
+        self._idle: List = []
+        self._idle_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the pooled keep-alive connections."""
-        self._session.close()
+        """Close the idle keep-alive connections."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _post(self, body: bytes) -> bytes:
+        """POST `body` to the endpoint and return the whole response body.
+
+        A reused connection that fails before any response arrives is one the
+        server closed while it sat idle; the request is resent once on a new
+        connection. Any other failure, and a non-2xx status, closes the
+        connection and raises.
+        """
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        resend = conn is not None
+        while True:
+            if conn is None:
+                conn = self._connect()
+            try:
+                conn.request("POST", self._path, body, self._headers)
+                resp = conn.getresponse()
+                break
+            except (ConnectionResetError, BrokenPipeError):
+                # RemoteDisconnected, an empty reply, is a ConnectionResetError.
+                conn.close()
+                if not resend:
+                    raise
+                resend, conn = False, None
+            except BaseException:
+                conn.close()
+                raise
+        try:
+            data = resp.read()
+            if not 200 <= resp.status < 300:
+                raise TransportError(f"model endpoint failure: HTTP {resp.status} {resp.reason}")
+        except BaseException:
+            conn.close()
+            raise
+        # A reply that ends its connection (will_close) has already closed the
+        # socket; the connection object opens a new one when next used.
+        with self._idle_lock:
+            self._idle.append(conn)
+        return data
 
     def _complete(self, messages: List[dict]) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
         body = {
             "model": self.config.model,
             "messages": messages,
             "temperature": self.config.temperature,
         }
         try:
-            resp = self._session.post(
-                self.config.endpoint, json=body, headers=headers, timeout=self.config.timeout
-            )
-            resp.raise_for_status()
-            data = resp.json()
+            data = json.loads(self._post(json.dumps(body).encode()))
+        except TransportError:
+            raise
         except Exception as exc:
             raise TransportError(f"model endpoint failure: {exc}") from exc
         # Accept common response shapes.

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smart_tcp
 from smart_tcp.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -18,6 +23,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_transport_or_third_party_module():
+    # The remote core imports http.client when it is built; oracle-only
+    # commands, which are most runs, must not pay for that import.
+    src = str(Path(smart_tcp.__file__).resolve().parents[1])
+    probe = "import sys, smart_tcp.cli; print([m for m in ('http.client', 'requests', 'numpy') if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 class TestSimulate:

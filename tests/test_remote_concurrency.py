@@ -2,6 +2,7 @@
 transport failures surface, and connections are reused and closed."""
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -20,7 +21,12 @@ from smart_tcp.cognitive_core import (
     oracle_transition,
     serialize_decision,
 )
-from smart_tcp.tcp_core import flags_parse
+from smart_tcp.tcp_core import ActionKind, AgentState, LocalAction, Role, TcpState, flags_parse
+
+OPEN_ACTIVE = CognitiveInput(
+    s=AgentState(role=Role.CLIENT, state=TcpState.CLOSED, iss=10, snd_nxt=10),
+    a=LocalAction(ActionKind.OPEN_ACTIVE),
+)
 
 
 def oracle_reply(messages):
@@ -130,14 +136,21 @@ class TestConcurrentTrials:
 
 class LoopbackModel:
     """A chat-completion endpoint on 127.0.0.1 answering like the oracle;
-    counts the connections it accepted, those still open, and requests."""
+    counts the connections it accepted, those still open, and requests, and
+    records each request's Authorization header.
 
-    def __init__(self):
+    Variants: `reply=(status, body)` answers every request with those bytes
+    instead; `drop_after=k` silently closes the connection that served the
+    k-th request, as a server does with an idle keep-alive connection;
+    `close_each` answers with `Connection: close`."""
+
+    def __init__(self, reply=None, drop_after=None, close_each=False):
         stats = self
         self.lock = threading.Lock()
         self.connections = 0
         self.open = 0
         self.requests = 0
+        self.authorizations = []
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
@@ -155,17 +168,26 @@ class LoopbackModel:
 
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
-                content = oracle_reply(json.loads(body)["messages"])
-                payload = json.dumps(
-                    {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                ).encode()
-                self.send_response(200)
+                if reply is None:
+                    content = oracle_reply(json.loads(body)["messages"])
+                    status, payload = 200, json.dumps(
+                        {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                    ).encode()
+                else:
+                    status, payload = reply
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                if close_each:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(payload)
                 with stats.lock:
                     stats.requests += 1
+                    stats.authorizations.append(self.headers.get("Authorization"))
+                    if stats.requests == drop_after:
+                        # No Connection: close header, so the client keeps it.
+                        self.close_connection = True
 
             def log_message(self, format, *args):
                 pass
@@ -211,6 +233,90 @@ class TestRemoteTransport:
         assert client.request_count + server.request_count == decisions
         assert model.requests == decisions
         assert model.connections < model.requests
+
+    def test_idle_connection_dropped_by_the_server_is_resent_once(self):
+        expected, decisions = oracle_run(1, 11)
+        with LoopbackModel(drop_after=3) as model:
+            client = RemoteCore(RemoteConfig(endpoint=model.url))
+            server = RemoteCore(RemoteConfig(endpoint=model.url))
+            try:
+                report = run_trials(client, server, 1, 11)
+            finally:
+                client.close()
+                server.close()
+            assert model.wait_all_closed()
+        assert transcript_wire(report) == transcript_wire(expected)
+        assert client.request_count + server.request_count == decisions
+        assert model.requests == decisions
+        # One connection per core for a serial session, plus the one that
+        # replaced the dropped connection.
+        assert model.connections == 3
+
+    def test_connection_close_reply_closes_its_socket(self):
+        with LoopbackModel(close_each=True) as model:
+            core = RemoteCore(RemoteConfig(endpoint=model.url))
+            for _ in range(3):
+                core.decide(OPEN_ACTIVE)
+            assert model.wait_all_closed()
+            core.close()
+        assert model.requests == model.connections == 3
+
+    def test_close_closes_idle_connections(self):
+        with LoopbackModel() as model:
+            core = RemoteCore(RemoteConfig(endpoint=model.url))
+            core.decide(OPEN_ACTIVE)
+            core.decide(OPEN_ACTIVE)
+            assert model.connections == model.open == 1
+            core.close()
+            assert model.wait_all_closed()
+
+    @pytest.mark.parametrize("key, header", [("k", "Bearer k"), (None, None)])
+    def test_bearer_header_only_with_a_key(self, key, header):
+        with LoopbackModel() as model:
+            core = RemoteCore(RemoteConfig(endpoint=model.url, api_key=key))
+            try:
+                core.decide(OPEN_ACTIVE)
+            finally:
+                core.close()
+        assert model.authorizations == [header]
+
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [
+            ((500, b'{"error": "boom"}'), "HTTP 500 Internal Server Error"),
+            ((200, b"not json"), "Expecting value"),
+        ],
+    )
+    def test_bad_reply_is_a_transport_error(self, capsys, reply, reason):
+        with LoopbackModel(reply=reply) as model:
+            core = RemoteCore(RemoteConfig(endpoint=model.url))
+            try:
+                with pytest.raises(TransportError, match=f"model endpoint failure: {reason}"):
+                    core.decide(OPEN_ACTIVE)
+            finally:
+                core.close()
+            code = cli.main(["simulate", "--core", "remote", "--endpoint", model.url, "--sessions", "1"])
+            assert code == cli.EXIT_TRANSPORT
+            assert f"model endpoint failure: {reason}" in capsys.readouterr().err
+            assert model.wait_all_closed()
+
+    @pytest.mark.parametrize(
+        "endpoint, reason",
+        [
+            (None, "Connection refused"),
+            ("ftp://127.0.0.1/v1/chat/completions", "must be an http(s) URL"),
+            ("http:///v1/chat/completions", "must be an http(s) URL"),
+            ("http://127.0.0.1:99999/v1", "bad model endpoint"),
+        ],
+    )
+    def test_unusable_endpoint_exits_3(self, capsys, endpoint, reason):
+        if endpoint is None:
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                endpoint = f"http://127.0.0.1:{sock.getsockname()[1]}/v1/chat/completions"
+        code = cli.main(["simulate", "--core", "remote", "--endpoint", endpoint, "--sessions", "1"])
+        assert code == cli.EXIT_TRANSPORT
+        assert reason in capsys.readouterr().err
 
     def test_simulate_closes_its_connections(self, capsys, monkeypatch):
         assert cli.main(["simulate", "--core", "oracle", "--sessions", "4", "--seed", "2"]) == 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from smart_tcp.alu import AluError, AluTask, alu_parse_task
 from smart_tcp.cognitive_core import CognitiveDecision, MalformedDecision, Verdict, parse_decision
 from smart_tcp.dataset_pipeline import IngestResult, TraceFormatError, ingest_trace
-from smart_tcp.tcp_core import TcpState, parse_state
+from smart_tcp.tcp_core import MAX_PAYLOAD_LEN, TcpState, parse_state
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -124,3 +124,20 @@ def test_verdict_decode_accepts_what_the_enum_accepts(x):
         assert str(exc.value) == str(enum_exc) == f"{x!r} is not a valid Verdict"
     else:
         assert CognitiveDecision.from_wire(obj).verdict is expected
+
+
+def decision_with_payload_len(n):
+    return {"next_state": "CLOSED", "flags": None, "payload_len": n, "t_task": None, "verdict": "NORMAL"}
+
+
+@given(st.integers(min_value=0, max_value=MAX_PAYLOAD_LEN))
+def test_decision_payload_len_in_range_decodes(n):
+    assert CognitiveDecision.from_wire(decision_with_payload_len(n)).payload_len == n
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, -1, MAX_PAYLOAD_LEN + 1])
+def test_decision_payload_len_must_be_an_int_in_range(n):
+    # JSON true/false load as bools, which are ints to isinstance.
+    with pytest.raises(MalformedDecision) as exc:
+        CognitiveDecision.from_wire(decision_with_payload_len(n))
+    assert str(exc.value) == f"bad payload_len: {n!r}"
