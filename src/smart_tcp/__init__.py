@@ -20,7 +20,6 @@ from .tcp_core import (
     TcpFlags,
     TcpState,
     flags_parse,
-    flags_render,
     segment_consumes,
     seq_add,
     seq_lt,
@@ -45,7 +44,6 @@ __all__ = [
     "alu_execute",
     "alu_parse_task",
     "flags_parse",
-    "flags_render",
     "oracle_transition",
     "parse_decision",
     "segment_consumes",

@@ -2,9 +2,10 @@
 
 One agent step aggregates context, asks the cognitive core for a decision,
 runs the arithmetic tool when the decision names a task, assembles the
-outbound segment and updates protocol memory. Sessions run two agents over
-a lossless, ordered in-memory duplex channel and are graded per phase from
-the transcript alone.
+outbound segment and updates protocol memory. The same step functions,
+driven by the oracle, label traces and replay injected faults. Sessions run
+two agents over a lossless, ordered in-memory duplex channel and are graded
+per phase from the transcript alone.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .cognitive_core import (
     CognitiveDecision,
     CognitiveInput,
     MalformedDecision,
-    OracleCore,
     Verdict,
     oracle_transition,
 )
+from .evaluation import _pct
 from .tcp_core import (
     ACTION_NONE,
     ActionKind,
@@ -38,6 +39,7 @@ from .tcp_core import (
     LocalAction,
     MAX_PAYLOAD_LEN,
     Role,
+    SEQ_MOD,
     Segment,
     TcpFlags,
     TcpState,
@@ -50,14 +52,109 @@ from .tcp_core import (
 @dataclass(frozen=True, slots=True)
 class StepOutcome:
     emitted: Optional[Segment]
-    new_state_snapshot: AgentState
     decision: CognitiveDecision
     alu_result: Optional[AluResult]
-    input: CognitiveInput
 
 
 class StepFailure(Exception):
     """Cognitive core produced an unusable decision for this step."""
+
+
+# ---------------------------------------------------------------------------
+# The step: sessions, the labeler and fault replay all advance an endpoint's
+# memory through these functions.
+# ---------------------------------------------------------------------------
+
+
+def remember(
+    s: AgentState,
+    next_state: TcpState,
+    sent: Optional[Segment] = None,
+    received: Optional[Segment] = None,
+) -> AgentState:
+    """Memory after moving to next_state, sending `sent` and consuming
+    `received`: snd_nxt follows the segment sent, irs is learned from the
+    first SYN received and rcv_nxt follows the segment consumed."""
+    snd_nxt, irs, rcv_nxt = s.snd_nxt, s.irs, s.rcv_nxt
+    if sent is not None:
+        snd_nxt = seq_add(sent.seq, segment_consumes(sent))
+    if received is not None:
+        if irs is None and received.flags.syn:
+            irs = received.seq
+        rcv_nxt = seq_add(received.seq, segment_consumes(received))
+    # No 2MSL timer in a lossless ordered simulation.
+    if next_state is TcpState.TIME_WAIT:
+        next_state = TcpState.CLOSED
+    return AgentState(s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt)
+
+
+def advance(
+    cinput: CognitiveInput, decision: CognitiveDecision
+) -> Tuple[AgentState, Optional[Segment], Optional[AluResult]]:
+    """Apply a decision: run the ALU task it names, assemble the segment it
+    emits and update memory; a non-NORMAL verdict changes nothing. A segment
+    trigger is consumed, an action's segment is ALU context only. Raises
+    StepFailure for a task without flags or one the input cannot feed."""
+    s = cinput.s
+    if decision.verdict is not Verdict.NORMAL:
+        return s, None, None
+    emitted: Optional[Segment] = None
+    alu_result: Optional[AluResult] = None
+    action = cinput.a
+    if decision.t_task is not None:
+        if decision.flags is None:
+            raise StepFailure("decision names a task but no flags to emit")
+        alu_r = None if decision.t_task is AluTask.INIT_SYN else cinput.r
+        try:
+            alu_result = alu_execute(decision.t_task, s, alu_r)
+        except AluError as exc:
+            # A schema-valid decision can still name a task the inputs
+            # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
+            raise StepFailure(str(exc)) from exc
+        emitted = Segment(
+            seq=alu_result.seq,
+            ack=alu_result.ack if decision.flags.ack else 0,
+            flags=decision.flags,
+            payload=action.data if action.kind is ActionKind.SEND else b"",
+        )
+    received = cinput.r if action.kind is ActionKind.NONE else None
+    return remember(s, decision.next_state, emitted, received), emitted, alu_result
+
+
+def oracle_step(
+    s: AgentState, r: Optional[Segment], a: LocalAction = ACTION_NONE
+) -> Tuple[CognitiveInput, CognitiveDecision, AgentState, Optional[Segment]]:
+    """One step with the reference oracle as the decision core: the input,
+    the oracle's decision, the memory after it and the segment emitted."""
+    cinput = CognitiveInput(s, r, a)
+    decision = oracle_transition(s, r, a)
+    new_state, emitted, _ = advance(cinput, decision)
+    return cinput, decision, new_state, emitted
+
+
+def initial_states(client_iss: int, server_iss: int) -> Dict[Role, AgentState]:
+    """Both endpoints before the first segment: the client CLOSED, the
+    server LISTENing."""
+    return {
+        Role.CLIENT: AgentState(Role.CLIENT, TcpState.CLOSED, client_iss, client_iss),
+        Role.SERVER: AgentState(Role.SERVER, TcpState.LISTEN, server_iss, server_iss),
+    }
+
+
+def implied_action(s: AgentState, seg: Segment) -> Optional[LocalAction]:
+    """The local action, valid in s, whose step sends seg, if there is one:
+    OPEN_ACTIVE for a pure SYN in CLOSED, CLOSE for a FIN in ESTABLISHED or
+    CLOSE_WAIT, SEND for data in ESTABLISHED. Every other segment is a reply
+    to a received one."""
+    f = seg.flags
+    if f.syn and not f.ack and s.state is TcpState.CLOSED:
+        return LocalAction(ActionKind.OPEN_ACTIVE)
+    if f.fin:
+        if s.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+            return LocalAction(ActionKind.CLOSE)
+    elif seg.payload_len and not f.syn and s.state is TcpState.ESTABLISHED:
+        return LocalAction(ActionKind.SEND, seg.payload)
+    return None
 
 
 class Agent:
@@ -73,65 +170,19 @@ class Agent:
         self, segment: Optional[Segment] = None, action: Optional[LocalAction] = None
     ) -> StepOutcome:
         """Take one step on exactly one trigger: an arrived segment or a
-        local action."""
+        local action. An action step carries the last segment received, which
+        the ALU needs for ack computation."""
         if (segment is None) == (action is None):
             raise ValueError("a step takes exactly one of a segment or an action")
-        # Context aggregation: internal state + trigger (+ last perception
-        # for action-driven steps, which the ALU needs for ack computation).
         if segment is not None:
             cinput = CognitiveInput(s=self.state, r=segment, a=ACTION_NONE)
         else:
             cinput = CognitiveInput(s=self.state, r=self.last_received, a=action)
-
         decision = self.core.decide(cinput)
-
-        if decision.verdict is not Verdict.NORMAL:
-            # Anomalous segment: nothing emitted, memory untouched.
-            return StepOutcome(None, self.state, decision, None, cinput)
-
-        emitted: Optional[Segment] = None
-        alu_result: Optional[AluResult] = None
-        if decision.t_task is not None:
-            if decision.flags is None:
-                raise StepFailure("decision names a task but no flags to emit")
-            alu_r = None if decision.t_task is AluTask.INIT_SYN else cinput.r
-            try:
-                alu_result = alu_execute(decision.t_task, self.state, alu_r)
-            except AluError as exc:
-                # A schema-valid decision can still name a task the inputs
-                # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
-                raise StepFailure(str(exc)) from exc
-            payload = action.data if action is not None and action.kind is ActionKind.SEND else b""
-            emitted = Segment(
-                seq=alu_result.seq,
-                ack=alu_result.ack if decision.flags.ack else 0,
-                flags=decision.flags,
-                payload=payload,
-            )
-
-        new_state = decision.next_state
-        snd_nxt = self.state.snd_nxt
-        irs = self.state.irs
-        rcv_nxt = self.state.rcv_nxt
-        if emitted is not None:
-            snd_nxt = seq_add(snd_nxt, segment_consumes(emitted))
-        if segment is not None:
-            if irs is None and segment.flags.syn:
-                irs = segment.seq
-            rcv_nxt = seq_add(segment.seq, segment_consumes(segment))
+        self.state, emitted, alu_result = advance(cinput, decision)
+        if segment is not None and decision.verdict is Verdict.NORMAL:
             self.last_received = segment
-        # No 2MSL timer in a lossless ordered simulation.
-        if new_state is TcpState.TIME_WAIT:
-            new_state = TcpState.CLOSED
-        self.state = AgentState(
-            role=self.role,
-            state=new_state,
-            iss=self.state.iss,
-            snd_nxt=snd_nxt,
-            irs=irs,
-            rcv_nxt=rcv_nxt,
-        )
-        return StepOutcome(emitted, self.state, decision, alu_result, cinput)
+        return StepOutcome(emitted, decision, alu_result)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +267,12 @@ class Scenario:
             return cls.from_wire(json.load(fh))
 
 
+@dataclass(frozen=True)
 class PhaseResult:
-    def __init__(self, passed: bool, reason: str = ""):
-        self.passed = passed
-        self.reason = reason
+    passed: bool
+    reason: str = ""
 
-    def __repr__(self):
-        return "PASS" if self.passed else f"FAIL({self.reason})"
-
-    def to_wire(self):
+    def to_wire(self) -> dict:
         return {"passed": self.passed, "reason": self.reason}
 
 
@@ -285,28 +333,55 @@ class SessionTranscript:
 
     @classmethod
     def read(cls, path) -> "SessionTranscript":
+        """Read what write() wrote. Raises ValueError, naming the line, for
+        anything else; the trailer must be there, since a replay starts from
+        its ISSs."""
         t = cls(scenario_id="", rng_seed=0)
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "trailer" in obj:
-                    tr = obj["trailer"]
-                    t.scenario_id = tr.get("scenario_id", "")
-                    t.rng_seed = int(tr.get("seed", 0))
-                    t.client_iss = int(tr.get("client_iss", 0))
-                    t.server_iss = int(tr.get("server_iss", 0))
-                    t.halt_reason = tr.get("halt_reason", "")
-                    for k, v in tr.get("phase_results", {}).items():
-                        t.phase_results[k] = PhaseResult(v["passed"], v.get("reason", ""))
-                    continue
-                t.entries.append(
-                    TranscriptEntry(
-                        step=int(obj["step"]),
-                        direction=Role(obj["direction"]),
-                        segment=Segment.from_wire(obj["segment"]),
+        has_trailer = False
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    obj = json.loads(line.decode("utf-8"))
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"not a JSON object: {type(obj).__name__}")
+                    if "trailer" in obj:
+                        t._read_trailer(obj["trailer"])
+                        has_trailer = True
+                        continue
+                    if not isinstance(obj["segment"], dict):
+                        raise ValueError("segment is not an object")
+                    t.entries.append(
+                        TranscriptEntry(
+                            step=int(obj["step"]),
+                            direction=Role(obj["direction"]),
+                            segment=Segment.from_wire(obj["segment"]),
+                        )
                     )
-                )
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path} line {lineno}: bad transcript line: {detail}") from None
+        if not has_trailer:
+            raise ValueError(f"{path}: no trailer line")
         return t
+
+    def _read_trailer(self, tr) -> None:
+        if not isinstance(tr, dict):
+            raise ValueError("trailer is not an object")
+        phases = tr.get("phase_results", {})
+        if not isinstance(phases, dict) or not all(isinstance(v, dict) for v in phases.values()):
+            raise ValueError("phase_results is not an object of objects")
+        for key in ("client_iss", "server_iss"):
+            iss = tr.get(key)
+            # type() rather than isinstance: JSON true/false load as bools.
+            if type(iss) is not int or not 0 <= iss < SEQ_MOD:
+                raise ValueError(f"{key} must be an integer in [0, 2**32): {iss!r}")
+        self.scenario_id = tr.get("scenario_id", "")
+        self.rng_seed = int(tr.get("seed", 0))
+        self.client_iss = tr["client_iss"]
+        self.server_iss = tr["server_iss"]
+        self.halt_reason = tr.get("halt_reason", "")
+        for k, v in phases.items():
+            self.phase_results[k] = PhaseResult(v["passed"], v.get("reason", ""))
 
 
 def inject_fault(
@@ -331,71 +406,34 @@ def inject_fault(
 
 
 def replay_deliveries(
-    deliveries: List[Tuple[Role, Segment]]
+    deliveries: List[Tuple[Role, Segment]], client_iss: int, server_iss: int
 ) -> List[Verdict]:
     """Replay a recorded stream against oracle-tracked receivers.
 
+    A sender's memory follows the segments the stream shows it sending.
     Returns the receiver-side verdict for each delivery; replay stops
     advancing a receiver after its first non-NORMAL verdict.
     """
-    states: Dict[Role, Optional[AgentState]] = {Role.CLIENT: None, Role.SERVER: None}
-    halted: Dict[Role, bool] = {Role.CLIENT: False, Role.SERVER: False}
+    states = initial_states(client_iss, server_iss)
+    halted = {Role.CLIENT: False, Role.SERVER: False}
     verdicts: List[Verdict] = []
-
-    def ensure_sender(role: Role, seg: Segment) -> None:
-        # Lazily learn each side's ISS from its first segment.
-        if states[role] is None:
-            init = TcpState.CLOSED if role is Role.CLIENT else TcpState.LISTEN
-            states[role] = AgentState(role=role, state=init, iss=seg.seq, snd_nxt=seg.seq)
-
     for sender, seg in deliveries:
-        receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
-        ensure_sender(sender, seg)
         s = states[sender]
-        # Sender-side bookkeeping: emission advances snd_nxt; a first SYN or
-        # FIN implies the corresponding local action's state change.
-        new_state = s.state
-        if seg.flags.syn and not seg.flags.ack and s.state is TcpState.CLOSED:
-            new_state = TcpState.SYN_SENT
-        elif seg.flags.fin and s.state is TcpState.ESTABLISHED:
-            new_state = TcpState.FIN_WAIT_1
-        elif seg.flags.fin and s.state is TcpState.CLOSE_WAIT:
-            new_state = TcpState.LAST_ACK
-        states[sender] = AgentState(
-            role=sender,
-            state=new_state,
-            iss=s.iss,
-            snd_nxt=seq_add(seg.seq, segment_consumes(seg)),
-            irs=s.irs,
-            rcv_nxt=s.rcv_nxt,
-        )
+        action = implied_action(s, seg)
+        next_state = s.state if action is None else oracle_transition(s, None, action).next_state
+        states[sender] = remember(s, next_state, sent=seg)
 
-        if states[receiver] is None:
-            init = TcpState.LISTEN if receiver is Role.SERVER else TcpState.CLOSED
-            states[receiver] = AgentState(
-                role=receiver, state=init, iss=0, snd_nxt=0
-            )
+        receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
         if halted[receiver]:
             verdicts.append(Verdict.NORMAL)
             continue
         rs = states[receiver]
         decision = oracle_transition(rs, seg, ACTION_NONE)
         verdicts.append(decision.verdict)
-        if decision.verdict is not Verdict.NORMAL:
+        if decision.verdict is Verdict.NORMAL:
+            states[receiver] = remember(rs, decision.next_state, received=seg)
+        else:
             halted[receiver] = True
-            continue
-        irs = rs.irs if rs.irs is not None else (seg.seq if seg.flags.syn else None)
-        next_state = decision.next_state
-        if next_state is TcpState.TIME_WAIT:
-            next_state = TcpState.CLOSED
-        states[receiver] = AgentState(
-            role=receiver,
-            state=next_state,
-            iss=rs.iss,
-            snd_nxt=rs.snd_nxt,
-            irs=irs,
-            rcv_nxt=seq_add(seg.seq, segment_consumes(seg)),
-        )
     return verdicts
 
 
@@ -651,10 +689,6 @@ class TrialReport:
             f"data_transfer={w['data_transfer']} termination={w['termination']} "
             f"trial={w['trial_accuracy']}"
         )
-
-
-def _pct(rate: float) -> str:
-    return f"{rate * 100:.2f}%"
 
 
 def derive_seeds(base_seed: int, n: int) -> List[int]:

@@ -125,10 +125,7 @@ def cmd_simulate(args) -> int:
 def cmd_trace2sft(args) -> int:
     try:
         ingest = ingest_trace(args.infile)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except TraceFormatError as exc:
+    except (OSError, TraceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     flows = extract_flows(ingest.records)
@@ -164,10 +161,7 @@ def cmd_trace2sft(args) -> int:
 def cmd_evaluate(args) -> int:
     try:
         records = load_prediction_records(args.pred)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if not records:
@@ -190,13 +184,13 @@ def cmd_evaluate(args) -> int:
 def cmd_inject(args) -> int:
     try:
         transcript = SessionTranscript.read(args.infile)
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a malformed transcript
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     deliveries = [(e.direction, e.segment) for e in transcript.entries]
     kind = FaultKind(args.fault.upper())
-    mutation = flags_parse(args.mutation) if args.mutation else None
     try:
+        mutation = flags_parse(args.mutation) if args.mutation else None
         fault = FaultSpec(
             kind=kind,
             target_index=args.index if kind is not FaultKind.NONE else None,
@@ -206,7 +200,7 @@ def cmd_inject(args) -> int:
     except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    verdicts = replay_deliveries(mutated)
+    verdicts = replay_deliveries(mutated, transcript.client_iss, transcript.server_iss)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

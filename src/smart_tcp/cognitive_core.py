@@ -12,7 +12,7 @@ import functools
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -176,13 +176,16 @@ def _extract_json_object(text: str) -> Optional[str]:
 
 
 def parse_decision(raw: str) -> CognitiveDecision:
-    """Strict schema validation, with one lenient pass over prose-wrapped JSON."""
+    """Strict schema validation, with one lenient pass over prose-wrapped JSON.
+    MalformedDecision for anything else, null or structured content included."""
+    if not isinstance(raw, str):
+        raise MalformedDecision(f"model output is not text: {type(raw).__name__}")
     # ValueError, not only JSONDecodeError: json.loads also raises it for an
     # integer longer than the interpreter's digit limit.
     try:
         obj = json.loads(raw)
-    except (ValueError, TypeError):
-        candidate = _extract_json_object(raw or "")
+    except ValueError:
+        candidate = _extract_json_object(raw)
         if candidate is None:
             raise MalformedDecision("no JSON object found in output") from None
         try:
@@ -584,13 +587,15 @@ class RemoteCore(CognitiveCore):
             raise
         except Exception as exc:
             raise TransportError(f"model endpoint failure: {exc}") from exc
-        # Accept common response shapes.
+        # Accept common response shapes; parse_decision checks what they carry.
         if isinstance(data, dict):
             choices = data.get("choices")
             if choices:
-                first = choices[0]
+                first = choices[0] if isinstance(choices, list) else None
+                if not isinstance(first, dict):
+                    raise TransportError("unrecognized response body from model endpoint")
                 msg = first.get("message")
-                if msg and "content" in msg:
+                if isinstance(msg, dict) and "content" in msg:
                     return msg["content"]
                 if "text" in first:
                     return first["text"]

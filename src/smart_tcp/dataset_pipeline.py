@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from .agent_runtime import Agent, SessionTranscript, StepOutcome
+from .agent_runtime import SessionTranscript, implied_action, initial_states, oracle_step
 from .alu import alu_execute
 from .cognitive_core import (
     CognitiveDecision,
     CognitiveInput,
-    OracleCore,
     PERSONA,
     Verdict,
     serialize_decision,
@@ -29,11 +28,9 @@ from .cognitive_core import (
 )
 from .tcp_core import (
     ActionKind,
-    LocalAction,
     Role,
     SYNCHRONIZED_STATES,
     Segment,
-    TcpFlags,
     flags_parse,
     seq_add,
     segment_consumes,
@@ -260,89 +257,58 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         raise ValueError(f"{flow.flow_id} is not COMPLETE")
 
     client_tuple = flow.initiator
-    client_iss = flow.records[0].segment.seq
     synack = next(
         r
         for r in flow.records
         if r.segment.flags.syn and r.segment.flags.ack
         and r.five_tuple == client_tuple.reversed()
     )
-    server_iss = synack.segment.seq
-
-    oracle = OracleCore()
-    agents = {
-        Role.CLIENT: Agent(Role.CLIENT, oracle, client_iss),
-        Role.SERVER: Agent(Role.SERVER, oracle, server_iss),
-    }
-    agents[Role.SERVER].step(action=LocalAction(ActionKind.OPEN_PASSIVE))
-
+    states = initial_states(flow.records[0].segment.seq, synack.segment.seq)
+    last_received: Dict[Role, Optional[Segment]] = {Role.CLIENT: None, Role.SERVER: None}
     undelivered: Dict[Role, List[Segment]] = {Role.CLIENT: [], Role.SERVER: []}
-    sent_fin = {Role.CLIENT: False, Role.SERVER: False}
     samples: List[LabeledSample] = []
     skipped = 0
-
-    def make_sample(outcome: StepOutcome, idx: int) -> LabeledSample:
-        return LabeledSample(
-            input=outcome.input,
-            label=outcome.decision,
-            provenance={"flow_id": flow.flow_id, "record_index": idx},
-        )
 
     for idx, rec in enumerate(flow.records):
         sender = Role.CLIENT if rec.five_tuple == client_tuple else Role.SERVER
         peer = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
         seg = rec.segment
-        agent = agents[sender]
-        produced = False
+        trigger = None  # "reply" or "action": the sender's step that sends this record
 
         # Consume pending inbound segments; one of them may trigger the
         # reply recorded here.
-        while undelivered[sender] and not produced:
+        while undelivered[sender] and trigger is None:
             inbound = undelivered[sender].pop(0)
-            outcome = agent.step(segment=inbound)
-            if outcome.decision.verdict is not Verdict.NORMAL:
+            cinput, decision, states[sender], emitted = oracle_step(states[sender], inbound)
+            if decision.verdict is not Verdict.NORMAL:
                 log.info(
                     "%s: anomalous inbound segment during replay (%s), ignored",
                     flow.flow_id,
-                    outcome.decision.verdict.value,
+                    decision.verdict.value,
                 )
                 continue
-            if outcome.emitted is not None:
-                if _seg_matches(outcome.emitted, seg):
-                    samples.append(make_sample(outcome, idx))
-                    produced = True
-                else:
-                    log.info("%s: record %d diverges from oracle reply, skipped", flow.flow_id, idx)
-                    skipped += 1
-                    produced = True  # record consumed as a skip
+            last_received[sender] = inbound
+            if emitted is not None:
+                trigger = "reply"
 
-        if not produced:
-            state = agent.state.state
-            action: Optional[LocalAction] = None
-            if seg.flags.syn and not seg.flags.ack and state.value == "CLOSED":
-                action = LocalAction(ActionKind.OPEN_ACTIVE)
-            elif seg.payload_len > 0 and not seg.flags.syn and not seg.flags.fin:
-                action = LocalAction(ActionKind.SEND, seg.payload or b"\x00" * seg.payload_len)
-            elif seg.flags.fin and not sent_fin[sender]:
-                action = LocalAction(ActionKind.CLOSE)
+        if trigger is None:
+            action = implied_action(states[sender], seg)
             if action is None:
                 log.info("%s: record %d has no reproducible trigger, skipped", flow.flow_id, idx)
                 skipped += 1
             else:
-                try:
-                    outcome = agent.step(action=action)
-                except ValueError:
-                    outcome = None
-                if outcome is not None and outcome.emitted is not None and _seg_matches(
-                    outcome.emitted, seg
-                ):
-                    samples.append(make_sample(outcome, idx))
-                else:
-                    log.info("%s: record %d diverges from oracle action, skipped", flow.flow_id, idx)
-                    skipped += 1
+                cinput, decision, states[sender], emitted = oracle_step(
+                    states[sender], last_received[sender], action
+                )
+                trigger = "action"
 
-        if seg.flags.fin:
-            sent_fin[sender] = True
+        if trigger is not None:
+            if emitted is not None and _seg_matches(emitted, seg):
+                provenance = {"flow_id": flow.flow_id, "record_index": idx}
+                samples.append(LabeledSample(input=cinput, label=decision, provenance=provenance))
+            else:
+                log.info("%s: record %d diverges from oracle %s, skipped", flow.flow_id, idx, trigger)
+                skipped += 1
         undelivered[peer].append(seg)
 
     if skipped > 0.2 * len(flow.records):

@@ -38,10 +38,6 @@ def seq_lt(a: int, b: int) -> bool:
     return 0 < d < SEQ_HALF
 
 
-def seq_leq(a: int, b: int) -> bool:
-    return a == b or seq_lt(a, b)
-
-
 class TcpState(Enum):
     CLOSED = "CLOSED"
     LISTEN = "LISTEN"
@@ -152,10 +148,6 @@ def _flags_parse_text(text: str) -> TcpFlags:
             raise ValueError(f"duplicate flag token: {raw!r}")
         seen.add(token)
     return TcpFlags(**{t.lower(): (t in seen) for t in _FLAG_ORDER})
-
-
-def flags_render(f: TcpFlags) -> str:
-    return f.render()
 
 
 # Common flag sets used throughout the harness.

@@ -10,7 +10,13 @@ from smart_tcp.agent_runtime import (
     FaultSpec,
     Scenario,
     SessionTranscript,
+    StepFailure,
+    advance,
+    implied_action,
+    initial_states,
     inject_fault,
+    oracle_step,
+    remember,
     replay_deliveries,
     run_session,
     run_trials,
@@ -19,12 +25,14 @@ from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
     CognitiveCore,
     CognitiveDecision,
+    CognitiveInput,
     OracleCore,
     Verdict,
     oracle_transition,
 )
 from smart_tcp.tcp_core import (
     ActionKind,
+    AgentState,
     ISN_MAX,
     ISN_MIN,
     LocalAction,
@@ -99,6 +107,91 @@ def handshake_pair(client_iss=1_000_000, server_iss=2_000_000):
     assert client.state.state is TcpState.ESTABLISHED
     assert server.state.state is TcpState.ESTABLISHED
     return client, server
+
+
+ESTABLISHED = AgentState(Role.CLIENT, TcpState.ESTABLISHED, iss=100, snd_nxt=101, irs=500, rcv_nxt=501)
+
+
+class TestStepFunctions:
+    def test_time_wait_collapses_to_closed(self):
+        s = remember(ESTABLISHED, TcpState.TIME_WAIT)
+        assert s == AgentState(Role.CLIENT, TcpState.CLOSED, 100, 101, 500, 501)
+
+    def test_irs_is_learned_from_the_first_syn_only(self):
+        s = AgentState(Role.CLIENT, TcpState.SYN_SENT, iss=100, snd_nxt=101)
+        synack = Segment(seq=500, ack=101, flags=flags_parse("SYN|ACK"))
+        s = remember(s, TcpState.ESTABLISHED, received=synack)
+        assert (s.irs, s.rcv_nxt) == (500, 501)
+        again = Segment(seq=900, ack=101, flags=flags_parse("SYN|ACK"))
+        s = remember(s, TcpState.ESTABLISHED, received=again)
+        assert (s.irs, s.rcv_nxt) == (500, 901)
+
+    def test_snd_nxt_follows_the_segment_sent(self):
+        # The segment's own seq, not the old snd_nxt, and modulo 2^32.
+        fin = Segment(seq=SEQ_MOD - 3, ack=501, flags=flags_parse("FIN|ACK"), payload=b"abc")
+        s = remember(ESTABLISHED, TcpState.FIN_WAIT_1, sent=fin)
+        assert (s.snd_nxt, s.rcv_nxt) == (1, 501)
+
+    def test_advance_consumes_a_segment_trigger(self):
+        data = Segment(seq=501, ack=101, flags=flags_parse("PSH|ACK"), payload=b"xy")
+        cinput = CognitiveInput(ESTABLISHED, data)
+        s, emitted, alu = advance(cinput, oracle_transition(ESTABLISHED, data, cinput.a))
+        assert emitted == Segment(seq=101, ack=503, flags=flags_parse("ACK"))
+        assert (alu.seq, alu.ack) == (101, 503)
+        assert (s.snd_nxt, s.rcv_nxt) == (101, 503)
+
+    def test_an_actions_segment_is_alu_context_not_consumed(self):
+        last = Segment(seq=499, ack=101, flags=flags_parse("PSH|ACK"), payload=b"x")
+        send = LocalAction(ActionKind.SEND, b"hello")
+        s, emitted, _ = advance(
+            CognitiveInput(ESTABLISHED, last, send), oracle_transition(ESTABLISHED, last, send)
+        )
+        assert emitted == Segment(seq=101, ack=500, flags=flags_parse("PSH|ACK"), payload=b"hello")
+        assert (s.snd_nxt, s.rcv_nxt) == (106, 501)
+
+    def test_task_without_flags_is_a_step_failure(self):
+        cinput = CognitiveInput(ESTABLISHED, a=LocalAction(ActionKind.CLOSE))
+        decision = CognitiveDecision(TcpState.FIN_WAIT_1, None, 0, AluTask.CALCULATE_SEQ_ACK)
+        with pytest.raises(StepFailure, match="no flags"):
+            advance(cinput, decision)
+
+    def test_oracle_step_matches_agent_step(self):
+        client, _ = handshake_pair()
+        s, r = client.state, client.last_received
+        send = LocalAction(ActionKind.SEND, b"abc")
+        cinput, decision, after, emitted = oracle_step(s, r, send)
+        out = client.step(action=send)
+        assert cinput == CognitiveInput(s, r, send)
+        assert (decision, after, emitted) == (out.decision, client.state, out.emitted)
+
+    def test_initial_states(self):
+        states = initial_states(7, 9)
+        assert states[Role.CLIENT] == AgentState(Role.CLIENT, TcpState.CLOSED, 7, 7)
+        assert states[Role.SERVER] == AgentState(Role.SERVER, TcpState.LISTEN, 9, 9)
+
+    @pytest.mark.parametrize(
+        "state, flags, payload, kind",
+        [
+            (TcpState.CLOSED, "SYN", b"", ActionKind.OPEN_ACTIVE),
+            (TcpState.CLOSED, "SYN|FIN", b"", ActionKind.OPEN_ACTIVE),
+            (TcpState.LISTEN, "SYN", b"", None),
+            (TcpState.ESTABLISHED, "PSH|ACK", b"ab", ActionKind.SEND),
+            (TcpState.ESTABLISHED, "SYN|ACK", b"ab", None),
+            (TcpState.CLOSE_WAIT, "PSH|ACK", b"ab", None),
+            (TcpState.ESTABLISHED, "FIN|ACK", b"", ActionKind.CLOSE),
+            (TcpState.ESTABLISHED, "FIN|ACK", b"ab", ActionKind.CLOSE),
+            (TcpState.CLOSE_WAIT, "FIN|ACK", b"", ActionKind.CLOSE),
+            (TcpState.FIN_WAIT_1, "FIN|ACK", b"", None),
+            (TcpState.ESTABLISHED, "ACK", b"", None),
+            (TcpState.SYN_RCVD, "SYN|ACK", b"", None),
+        ],
+    )
+    def test_implied_action(self, state, flags, payload, kind):
+        s = AgentState(Role.CLIENT, state, iss=100, snd_nxt=101)
+        action = implied_action(s, Segment(seq=101, ack=0, flags=flags_parse(flags), payload=payload))
+        assert (action and action.kind) == kind
+        if kind is ActionKind.SEND:
+            assert action.data == payload
 
 
 class TestRunSession:
@@ -253,6 +346,10 @@ class TestFaultInjection:
         t = run_session(OracleCore(), OracleCore(), scenario or Scenario(), seed=seed)
         return [(e.direction, e.segment) for e in t.entries]
 
+    def iss(self, seed=42):
+        t = run_session(OracleCore(), OracleCore(), Scenario(), seed=seed)
+        return t.client_iss, t.server_iss
+
     def test_none_is_identity(self):
         stream = self.record_stream()
         assert inject_fault(stream, FaultSpec()) == stream
@@ -260,7 +357,7 @@ class TestFaultInjection:
     def test_swap_triggers_order_error_on_replay(self):
         stream = self.record_stream()
         mutated = inject_fault(stream, FaultSpec(FaultKind.REORDER_SWAP, target_index=3))
-        verdicts = replay_deliveries(mutated)
+        verdicts = replay_deliveries(mutated, *self.iss())
         assert Verdict.ORDER_ERROR in verdicts
         assert Verdict.FLAG_ERROR not in verdicts
 
@@ -269,11 +366,11 @@ class TestFaultInjection:
         mutated = inject_fault(
             stream, FaultSpec(FaultKind.FLAG_MUTATE, target_index=2, mutation=flags_parse("SYN|FIN"))
         )
-        verdicts = replay_deliveries(mutated)
+        verdicts = replay_deliveries(mutated, *self.iss())
         assert Verdict.FLAG_ERROR in verdicts
 
     def test_unmutated_replay_all_normal(self):
-        verdicts = replay_deliveries(self.record_stream())
+        verdicts = replay_deliveries(self.record_stream(), *self.iss())
         assert all(v is Verdict.NORMAL for v in verdicts)
 
     def test_index_out_of_range(self):

@@ -373,6 +373,60 @@ class TestInject:
         )
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("not json", "Expecting value"),
+            ('{"step":1}', "missing key 'segment'"),
+            (
+                '{"step":1,"direction":"CLIENT","segment":{"seq":1,"ack":0,"flags":"SYN|BOGUS","payload_len":0}}',
+                "unknown flag token",
+            ),
+            ('{"trailer":{"client_iss":"x","server_iss":1}}', "client_iss must be an integer"),
+            ('{"trailer":{"client_iss":1,"server_iss":true}}', "server_iss must be an integer"),
+            ('{"trailer":{"client_iss":4294967296,"server_iss":1}}', "client_iss must be an integer"),
+            ("[1]", "not a JSON object: list"),
+        ],
+    )
+    def test_malformed_transcript_is_io_error(self, tmp_path, capsys, line, reason):
+        path = self.session_path(tmp_path, capsys)
+        lines = path.read_text().splitlines()
+        lines.insert(2, line)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_IO
+        assert stderr.startswith(f"error: {path} line 3: bad transcript line: ")
+        assert reason in stderr
+
+    def test_transcript_without_trailer_is_io_error(self, tmp_path, capsys):
+        path = self.session_path(tmp_path, capsys)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_IO
+        assert "no trailer line" in stderr
+
+    def test_bad_mutation_is_usage(self, tmp_path, capsys):
+        path = self.session_path(tmp_path, capsys)
+        code, _, stderr = run(
+            capsys, "inject", "--in", str(path), "--fault", "flag_mutate", "--index", "2",
+            "--mutation", "SYN|BOGUS",
+        )
+        assert code == EXIT_USAGE and "unknown flag token" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace2sft", "--in", "{dir}", "--out", "{dir}/sft.jsonl"],
+        ["evaluate", "--pred", "{dir}", "--out", "{dir}/report.json"],
+        ["inject", "--in", "{dir}", "--fault", "none"],
+    ],
+)
+def test_unreadable_input_is_io_error(tmp_path, capsys, argv):
+    # A directory where a file should be: open() raises IsADirectoryError.
+    code, _, stderr = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == EXIT_IO and stderr.startswith("error: ")
+
 
 class TestConfig:
     def test_load_config_file(self, tmp_path):

@@ -300,6 +300,13 @@ class TestRemoteTransport:
             assert f"model endpoint failure: {reason}" in capsys.readouterr().err
             assert model.wait_all_closed()
 
+    def test_reply_whose_first_choice_is_not_an_object_exits_3(self, capsys):
+        with LoopbackModel(reply=(200, b'{"choices":[1]}')) as model:
+            code = cli.main(["simulate", "--core", "remote", "--endpoint", model.url, "--sessions", "1"])
+            assert code == cli.EXIT_TRANSPORT
+            assert "unrecognized response body" in capsys.readouterr().err
+            assert model.wait_all_closed()
+
     @pytest.mark.parametrize(
         "endpoint, reason",
         [

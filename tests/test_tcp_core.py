@@ -17,7 +17,6 @@ from smart_tcp.tcp_core import (
     TcpFlags,
     TcpState,
     flags_parse,
-    flags_render,
     parse_state,
     segment_consumes,
     seq_add,
@@ -80,13 +79,13 @@ class TestSeqLt:
 
 class TestFlags:
     def test_canonicalization(self):
-        assert flags_render(flags_parse("ack|syn")) == "SYN|ACK"
+        assert flags_parse("ack|syn").render() == "SYN|ACK"
 
     def test_round_trip_stable(self):
         f = flags_parse("FIN|ACK")
         assert f.fin and f.ack and not f.syn
-        assert flags_render(f) == "ACK|FIN"
-        assert flags_parse(flags_render(f)) == f
+        assert f.render() == "ACK|FIN"
+        assert flags_parse(f.render()) == f
 
     @pytest.mark.parametrize(
         "bad", ["SIN", "", "  ", "SYN|SYN", "SYN|", "SYN|XXX", 5, ["SYN"], None, b"SYN"]
@@ -123,9 +122,9 @@ class TestFlags:
     def test_round_trip_property(self, f):
         if not f.any():
             with pytest.raises(ValueError):
-                flags_render(f)
+                f.render()
             return
-        assert flags_parse(flags_render(f)) == f
+        assert flags_parse(f.render()) == f
 
 
 class TestTcpState:

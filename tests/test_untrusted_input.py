@@ -1,6 +1,9 @@
-"""Properties: trace lines and model output, whatever their JSON, end as a
-result or as the reader's own typed error, never as another exception."""
+"""Properties: trace lines, transcripts, endpoint replies and model output,
+whatever their JSON, end as a result or as the reader's own typed error,
+never as another exception."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -9,9 +12,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smart_tcp.alu import AluError, AluTask, alu_parse_task
-from smart_tcp.cognitive_core import CognitiveDecision, MalformedDecision, Verdict, parse_decision
+from smart_tcp.cli import EXIT_IO, EXIT_OK, main
+from smart_tcp.cognitive_core import (
+    CognitiveDecision,
+    CognitiveInput,
+    MalformedDecision,
+    RemoteConfig,
+    RemoteCore,
+    TransportError,
+    Verdict,
+    parse_decision,
+)
 from smart_tcp.dataset_pipeline import IngestResult, TraceFormatError, ingest_trace
-from smart_tcp.tcp_core import MAX_PAYLOAD_LEN, TcpState, parse_state
+from smart_tcp.tcp_core import (
+    ActionKind,
+    AgentState,
+    LocalAction,
+    MAX_PAYLOAD_LEN,
+    Role,
+    TcpState,
+    parse_state,
+)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
@@ -141,3 +162,85 @@ def test_decision_payload_len_must_be_an_int_in_range(n):
     with pytest.raises(MalformedDecision) as exc:
         CognitiveDecision.from_wire(decision_with_payload_len(n))
     assert str(exc.value) == f"bad payload_len: {n!r}"
+
+
+# Reply bodies in the shapes RemoteCore accepts, each part valid half the time.
+decision_texts = field(decision_objects.map(json.dumps))
+response_bodies = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"choices": field(st.lists(field(st.fixed_dictionaries(
+            {"message": field(st.fixed_dictionaries({"content": decision_texts}))}
+        )), max_size=2))}
+    ),
+    st.fixed_dictionaries(
+        {"choices": field(st.lists(field(st.fixed_dictionaries({"text": decision_texts})), max_size=2))}
+    ),
+    st.fixed_dictionaries({"content": decision_texts}),
+    st.fixed_dictionaries({"text": decision_texts}),
+)
+
+OPEN_ACTIVE = CognitiveInput(
+    s=AgentState(role=Role.CLIENT, state=TcpState.CLOSED, iss=10, snd_nxt=10),
+    a=LocalAction(ActionKind.OPEN_ACTIVE),
+)
+
+
+@settings(deadline=None)
+@given(response_bodies)
+def test_remote_decide_returns_or_raises_typed_error(body):
+    core = RemoteCore(RemoteConfig(endpoint="http://127.0.0.1:9/"))
+    core._post = lambda payload: json.dumps(body).encode()
+    try:
+        decision = core.decide(OPEN_ACTIVE)
+    except (TransportError, MalformedDecision):
+        return
+    assert isinstance(decision, CognitiveDecision)
+
+
+segment_objects = st.fixed_dictionaries(
+    {
+        "seq": field(u32),
+        "ack": field(u32),
+        "flags": field(st.sampled_from(["SYN", "ACK", "SYN|ACK", "FIN|ACK", "PSH|ACK", "RST"])),
+        "payload_len": field(st.integers(min_value=0, max_value=64)),
+    }
+)
+transcript_lines = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "step": field(st.integers(min_value=0, max_value=64)),
+            "direction": field(st.sampled_from(["CLIENT", "SERVER"])),
+            "segment": field(segment_objects),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "trailer": field(st.fixed_dictionaries(
+                {"client_iss": field(u32), "server_iss": field(u32)},
+                optional={"seed": field(u32), "phase_results": field(st.just({}))},
+            ))
+        }
+    ),
+    json_values,
+)
+
+
+@settings(deadline=None)
+@given(st.lists(transcript_lines, min_size=1, max_size=6))
+def test_inject_replays_or_exits_2(lines):
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            for obj in lines:
+                fh.write(json.dumps(obj) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["inject", "--in", path, "--fault", "none"])
+    finally:
+        os.unlink(path)
+    if code == EXIT_IO:
+        assert err.getvalue().startswith(f"error: {path}")
+    else:
+        assert code == EXIT_OK
+        assert "deliveries, anomalies:" in out.getvalue()
