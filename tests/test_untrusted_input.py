@@ -166,16 +166,16 @@ def test_decision_payload_len_must_be_an_int_in_range(n):
 
 # Reply bodies in the shapes RemoteCore accepts, each part valid half the time.
 decision_texts = field(decision_objects.map(json.dumps))
+
+
+def choices_of(choice):
+    return st.fixed_dictionaries({"choices": field(st.lists(field(choice), max_size=2))})
+
+
 response_bodies = st.one_of(
     json_values,
-    st.fixed_dictionaries(
-        {"choices": field(st.lists(field(st.fixed_dictionaries(
-            {"message": field(st.fixed_dictionaries({"content": decision_texts}))}
-        )), max_size=2))}
-    ),
-    st.fixed_dictionaries(
-        {"choices": field(st.lists(field(st.fixed_dictionaries({"text": decision_texts})), max_size=2))}
-    ),
+    choices_of(st.fixed_dictionaries({"message": field(st.fixed_dictionaries({"content": decision_texts}))})),
+    choices_of(st.fixed_dictionaries({"text": decision_texts})),
     st.fixed_dictionaries({"content": decision_texts}),
     st.fixed_dictionaries({"text": decision_texts}),
 )
