@@ -29,6 +29,7 @@ from .cognitive_core import (
 from .evaluation import _pct
 from .tcp_core import (
     ACTION_NONE,
+    ACTION_STATES,
     ActionKind,
     AgentState,
     FLAGS_ACK,
@@ -143,16 +144,15 @@ def initial_states(client_iss: int, server_iss: int) -> Dict[Role, AgentState]:
 
 def implied_action(s: AgentState, seg: Segment) -> Optional[LocalAction]:
     """The local action, valid in s, whose step sends seg, if there is one:
-    OPEN_ACTIVE for a pure SYN in CLOSED, CLOSE for a FIN in ESTABLISHED or
-    CLOSE_WAIT, SEND for data in ESTABLISHED. Every other segment is a reply
-    to a received one."""
+    OPEN_ACTIVE for a pure SYN, CLOSE for a FIN, SEND for data. Every other
+    segment is a reply to a received one."""
     f = seg.flags
-    if f.syn and not f.ack and s.state is TcpState.CLOSED:
+    if f.syn and not f.ack and s.state in ACTION_STATES[ActionKind.OPEN_ACTIVE]:
         return LocalAction(ActionKind.OPEN_ACTIVE)
     if f.fin:
-        if s.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        if s.state in ACTION_STATES[ActionKind.CLOSE]:
             return LocalAction(ActionKind.CLOSE)
-    elif seg.payload_len and not f.syn and s.state is TcpState.ESTABLISHED:
+    elif seg.payload_len and not f.syn and s.state in ACTION_STATES[ActionKind.SEND]:
         return LocalAction(ActionKind.SEND, seg.payload)
     return None
 
@@ -210,9 +210,6 @@ class FaultSpec:
             raise ValueError(f"{self.kind.value} requires a target index")
         if self.kind is FaultKind.FLAG_MUTATE and self.mutation is None:
             raise ValueError("FLAG_MUTATE requires a flag override")
-
-
-NO_FAULT = FaultSpec()
 
 
 @dataclass(frozen=True)
@@ -443,19 +440,11 @@ def replay_deliveries(
 
 
 def run_session(
-    client_core: CognitiveCore,
-    server_core: CognitiveCore,
-    scenario: Scenario,
-    seed: int,
-    client_iss: Optional[int] = None,
-    server_iss: Optional[int] = None,
-    fault: FaultSpec = NO_FAULT,
+    client_core: CognitiveCore, server_core: CognitiveCore, scenario: Scenario, seed: int
 ) -> SessionTranscript:
     rng = random.Random(seed)
-    if client_iss is None:
-        client_iss = rng.randint(ISN_MIN, ISN_MAX)
-    if server_iss is None:
-        server_iss = rng.randint(ISN_MIN, ISN_MAX)
+    client_iss = rng.randint(ISN_MIN, ISN_MAX)
+    server_iss = rng.randint(ISN_MIN, ISN_MAX)
 
     agents = {
         Role.CLIENT: Agent(Role.CLIENT, client_core, client_iss),
@@ -481,37 +470,13 @@ def run_session(
     actions.append((other, LocalAction(ActionKind.CLOSE)))
 
     in_flight: deque = deque()  # (receiver, TranscriptEntry)
-    held: Optional[Tuple[Role, TranscriptEntry]] = None
-    emit_index = 0
     step = 0
 
     def enqueue(sender: Role, outcome: StepOutcome) -> None:
-        nonlocal emit_index, held
-        seg = outcome.emitted
-        if seg is None:
-            return
-        if fault.kind is FaultKind.FLAG_MUTATE and emit_index == fault.target_index:
-            seg = Segment(seq=seg.seq, ack=seg.ack, flags=fault.mutation, payload=seg.payload)
-        entry = TranscriptEntry(step=step, direction=sender, segment=seg, outcome=outcome)
-        receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
-        if fault.kind is FaultKind.REORDER_SWAP and emit_index == fault.target_index:
-            held = (receiver, entry)
-        else:
+        if outcome.emitted is not None:
+            receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
+            entry = TranscriptEntry(step, sender, outcome.emitted, outcome)
             in_flight.append((receiver, entry))
-            if held is not None:
-                in_flight.append(held)
-                held = None
-        emit_index += 1
-
-    def action_ready(role: Role, action: LocalAction) -> bool:
-        state = agents[role].state.state
-        if action.kind in (ActionKind.OPEN_ACTIVE, ActionKind.OPEN_PASSIVE):
-            return state is TcpState.CLOSED
-        if action.kind is ActionKind.SEND:
-            return state is TcpState.ESTABLISHED
-        if action.kind is ActionKind.CLOSE:
-            return state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT)
-        return False
 
     while step < scenario.steps_budget:
         if in_flight:
@@ -530,29 +495,23 @@ def run_session(
                 break
             enqueue(receiver, outcome)
             continue
-        if actions and action_ready(*actions[0]):
-            role, action = actions.popleft()
-            step += 1
-            try:
-                outcome = agents[role].step(action=action)
-            except (MalformedDecision, StepFailure) as exc:
-                transcript.halt_reason = f"{role.value} step failure: {exc}"
-                break
-            enqueue(role, outcome)
-            continue
-        if held is not None:
-            # Nothing else will ever follow; release the held segment.
-            in_flight.append(held)
-            held = None
-            continue
-        if actions:
-            role, action = actions[0]
+        if not actions:
+            break  # quiescent: session complete
+        role, action = actions[0]
+        state = agents[role].state.state
+        if state not in ACTION_STATES[action.kind]:
             transcript.halt_reason = (
-                f"deadlock: {role.value} cannot {action.kind.value} in "
-                f"{agents[role].state.state.value}"
+                f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
             )
             break
-        break  # quiescent: session complete
+        actions.popleft()
+        step += 1
+        try:
+            outcome = agents[role].step(action=action)
+        except (MalformedDecision, StepFailure) as exc:
+            transcript.halt_reason = f"{role.value} step failure: {exc}"
+            break
+        enqueue(role, outcome)
 
     if step >= scenario.steps_budget:
         transcript.halt_reason = transcript.halt_reason or "step budget exhausted"
@@ -702,25 +661,20 @@ def run_trials(
     n: int,
     base_seed: int,
     scenario: Optional[Scenario] = None,
-    session_faults: Optional[Dict[int, FaultSpec]] = None,
 ) -> TrialReport:
     """Run n independent full-lifecycle sessions with derived seeds.
 
-    session_faults optionally plants a fault in specific sessions (used for
-    robustness scenarios and report fixtures). Sessions run on
-    min(n, client_core.concurrency, server_core.concurrency) threads;
-    transcripts come back in seed order and are the same as a serial run's.
-    The first exception in seed order (a TransportError, say) drops the
-    sessions not yet started and is re-raised here."""
+    Sessions run on min(n, client_core.concurrency, server_core.concurrency)
+    threads; transcripts come back in seed order and are the same as a
+    serial run's. The first exception in seed order (a TransportError, say)
+    drops the sessions not yet started and is re-raised here."""
     if n < 1:
         raise ValueError("need at least one session")
     scenario = scenario or Scenario()
-    session_faults = session_faults or {}
     seeds = derive_seeds(base_seed, n)
 
     def session(i: int) -> SessionTranscript:
-        fault = session_faults.get(i, NO_FAULT)
-        return run_session(client_core, server_core, scenario, seeds[i], fault=fault)
+        return run_session(client_core, server_core, scenario, seeds[i])
 
     workers = min(n, client_core.concurrency, server_core.concurrency)
     if workers == 1:

@@ -96,6 +96,14 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # bad JSON and undecodable bytes included
         print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    outdir = Path(args.out) if args.out else None
+    if outdir is not None:
+        # Made before the trial runs, so that a bad path costs no sessions.
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     try:
         client = _make_core(args, cfg)
         server = _make_core(args, cfg)
@@ -110,14 +118,16 @@ def cmd_simulate(args) -> int:
     finally:
         client.close()
         server.close()
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for i, t in enumerate(report.transcripts):
-            t.write(outdir / f"session-{i:03d}.jsonl")
-        with open(outdir / "trial_report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_wire(), fh, indent=2)
-            fh.write("\n")
+    if outdir is not None:
+        try:
+            for i, t in enumerate(report.transcripts):
+                t.write(outdir / f"session-{i:03d}.jsonl")
+            with open(outdir / "trial_report.json", "w", encoding="utf-8") as fh:
+                json.dump(report.to_wire(), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
     print(report.summary())
     return EXIT_OK
 

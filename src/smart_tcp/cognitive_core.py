@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -93,9 +92,6 @@ class CognitiveDecision:
     payload_len: int
     t_task: Optional[AluTask]
     verdict: Verdict = Verdict.NORMAL
-
-    def emits_segment(self) -> bool:
-        return self.verdict is Verdict.NORMAL and self.t_task is not None
 
     def to_wire(self) -> dict:
         return {
@@ -467,14 +463,6 @@ class RemoteConfig:
     api_key: Optional[str] = None
     temperature: float = 0.0
     timeout: float = 30.0
-
-    @classmethod
-    def from_env(cls, **overrides) -> "RemoteConfig":
-        endpoint = overrides.pop("endpoint", None) or os.environ.get(ENDPOINT_ENV)
-        if not endpoint:
-            raise TransportError(f"no model endpoint configured ({ENDPOINT_ENV})")
-        api_key = overrides.pop("api_key", None) or os.environ.get(KEY_ENV)
-        return cls(endpoint=endpoint, api_key=api_key, **overrides)
 
 
 class RemoteCore(CognitiveCore):

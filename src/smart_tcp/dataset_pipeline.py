@@ -229,13 +229,6 @@ class LabeledSample:
     label: CognitiveDecision
     provenance: dict
 
-    def to_wire(self) -> dict:
-        return {
-            "input": self.input.to_wire(),
-            "label": self.label.to_wire(),
-            "provenance": self.provenance,
-        }
-
 
 def _seg_matches(a: Segment, b: Segment) -> bool:
     return (

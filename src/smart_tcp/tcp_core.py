@@ -188,16 +188,13 @@ class Segment:
     def payload_len(self) -> int:
         return len(self.payload)
 
-    def to_wire(self, with_payload: bool = False) -> dict:
-        obj = {
+    def to_wire(self) -> dict:
+        return {
             "seq": self.seq,
             "ack": self.ack,
             "flags": self.flags.render(),
             "payload_len": self.payload_len,
         }
-        if with_payload and self.payload:
-            obj["payload_b64"] = base64.b64encode(self.payload).decode("ascii")
-        return obj
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Segment":
@@ -233,6 +230,8 @@ class ActionKind(Enum):
     CLOSE = "CLOSE"
     NONE = "NONE"
 
+    __hash__ = object.__hash__  # see TcpState
+
 
 @dataclass(frozen=True, slots=True)
 class LocalAction:
@@ -254,6 +253,15 @@ class LocalAction:
 
 
 ACTION_NONE = LocalAction(ActionKind.NONE)
+
+# The states in which each local action is valid; the oracle raises for an
+# action anywhere else.
+ACTION_STATES = {
+    ActionKind.OPEN_ACTIVE: frozenset({TcpState.CLOSED}),
+    ActionKind.OPEN_PASSIVE: frozenset({TcpState.CLOSED}),
+    ActionKind.SEND: frozenset({TcpState.ESTABLISHED}),
+    ActionKind.CLOSE: frozenset({TcpState.ESTABLISHED, TcpState.CLOSE_WAIT}),
+}
 
 
 @dataclass(frozen=True, slots=True)

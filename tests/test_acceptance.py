@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from smart_tcp.agent_runtime import FaultKind, FaultSpec, Scenario, run_session, run_trials
+from smart_tcp.agent_runtime import Scenario, run_session, run_trials
 from smart_tcp.alu import AluTask, alu_execute
 from smart_tcp.cognitive_core import (
     CognitiveDecision,
@@ -47,7 +47,10 @@ from smart_tcp.tcp_core import (
     seq_add,
 )
 
+from planted import PlantedCore, isses
+
 ENDPOINT_ENV = "SMART_TCP_MODEL_ENDPOINT"
+KEY_ENV = "SMART_TCP_MODEL_KEY"
 
 
 def verdict_line(criterion: str, ok: bool) -> None:
@@ -67,13 +70,9 @@ def test_criterion_1_oracle_end_to_end_soundness():
         and elapsed < 5.0
     )
     # The 93.33% trial figure belongs to a trained model; the harness must
-    # reproduce the number exactly when 2 of 30 sessions are force-failed.
-    mutation = flags_parse("SYN|FIN")
-    faults = {
-        3: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=mutation),
-        17: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=mutation),
-    }
-    fixture = run_trials(OracleCore(), OracleCore(), 30, base_seed=7, session_faults=faults)
+    # reproduce the number exactly when a core fails 2 of 30 sessions.
+    core = PlantedCore(isses(report, (3, 17)))
+    fixture = run_trials(core, core, 30, base_seed=7)
     ok = ok and fixture.to_wire()["trial_accuracy"] == "93.33%"
     verdict_line(
         "1 oracle soundness (30/30 sessions, <5s; forced-failure fixture = 93.33%)", ok
@@ -376,7 +375,7 @@ def test_criterion_7_remote_core_live_endpoint():
     from smart_tcp.cognitive_core import CognitiveInput
     from smart_tcp.tcp_core import ActionKind, LocalAction
 
-    core = RemoteCore(RemoteConfig.from_env())
+    core = RemoteCore(RemoteConfig(os.environ[ENDPOINT_ENV], api_key=os.environ.get(KEY_ENV)))
     cinput = CognitiveInput(
         s=AgentState(role=Role.CLIENT, state=TcpState.CLOSED, iss=9000, snd_nxt=9000),
         r=None,

@@ -31,6 +31,7 @@ from smart_tcp.cognitive_core import (
     oracle_transition,
 )
 from smart_tcp.tcp_core import (
+    ACTION_STATES,
     ActionKind,
     AgentState,
     ISN_MAX,
@@ -45,6 +46,8 @@ from smart_tcp.tcp_core import (
     segment_consumes,
     seq_add,
 )
+
+from planted import PlantedCore, isses
 
 
 def act(agent, kind, data=None):
@@ -164,6 +167,17 @@ class TestStepFunctions:
         assert cinput == CognitiveInput(s, r, send)
         assert (decision, after, emitted) == (out.decision, client.state, out.emitted)
 
+    @pytest.mark.parametrize("kind", [k for k in ActionKind if k is not ActionKind.NONE])
+    @pytest.mark.parametrize("state", list(TcpState))
+    def test_oracle_accepts_an_action_exactly_in_its_table_states(self, state, kind):
+        s = AgentState(Role.CLIENT, state, iss=100, snd_nxt=101, irs=500, rcv_nxt=501)
+        action = LocalAction(kind, b"x" if kind is ActionKind.SEND else None)
+        if state in ACTION_STATES[kind]:
+            assert oracle_transition(s, None, action).verdict is Verdict.NORMAL
+        else:
+            with pytest.raises(ValueError, match="not valid in state"):
+                oracle_transition(s, None, action)
+
     def test_initial_states(self):
         states = initial_states(7, 9)
         assert states[Role.CLIENT] == AgentState(Role.CLIENT, TcpState.CLOSED, 7, 7)
@@ -257,6 +271,23 @@ class TestRunSession:
                 assert e.segment.seq == last[e.direction]
             last[e.direction] = seq_add(e.segment.seq, c)
 
+    def test_peer_verdict_halts_the_session(self):
+        clean = run_session(OracleCore(), OracleCore(), Scenario(), seed=1)
+        core = PlantedCore({clean.server_iss})
+        t = run_session(core, core, Scenario(), seed=1)
+        # The server answers the client's FIN with SYN|FIN; the client halts.
+        assert t.halt_reason == "CLIENT verdict FLAG_ERROR"
+        assert t.entries[-1].segment.flags == flags_parse("SYN|FIN")
+        assert t.phase_results["handshake"].passed
+        assert t.phase_results["data_transfer"].passed
+        assert not t.phase_results["termination"].passed
+
+    def test_action_invalid_in_the_agents_state_is_a_deadlock(self):
+        t = run_session(StayClosedCore(), OracleCore(), Scenario(), seed=1)
+        assert t.entries == []
+        assert t.halt_reason == "deadlock: CLIENT cannot SEND in CLOSED"
+        assert not t.phase_results["handshake"].passed
+
     def test_transcript_file_round_trip(self, tmp_path):
         t = run_session(OracleCore(), OracleCore(), Scenario(), seed=21)
         path = tmp_path / "session.jsonl"
@@ -283,6 +314,18 @@ class AlwaysAckCore(CognitiveCore):
         return CognitiveDecision(
             next_state=input.s.state, flags=flags_parse("ACK"), payload_len=0, t_task=task
         )
+
+
+class StayClosedCore(CognitiveCore):
+    """Answers OPEN_ACTIVE by staying CLOSED and sending nothing;
+    otherwise the oracle."""
+
+    name = "stay-closed"
+
+    def decide(self, input):
+        if input.a.kind is ActionKind.OPEN_ACTIVE:
+            return CognitiveDecision(TcpState.CLOSED, None, 0, None)
+        return oracle_transition(input.s, input.r, input.a)
 
 
 class AckBeforeReceiveCore(CognitiveCore):
@@ -332,11 +375,9 @@ class TestRunTrials:
 
     def test_two_forced_failures_give_93_33(self):
         # 28/30 full passes formats as the 93.33% fixture.
-        faults = {
-            3: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=flags_parse("SYN|FIN")),
-            17: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=flags_parse("SYN|FIN")),
-        }
-        report = run_trials(OracleCore(), OracleCore(), 30, base_seed=7, session_faults=faults)
+        clean = run_trials(OracleCore(), OracleCore(), 30, base_seed=7)
+        core = PlantedCore(isses(clean, (3, 17)))
+        report = run_trials(core, core, 30, base_seed=7)
         assert report.to_wire()["trial_accuracy"] == "93.33%"
         assert report.to_wire()["handshake"] == "100.00%"
 
@@ -377,20 +418,6 @@ class TestFaultInjection:
         stream = self.record_stream()
         with pytest.raises(IndexError):
             inject_fault(stream, FaultSpec(FaultKind.REORDER_SWAP, target_index=len(stream)))
-
-    def test_live_flag_mutation_halts_session(self):
-        fault = FaultSpec(FaultKind.FLAG_MUTATE, target_index=2, mutation=flags_parse("SYN|FIN"))
-        t = run_session(OracleCore(), OracleCore(), Scenario(), seed=1, fault=fault)
-        assert "FLAG_ERROR" in t.halt_reason
-        assert not t.all_passed()
-
-    def test_live_reorder_of_back_to_back_sends(self):
-        sc = Scenario(
-            data_script=((Role.CLIENT, 100), (Role.CLIENT, 200)), scenario_id="burst"
-        )
-        fault = FaultSpec(FaultKind.REORDER_SWAP, target_index=3)
-        t = run_session(OracleCore(), OracleCore(), sc, seed=1, fault=fault)
-        assert "ORDER_ERROR" in t.halt_reason
 
     def test_fault_spec_validation(self):
         with pytest.raises(ValueError):

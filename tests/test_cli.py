@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import smart_tcp
+from smart_tcp import cli
 from smart_tcp.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -116,6 +117,27 @@ class TestSimulate:
             capsys, "simulate", "--sessions", "1", "--scenario", str(tmp_path / "nope.json")
         )
         assert code == EXIT_IO and stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_under_a_regular_file_is_io_error_before_any_session(
+        self, tmp_path, capsys, monkeypatch, sub
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        sessions = []
+        monkeypatch.setattr(cli, "run_trials", lambda *args: sessions.append(args))
+        code, stdout, stderr = run(
+            capsys, "simulate", "--sessions", "1", "--out", str(afile / sub)
+        )
+        assert code == EXIT_IO and stderr.startswith("error: ") and stdout == ""
+        assert sessions == []
+
+    def test_unwritable_transcript_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "runs" / "session-000.jsonl").mkdir(parents=True)
+        code, stdout, stderr = run(
+            capsys, "simulate", "--sessions", "1", "--out", str(tmp_path / "runs")
+        )
+        assert code == EXIT_IO and stderr.startswith("error: ") and stdout == ""
 
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE

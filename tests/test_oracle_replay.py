@@ -1,6 +1,7 @@
-"""Properties of the oracle's replays over drawn scenarios: the labeler
-reproduces what the runtime's oracle decided, and `inject` judges recorded
-streams as the oracle would."""
+"""Properties over drawn scenarios: the labeler reproduces what the
+runtime's oracle decided, `inject` judges recorded streams as the oracle
+would, and sessions with a planted wrong decision grade as exactly those
+sessions failed."""
 
 import json
 import tempfile
@@ -8,11 +9,13 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from smart_tcp.agent_runtime import Scenario, run_session
+from smart_tcp.agent_runtime import Scenario, run_session, run_trials
 from smart_tcp.cli import EXIT_OK, main
-from smart_tcp.cognitive_core import OracleCore
+from smart_tcp.cognitive_core import OracleCore, Verdict
 from smart_tcp.dataset_pipeline import extract_flows, reconstruct_labels, transcript_to_trace_records
 from smart_tcp.tcp_core import Role
+
+from planted import PlantedCore, isses
 
 scenarios = st.builds(
     lambda script, closer: Scenario(data_script=tuple(script), closer=closer, scenario_id="drawn"),
@@ -30,7 +33,7 @@ class RecordingOracle(OracleCore):
 
     def decide(self, input):
         decision = super().decide(input)
-        if decision.emits_segment():
+        if decision.verdict is Verdict.NORMAL and decision.t_task is not None:
             self.emitting.append((input.to_wire(), decision.to_wire()))
         return decision
 
@@ -69,3 +72,23 @@ def test_syn_fin_mutation_is_the_first_anomaly(scenario, seed, data):
     i = data.draw(st.integers(min_value=0, max_value=len(t.entries) - 1), label="index")
     verdicts = replay_verdicts(t, "--fault", "flag_mutate", "--index", str(i), "--mutation", "SYN|FIN")
     assert verdicts[: i + 1] == ["NORMAL"] * i + ["FLAG_ERROR"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(scenarios, seeds, st.data())
+def test_planted_sessions_are_exactly_the_failed_ones(scenario, base_seed, data):
+    n = data.draw(st.integers(min_value=1, max_value=6), label="sessions")
+    failing = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)), label="planted")
+    non_closer = Role.SERVER if scenario.closer is Role.CLIENT else Role.CLIENT
+    clean = run_trials(OracleCore(), OracleCore(), n, base_seed, scenario)
+    core = PlantedCore(isses(clean, failing, non_closer))
+    report = run_trials(core, core, n, base_seed, scenario)
+
+    assert clean.trial_accuracy == 1.0
+    assert report.trial_accuracy == (n - len(failing)) / n
+    halted = {i for i, t in enumerate(report.transcripts) if t.halt_reason}
+    assert halted == failing
+    for i in failing:
+        assert report.transcripts[i].halt_reason == f"{scenario.closer.value} verdict FLAG_ERROR"
+    for t in clean.transcripts + report.transcripts:
+        assert all(e.segment.flags == e.outcome.decision.flags for e in t.entries)

@@ -11,17 +11,18 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from smart_tcp import cli
-from smart_tcp.agent_runtime import FaultKind, FaultSpec, run_trials
+from smart_tcp.agent_runtime import run_trials
 from smart_tcp.cognitive_core import (
     CognitiveInput,
     OracleCore,
     RemoteConfig,
     RemoteCore,
     TransportError,
-    oracle_transition,
     serialize_decision,
 )
-from smart_tcp.tcp_core import ActionKind, AgentState, LocalAction, Role, TcpState, flags_parse
+from smart_tcp.tcp_core import ActionKind, AgentState, LocalAction, Role, TcpState
+
+from planted import PlantedCore, isses, planted_transition
 
 OPEN_ACTIVE = CognitiveInput(
     s=AgentState(role=Role.CLIENT, state=TcpState.CLOSED, iss=10, snd_nxt=10),
@@ -29,25 +30,17 @@ OPEN_ACTIVE = CognitiveInput(
 )
 
 
-def oracle_reply(messages):
-    """What a perfectly trained model answers to a prompt."""
+def oracle_reply(messages, planted=frozenset()):
+    """What a perfectly trained model answers to a prompt, or one that fails
+    where `planted` says."""
     inp = CognitiveInput.from_wire(json.loads(messages[-1]["content"]))
-    return serialize_decision(oracle_transition(inp.s, inp.r, inp.a))
+    return serialize_decision(planted_transition(inp.s, inp.r, inp.a, planted))
 
 
-class CountingOracle(OracleCore):
-    def __init__(self):
-        self.decisions = 0
-
-    def decide(self, input):
-        self.decisions += 1
-        return super().decide(input)
-
-
-def oracle_run(n, seed, session_faults=None):
+def oracle_run(n, seed, planted=frozenset()):
     """Serial reference run; returns (report, decisions made)."""
-    client, server = CountingOracle(), CountingOracle()
-    report = run_trials(client, server, n, seed, session_faults=session_faults)
+    client, server = PlantedCore(planted), PlantedCore(planted)
+    report = run_trials(client, server, n, seed)
     return report, client.decisions + server.decisions
 
 
@@ -63,12 +56,13 @@ def transcript_wire(report):
 
 
 class SleepyRemote(RemoteCore):
-    """RemoteCore whose transport answers like the oracle after a short
+    """RemoteCore whose transport answers like oracle_reply after a short
     sleep, and optionally fails on the k-th call across all threads."""
 
-    def __init__(self, fail_on=None):
+    def __init__(self, fail_on=None, planted=frozenset()):
         super().__init__(RemoteConfig(endpoint="http://example.invalid"))
         self.fail_on = fail_on
+        self.planted = planted
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -79,23 +73,20 @@ class SleepyRemote(RemoteCore):
         if k == self.fail_on:
             raise TransportError(f"call {k} failed")
         time.sleep(0.0005)
-        return oracle_reply(messages)
+        return oracle_reply(messages, self.planted)
 
 
 class TestConcurrentTrials:
     def test_matches_serial_oracle_with_exact_counts(self):
-        faults = {
-            3: FaultSpec(FaultKind.FLAG_MUTATE, target_index=8, mutation=flags_parse("SYN|FIN")),
-            17: FaultSpec(FaultKind.REORDER_SWAP, target_index=3),
-        }
-        expected, decisions = oracle_run(30, 7, faults)
-        client, server = SleepyRemote(), SleepyRemote()
+        planted = isses(oracle_run(30, 7)[0], (3, 17))
+        expected, decisions = oracle_run(30, 7, planted)
+        client, server = SleepyRemote(planted=planted), SleepyRemote(planted=planted)
         assert client.concurrency > 1
         # Switch threads often so that an unlocked count would lose updates.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            report = run_trials(client, server, 30, 7, session_faults=faults)
+            report = run_trials(client, server, 30, 7)
         finally:
             sys.setswitchinterval(interval)
         assert transcript_wire(report) == transcript_wire(expected)
