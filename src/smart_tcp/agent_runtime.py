@@ -260,8 +260,12 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
+        """Raises ValueError for a file that does not hold a valid scenario."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_wire(json.load(fh))
+            try:
+                return cls.from_wire(json.load(fh))
+            except RecursionError:  # JSON nested past the recursion limit
+                raise ValueError("JSON nests too deeply") from None
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,8 @@ class SessionTranscript:
                             segment=Segment.from_wire(obj["segment"]),
                         )
                     )
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                # RecursionError: JSON nested past the interpreter's recursion limit.
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
                     raise ValueError(f"{path} line {lineno}: bad transcript line: {detail}") from None
         if not has_trailer:

@@ -108,39 +108,84 @@ class CognitiveDecision:
         not satisfy the schema."""
         if not isinstance(obj, dict):
             raise MalformedDecision("decision must be a JSON object")
-        if obj.keys() != _DECISION_KEY_SET:
+        # Five keys, each of them found, make the key set exact; that costs
+        # less than comparing obj.keys() with it.
+        try:
+            if len(obj) != len(_DECISION_KEY_SET):
+                raise KeyError
+            next_state = obj["next_state"]
+            flags = obj["flags"]
+            payload_len = obj["payload_len"]
+            t_task = obj["t_task"]
+            verdict = obj["verdict"]
+        except KeyError:
             unknown = set(obj) - _DECISION_KEY_SET
             if unknown:
-                raise MalformedDecision(f"unknown keys: {sorted(unknown)}")
-            raise MalformedDecision(f"missing keys: {sorted(_DECISION_KEY_SET - set(obj))}")
+                raise MalformedDecision(f"unknown keys: {sorted(unknown)}") from None
+            raise MalformedDecision(f"missing keys: {sorted(_DECISION_KEY_SET - set(obj))}") from None
+        # Only a decision that decodes enters the memo, so every stored key
+        # holds str tokens (flags and t_task may be None) and an int
+        # payload_len. No other JSON value equals a str or None, but true == 1
+        # and 1.0 == 1: a payload_len of another type must not be looked up.
+        if type(payload_len) is not int:
+            return _decode_decision(next_state, flags, payload_len, t_task, verdict)
+        key = (next_state, flags, payload_len, t_task, verdict)
         try:
-            next_state = parse_state(obj["next_state"])
-            flags = flags_parse(obj["flags"]) if obj["flags"] is not None else None
-            payload_len = obj["payload_len"]
-            # type() rather than isinstance: JSON true/false load as bools.
-            if type(payload_len) is not int or not 0 <= payload_len <= MAX_PAYLOAD_LEN:
-                raise ValueError(f"bad payload_len: {payload_len!r}")
-            t_task = alu_parse_task(obj["t_task"]) if obj["t_task"] is not None else None
-            token = obj["verdict"]
-            verdict = _VERDICT_BY_TOKEN.get(token) if isinstance(token, str) else None
-            if verdict is None:
-                # Verdict(token)'s wording: remote transcripts carry it in halt_reason.
-                raise ValueError(f"{token!r} is not a valid Verdict")
-        except ValueError as exc:
-            raise MalformedDecision(str(exc)) from None
-        return cls(next_state, flags, payload_len, t_task, verdict)
+            decision = _DECISION_MEMO.get(key)
+        except TypeError:  # a list or dict token does not hash
+            return _decode_decision(next_state, flags, payload_len, t_task, verdict)
+        if decision is None:
+            decision = _decode_decision(next_state, flags, payload_len, t_task, verdict)
+            # A full memo stops growing rather than evicting, so a miss pays
+            # no eviction. Threads deciding at once may store an equal
+            # decision twice or pass the bound by a few entries, no more.
+            if len(_DECISION_MEMO) < DECISION_MEMO_SIZE:
+                _DECISION_MEMO[key] = decision
+        return decision
 
 
 DECISION_KEYS = ("next_state", "flags", "payload_len", "t_task", "verdict")
 _DECISION_KEY_SET = frozenset(DECISION_KEYS)
 
+# Bound on memoized decisions. Decisions repeat a few dozen token tuples, but
+# payload_len alone takes 65,536 values, which must not grow the memo.
+DECISION_MEMO_SIZE = 4096
+# Decoded decisions by their raw field values. A decision is frozen, so one
+# instance serves every record that spells it the same way.
+_DECISION_MEMO: dict = {}
 
+
+def _decode_decision(next_state, flags, payload_len, t_task, verdict) -> CognitiveDecision:
+    """Validate the five raw field values of a decision object, in key order."""
+    try:
+        state = parse_state(next_state)
+        reply_flags = flags_parse(flags) if flags is not None else None
+        # type() rather than isinstance: JSON true/false load as bools.
+        if type(payload_len) is not int or not 0 <= payload_len <= MAX_PAYLOAD_LEN:
+            raise ValueError(f"bad payload_len: {payload_len!r}")
+        task = alu_parse_task(t_task) if t_task is not None else None
+        kind = _VERDICT_BY_TOKEN.get(verdict) if isinstance(verdict, str) else None
+        if kind is None:
+            # Verdict(token)'s wording: remote transcripts carry it in halt_reason.
+            raise ValueError(f"{verdict!r} is not a valid Verdict")
+    except ValueError as exc:
+        raise MalformedDecision(str(exc)) from None
+    return CognitiveDecision(state, reply_flags, payload_len, task, kind)
+
+
+# The one compact JSON byte format of prompts and SFT lines. json.dumps with
+# separators builds a new encoder on every call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+# Equal decisions serialize alike, and a dataset repeats a few dozen of them.
+@functools.lru_cache(maxsize=DECISION_MEMO_SIZE)
 def serialize_decision(d: CognitiveDecision) -> str:
-    return json.dumps(d.to_wire(), separators=(",", ":"))
+    return _encode(d.to_wire())
 
 
 def serialize_input(i: CognitiveInput) -> str:
-    return json.dumps(i.to_wire(), separators=(",", ":"))
+    return _encode(i.to_wire())
 
 
 def _extract_json_object(text: str) -> Optional[str]:
@@ -176,19 +221,25 @@ def parse_decision(raw: str) -> CognitiveDecision:
     MalformedDecision for anything else, null or structured content included."""
     if not isinstance(raw, str):
         raise MalformedDecision(f"model output is not text: {type(raw).__name__}")
-    # ValueError, not only JSONDecodeError: json.loads also raises it for an
-    # integer longer than the interpreter's digit limit.
+    # RecursionError: JSON nested past the interpreter's recursion limit, met
+    # by json.loads or by the repr in a decode error's message. It is not a
+    # ValueError, so output too deep for json.loads skips the lenient pass.
     try:
-        obj = json.loads(raw)
-    except ValueError:
-        candidate = _extract_json_object(raw)
-        if candidate is None:
-            raise MalformedDecision("no JSON object found in output") from None
+        # ValueError, not only JSONDecodeError: json.loads also raises it for
+        # an integer longer than the interpreter's digit limit.
         try:
-            obj = json.loads(candidate)
-        except ValueError as exc:
-            raise MalformedDecision(f"embedded object unparseable: {exc}") from None
-    return CognitiveDecision.from_wire(obj)
+            obj = json.loads(raw)
+        except ValueError:
+            candidate = _extract_json_object(raw)
+            if candidate is None:
+                raise MalformedDecision("no JSON object found in output") from None
+            try:
+                obj = json.loads(candidate)
+            except ValueError as exc:
+                raise MalformedDecision(f"embedded object unparseable: {exc}") from None
+        return CognitiveDecision.from_wire(obj)
+    except RecursionError:
+        raise MalformedDecision("model output nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def ingest_trace(path) -> IngestResult:
                     five_tuple=FiveTuple(src=str(obj["src"]), dst=str(obj["dst"])),
                     segment=Segment.from_wire(obj),
                 )
-            except (KeyError, ValueError, TypeError, OverflowError) as exc:
+            # RecursionError: JSON nested past the interpreter's recursion limit.
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 malformed += 1
                 rejects.append((lineno, f"malformed: {exc}"))
                 continue
@@ -414,14 +415,19 @@ def emit_sft(samples: List[LabeledSample], path, format: SftFormat = SftFormat.P
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             if format is SftFormat.PAIRS:
-                obj = {"input": sample.input.to_wire(), "label": sample.label.to_wire()}
+                # Byte for byte what json.dumps with compact separators writes
+                # for {"input": ..., "label": ...}.
+                fh.write(
+                    f'{{"input":{serialize_input(sample.input)},'
+                    f'"label":{serialize_decision(sample.label)}}}\n'
+                )
             else:
                 obj = {
                     "instruction": PERSONA,
                     "input": serialize_input(sample.input),
                     "output": serialize_decision(sample.label),
                 }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def check_alu_consistency(sample: LabeledSample, observed: Segment) -> bool:

@@ -23,7 +23,7 @@ FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
 MALFORMED = "MALFORMED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     truth: CognitiveDecision
     predicted: Optional[CognitiveDecision]  # None = malformed model output
@@ -300,15 +300,6 @@ def emit_report(report: MetricsReport, path, format: ReportFormat = ReportFormat
 # ---------------------------------------------------------------------------
 
 
-def _load_decision(obj) -> Optional[CognitiveDecision]:
-    if obj is None:
-        return None
-    try:
-        return CognitiveDecision.from_wire(obj)
-    except MalformedDecision:
-        return None
-
-
 def _load_numbers(value) -> Optional[Tuple[int, int]]:
     """(seq, ack) from null or a list of exactly two integers in [0, 2^32).
     Raises ValueError for anything else."""
@@ -322,38 +313,49 @@ def _load_numbers(value) -> Optional[Tuple[int, int]]:
     raise ValueError(f"numbers must be null or two integers in [0, 2^32): {value!r}")
 
 
+def _load_record(line: str, path) -> PredictionRecord:
+    """One record from one non-blank line; ValueError for a bad truth side."""
+    try:
+        obj = json.loads(line)
+        truth_obj = obj["truth"]
+        truth = CognitiveDecision.from_wire(truth_obj["decision"])
+        truth_numbers = _load_numbers(truth_obj.get("numbers"))
+    except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
+        raise ValueError(f"bad truth record in {path}: {exc}") from None
+    pred_obj = obj.get("predicted")
+    if not isinstance(pred_obj, dict):
+        pred_obj = {}
+    try:
+        predicted = CognitiveDecision.from_wire(pred_obj.get("decision"))
+    except MalformedDecision:
+        predicted = None
+    try:
+        predicted_numbers = _load_numbers(pred_obj.get("numbers"))
+    except ValueError:
+        predicted_numbers = None
+    return PredictionRecord(
+        truth=truth,
+        predicted=predicted,
+        truth_numbers=truth_numbers,
+        predicted_numbers=predicted_numbers,
+        provenance=obj.get("provenance"),
+    )
+
+
 def load_prediction_records(path) -> List[PredictionRecord]:
     """Read newline-delimited {input, truth, predicted} records. A record
     whose predicted side is null or schema-invalid scores as malformed; a
     predicted side with bad numbers scores as wrong numbers."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            # RecursionError: JSON nested past the interpreter's recursion
+            # limit, met by json.loads or by the repr in an error message.
             try:
-                obj = json.loads(line)
-                truth_obj = obj["truth"]
-                truth = CognitiveDecision.from_wire(truth_obj["decision"])
-                truth_numbers = _load_numbers(truth_obj.get("numbers"))
-            except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
-                raise ValueError(f"bad truth record in {path}: {exc}") from None
-            pred_obj = obj.get("predicted")
-            if not isinstance(pred_obj, dict):
-                pred_obj = {}
-            predicted = _load_decision(pred_obj.get("decision"))
-            try:
-                predicted_numbers = _load_numbers(pred_obj.get("numbers"))
-            except ValueError:
-                predicted_numbers = None
-            records.append(
-                PredictionRecord(
-                    truth=truth,
-                    predicted=predicted,
-                    truth_numbers=truth_numbers,
-                    predicted_numbers=predicted_numbers,
-                    provenance=obj.get("provenance"),
-                )
-            )
+                records.append(_load_record(line, path))
+            except RecursionError:
+                raise ValueError(f"{path} line {lineno}: JSON nests too deeply") from None
     return records

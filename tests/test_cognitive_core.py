@@ -225,6 +225,9 @@ class TestDecisionSchema:
         "obj, message",
         [
             ({"next_state": "OPEN", "zeta": 1, "alpha": 2}, "unknown keys: ['alpha', 'zeta']"),
+            # Five keys, one of them misspelt; and all five plus one more.
+            (dict.fromkeys(["next_state", "flags", "payload_len", "t_task", "verdikt"]), "unknown keys: ['verdikt']"),
+            (dict.fromkeys(["next_state", "flags", "payload_len", "t_task", "verdict", "extra"]), "unknown keys: ['extra']"),
             ({"next_state": "OPEN", "verdict": "NORMAL"}, "missing keys: ['flags', 'payload_len', 't_task']"),
             ({}, "missing keys: ['flags', 'next_state', 'payload_len', 't_task', 'verdict']"),
         ],

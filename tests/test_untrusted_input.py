@@ -6,14 +6,17 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smart_tcp.alu import AluError, AluTask, alu_parse_task
-from smart_tcp.cli import EXIT_IO, EXIT_OK, main
+from smart_tcp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from smart_tcp.cognitive_core import (
+    DECISION_KEYS,
+    _DECISION_MEMO,
     CognitiveDecision,
     CognitiveInput,
     MalformedDecision,
@@ -21,6 +24,7 @@ from smart_tcp.cognitive_core import (
     RemoteCore,
     TransportError,
     Verdict,
+    _decode_decision,
     parse_decision,
 )
 from smart_tcp.dataset_pipeline import IngestResult, TraceFormatError, ingest_trace
@@ -158,10 +162,72 @@ def test_decision_payload_len_in_range_decodes(n):
 
 @pytest.mark.parametrize("n", [True, False, 1.0, -1, MAX_PAYLOAD_LEN + 1])
 def test_decision_payload_len_must_be_an_int_in_range(n):
-    # JSON true/false load as bools, which are ints to isinstance.
+    # JSON true/false load as bools, which are ints to isinstance. True and
+    # 1.0 also equal a memoized payload_len of 1, and False one of 0.
+    for valid in (0, 1):
+        CognitiveDecision.from_wire(decision_with_payload_len(valid))
     with pytest.raises(MalformedDecision) as exc:
         CognitiveDecision.from_wire(decision_with_payload_len(n))
     assert str(exc.value) == f"bad payload_len: {n!r}"
+
+
+def either(valid, near):
+    """Valid values and near misses, drawn about equally often."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(near))
+
+
+# Decision objects as the memo sees them: a few token sets (valid tokens,
+# near misses, flag spellings in either case, unhashable values), each drawn
+# with payload_len values that compare equal across types.
+memo_token_sets = st.fixed_dictionaries(
+    {
+        "next_state": either(["ESTABLISHED", "CLOSED"], ["established", "CLOSED ", ["CLOSED"], {}]),
+        "flags": either([None, "ACK", "ack", "Syn|Ack"], ["SYN|SYN", "", ["ACK"], {"ACK": 1}]),
+        "t_task": either([None, "CALCULATE_ACK"], ["calculate_ack", ["INIT_SYN"]]),
+        "verdict": either(["NORMAL", "FLAG_ERROR"], ["normal", "LOST", [], {"v": "NORMAL"}]),
+    }
+)
+memo_objects = st.lists(memo_token_sets, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(
+        st.builds(
+            lambda tokens, n: {**tokens, "payload_len": n},
+            st.sampled_from(pool),
+            st.sampled_from([1, True, 1.0, -1, 0, False]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+
+
+def outcome(decode, obj):
+    """A decision by its repr, which tells 1, True and 1.0 apart, or the
+    MalformedDecision text."""
+    try:
+        return repr(decode(obj))
+    except MalformedDecision as exc:
+        return f"MalformedDecision: {exc}"
+
+
+def plain_decode(obj):
+    return _decode_decision(*(obj[k] for k in DECISION_KEYS))
+
+
+ONE = {"next_state": "ESTABLISHED", "flags": "ACK", "payload_len": 1, "t_task": None, "verdict": "NORMAL"}
+
+
+@example(objs=[ONE, dict(ONE, payload_len=True), dict(ONE, payload_len=1.0)], rng=random.Random(0))
+@given(memo_objects, st.randoms(use_true_random=False))
+def test_memoized_decode_matches_the_plain_decode(objs, rng):
+    _DECISION_MEMO.clear()
+    expected = [outcome(plain_decode, obj) for obj in objs]
+    assert [outcome(CognitiveDecision.from_wire, obj) for obj in objs] == expected
+    # Again with the memo warm, in another order.
+    order = list(range(len(objs)))
+    rng.shuffle(order)
+    assert [outcome(CognitiveDecision.from_wire, objs[i]) for i in order] == [
+        expected[i] for i in order
+    ]
 
 
 # Reply bodies in the shapes RemoteCore accepts, each part valid half the time.
@@ -244,3 +310,48 @@ def test_inject_replays_or_exits_2(lines):
     else:
         assert code == EXIT_OK
         assert "deliveries, anomalies:" in out.getvalue()
+
+
+# One line nested past the interpreter's default recursion limit of 1,000.
+DEEP = "[" * 1100
+SYN_LINE = json.dumps(
+    {"ts": 0.0, "proto": "tcp", "src": "10.0.0.1:40000", "dst": "10.0.0.2:80",
+     "seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
+)
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "reader", ["ingest_trace", "load_prediction_records", "SessionTranscript.read", "Scenario.load", "parse_decision"]
+)
+def test_json_nested_past_the_recursion_limit_is_a_typed_error(reader, tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(DEEP + "\n")
+    if reader == "ingest_trace":
+        # Ten good lines keep the one malformed line under the 10% threshold.
+        path.write_text((SYN_LINE + "\n") * 10 + DEEP + "\n")
+        result = ingest_trace(path)
+        [(lineno, reason)] = result.rejects
+        assert len(result.records) == 10 and lineno == 11
+        assert reason.startswith("malformed: maximum recursion depth exceeded")
+    elif reader == "load_prediction_records":
+        code, err = run_cli(["evaluate", "--pred", str(path), "--out", str(tmp_path / "r")])
+        assert (code, err) == (EXIT_IO, f"error: {path} line 1: JSON nests too deeply\n")
+    elif reader == "SessionTranscript.read":
+        code, err = run_cli(["inject", "--in", str(path), "--fault", "none"])
+        assert code == EXIT_IO
+        assert err.startswith(f"error: {path} line 1: bad transcript line: maximum recursion depth")
+    elif reader == "Scenario.load":
+        code, err = run_cli(["simulate", "--scenario", str(path), "--sessions", "1"])
+        assert (code, err) == (EXIT_USAGE, f"error: bad scenario {path}: JSON nests too deeply\n")
+    else:
+        # Bare, and embedded in prose, where the lenient pass finds it.
+        for raw in (DEEP, 'decision: ' + '{"a":' * 1100 + "1" + "}" * 1100):
+            with pytest.raises(MalformedDecision, match="nests too deeply"):
+                parse_decision(raw)
