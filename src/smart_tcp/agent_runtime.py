@@ -15,7 +15,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, AluResult, AluTask, alu_execute
 from .cognitive_core import (
@@ -50,8 +50,7 @@ from .tcp_core import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     emitted: Optional[Segment]
     decision: CognitiveDecision
     alu_result: Optional[AluResult]
@@ -113,10 +112,10 @@ def advance(
             # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
             raise StepFailure(str(exc)) from exc
         emitted = Segment(
-            seq=alu_result.seq,
-            ack=alu_result.ack if decision.flags.ack else 0,
-            flags=decision.flags,
-            payload=action.data if action.kind is ActionKind.SEND else b"",
+            alu_result.seq,
+            alu_result.ack,
+            decision.flags,
+            action.data if action.kind is ActionKind.SEND else b"",
         )
     received = cinput.r if action.kind is ActionKind.NONE else None
     return remember(s, decision.next_state, emitted, received), emitted, alu_result
@@ -175,9 +174,9 @@ class Agent:
         if (segment is None) == (action is None):
             raise ValueError("a step takes exactly one of a segment or an action")
         if segment is not None:
-            cinput = CognitiveInput(s=self.state, r=segment, a=ACTION_NONE)
+            cinput = CognitiveInput(self.state, segment, ACTION_NONE)
         else:
-            cinput = CognitiveInput(s=self.state, r=self.last_received, a=action)
+            cinput = CognitiveInput(self.state, self.last_received, action)
         decision = self.core.decide(cinput)
         self.state, emitted, alu_result = advance(cinput, decision)
         if segment is not None and decision.verdict is Verdict.NORMAL:

@@ -7,9 +7,8 @@ segment. Stateless and pure: advancing snd_nxt afterwards is the caller's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .tcp_core import AgentState, Segment, seq_add, segment_consumes
 
@@ -19,13 +18,15 @@ class AluTask(Enum):
     CALCULATE_ACK = "CALCULATE_ACK"
     CALCULATE_SEQ_ACK = "CALCULATE_SEQ_ACK"
 
+    # Identity hash, as TcpState's: a decision's hash then runs in C.
+    __hash__ = object.__hash__
+
 
 class AluError(ValueError):
     """Bad task token or missing/superfluous received segment."""
 
 
-@dataclass(frozen=True, slots=True)
-class AluResult:
+class AluResult(NamedTuple):
     seq: int
     ack: int
 
@@ -46,10 +47,10 @@ def alu_execute(task: AluTask, s: AgentState, r: Optional[Segment] = None) -> Al
     if task is AluTask.INIT_SYN:
         if r is not None:
             raise AluError("INIT_SYN takes no received segment")
-        return AluResult(seq=s.iss, ack=0)
+        return AluResult(s.iss, 0)
     if r is None:
         raise AluError(f"{task.value} requires a received segment")
     # CALCULATE_ACK and CALCULATE_SEQ_ACK compute identical numbers; the
     # distinction tells the caller whether the assembled segment will itself
     # consume sequence space.
-    return AluResult(seq=s.snd_nxt, ack=seq_add(r.seq, segment_consumes(r)))
+    return AluResult(s.snd_nxt, seq_add(r.seq, segment_consumes(r)))

@@ -13,7 +13,7 @@ import json
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .alu import AluTask, alu_parse_task
 from .tcp_core import (
@@ -42,6 +42,8 @@ class Verdict(Enum):
     ORDER_ERROR = "ORDER_ERROR"
     FLAG_ERROR = "FLAG_ERROR"
 
+    __hash__ = object.__hash__  # see AluTask
+
 
 _VERDICT_BY_TOKEN = {verdict.value: verdict for verdict in Verdict}
 
@@ -54,15 +56,19 @@ class TransportError(Exception):
     """Remote endpoint unreachable or persistently failing."""
 
 
-@dataclass(frozen=True, slots=True)
-class CognitiveInput:
+class _CognitiveInputFields(NamedTuple):
     s: AgentState
     r: Optional[Segment] = None
     a: LocalAction = ACTION_NONE
 
-    def __post_init__(self):
-        if self.r is None and self.a.kind is ActionKind.NONE:
+
+class CognitiveInput(_CognitiveInputFields):
+    __slots__ = ()
+
+    def __new__(cls, s: AgentState, r: Optional[Segment] = None, a: LocalAction = ACTION_NONE):
+        if r is None and a.kind is ActionKind.NONE:
             raise ValueError("a cognitive step needs a received segment or an action")
+        return tuple.__new__(cls, (s, r, a))
 
     def to_wire(self) -> dict:
         return {
@@ -85,8 +91,7 @@ class CognitiveInput:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CognitiveDecision:
+class CognitiveDecision(NamedTuple):
     next_state: TcpState
     flags: Optional[TcpFlags]
     payload_len: int
@@ -188,32 +193,74 @@ def serialize_input(i: CognitiveInput) -> str:
     return _encode(i.to_wire())
 
 
+# String states of a scan for _extract_json_object.
+_OUTSIDE, _INSIDE, _ESCAPED = range(3)
+
+
 def _extract_json_object(text: str) -> Optional[str]:
-    """Return the first balanced {...} block embedded in prose, if any."""
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_str = False
-        escaped = False
-        for i in range(start, len(text)):
-            c = text[i]
-            if in_str:
-                if escaped:
-                    escaped = False
-                elif c == "\\":
-                    escaped = True
+    """Return the first balanced {...} block embedded in prose, if any.
+
+    That is the block of the earliest '{' whose own scan, which reads quotes
+    and backslash escapes from that '{' on, brings its depth back to zero.
+    All scans run in one pass. Scans in the same string state at a position
+    agree from there on, so they share a lane, and at most three lanes (one
+    per state) are open at once. A lane keeps its running depth and, for each
+    depth at which some scan closes, the earliest such scan's start.
+    """
+    found = None  # (start, end) of the earliest start that closed so far
+    lanes: dict = {}  # string state -> [depth, {closing depth: start}]
+    for i, c in enumerate(text):
+        if c not in '{}"\\':
+            if _ESCAPED in lanes:
+                _join(lanes, _INSIDE, lanes.pop(_ESCAPED))
+            continue
+        moved: dict = {}
+        for state, lane in lanes.items():
+            if state == _OUTSIDE:
+                if c == "}":
+                    lane[0] -= 1
+                    start = lane[1].pop(lane[0], None)
+                    if start is not None and (found is None or start < found[0]):
+                        found = (start, i)
+                    if not lane[1]:
+                        continue  # every scan of the lane has closed
                 elif c == '"':
-                    in_str = False
-            elif c == '"':
-                in_str = True
-            elif c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : i + 1]
-        start = text.find("{", start + 1)
-    return None
+                    state = _INSIDE
+            elif state == _INSIDE:
+                if c == "\\":
+                    state = _ESCAPED
+                elif c == '"':
+                    state = _OUTSIDE
+            else:
+                state = _INSIDE
+            _join(moved, state, lane)
+        if c == "{":
+            # A scan starts here, outside any string, and closes when its
+            # lane's depth is back where it was before this brace.
+            lane = moved.get(_OUTSIDE)
+            if lane is None:
+                lane = moved[_OUTSIDE] = [0, {}]
+            lane[1].setdefault(lane[0], i)
+            lane[0] += 1
+        lanes = moved
+    return None if found is None else text[found[0] : found[1] + 1]
+
+
+def _join(lanes: dict, state: int, lane: list) -> None:
+    """Put `lane` into `lanes` under `state`, merging it into the lane already
+    there: the smaller one's closing depths move into the larger's frame."""
+    into = lanes.setdefault(state, lane)
+    if into is lane:
+        return
+    if len(into[1]) < len(lane[1]):
+        into, lane = lane, into
+        lanes[state] = into
+    shift = into[0] - lane[0]
+    closes = into[1]
+    for depth, start in lane[1].items():
+        depth += shift
+        if start < closes.get(depth, start + 1):
+            closes[depth] = start
 
 
 def parse_decision(raw: str) -> CognitiveDecision:
@@ -248,9 +295,7 @@ def parse_decision(raw: str) -> CognitiveDecision:
 
 
 def _verdict(s: AgentState, kind: Verdict) -> CognitiveDecision:
-    return CognitiveDecision(
-        next_state=s.state, flags=None, payload_len=0, t_task=None, verdict=kind
-    )
+    return CognitiveDecision(s.state, None, 0, None, kind)
 
 
 def _reply(

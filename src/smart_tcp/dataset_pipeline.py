@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .agent_runtime import SessionTranscript, implied_action, initial_states, oracle_step
 from .alu import alu_execute
@@ -23,10 +23,12 @@ from .cognitive_core import (
     CognitiveInput,
     PERSONA,
     Verdict,
+    oracle_transition,
     serialize_decision,
     serialize_input,
 )
 from .tcp_core import (
+    ACTION_NONE,
     ActionKind,
     Role,
     SYNCHRONIZED_STATES,
@@ -41,22 +43,20 @@ log = logging.getLogger(__name__)
 TCP_PROTO = "tcp"
 
 
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     src: str  # "addr:port"
     dst: str
     proto: str = TCP_PROTO
 
     def reversed(self) -> "FiveTuple":
-        return FiveTuple(src=self.dst, dst=self.src, proto=self.proto)
+        return FiveTuple(self.dst, self.src, self.proto)
 
     def normalized(self) -> Tuple[str, str, str]:
         a, b = sorted((self.src, self.dst))
         return (a, b, self.proto)
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     ts: float
     five_tuple: FiveTuple
     segment: Segment
@@ -170,9 +170,7 @@ def ingest_trace(path) -> IngestResult:
                 if not math.isfinite(ts):
                     raise ValueError(f"non-finite ts: {ts}")
                 rec = TraceRecord(
-                    ts=ts,
-                    five_tuple=FiveTuple(src=str(obj["src"]), dst=str(obj["dst"])),
-                    segment=Segment.from_wire(obj),
+                    ts, FiveTuple(str(obj["src"]), str(obj["dst"])), Segment.from_wire(obj)
                 )
             # RecursionError: JSON nested past the interpreter's recursion limit.
             except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
@@ -318,13 +316,6 @@ class MutationKind(Enum):
     FLAG_WRONG_STATE = "FLAG_WRONG_STATE"
 
 
-MUTATION_VERDICT = {
-    MutationKind.ORDER_SWAP: Verdict.ORDER_ERROR,
-    MutationKind.ORDER_SEQ_JUMP: Verdict.ORDER_ERROR,
-    MutationKind.FLAG_ILLEGAL_COMBO: Verdict.FLAG_ERROR,
-    MutationKind.FLAG_WRONG_STATE: Verdict.FLAG_ERROR,
-}
-
 SEQ_JUMP_MAX = 4096
 
 
@@ -356,7 +347,9 @@ def generate_error_dataset(
     """Build a labeled anomaly set by mutating received segments inside
     synchronized-state contexts taken from reconstructed samples, given in
     flow order as reconstruct_labels returns them. Exact category counts:
-    with the default 50/50 ratio, half the samples are order errors."""
+    with the default 50/50 ratio, half the samples are order errors. Each
+    label is the oracle's decision on the mutated input: an ORDER_* mutation
+    yields ORDER_ERROR and a FLAG_* mutation FLAG_ERROR."""
     if count < 2:
         raise ValueError("need at least 2 samples")
     contexts = []
@@ -389,17 +382,10 @@ def generate_error_dataset(
             kind = MutationKind.ORDER_SEQ_JUMP
         s, r, prov = pool[rng.randrange(len(pool))]
         mutated = _mutate(r, kind, rng)
-        label = CognitiveDecision(
-            next_state=s.state,
-            flags=None,
-            payload_len=0,
-            t_task=None,
-            verdict=MUTATION_VERDICT[kind],
-        )
         samples.append(
             LabeledSample(
-                input=CognitiveInput(s=s, r=mutated),
-                label=label,
+                input=CognitiveInput(s, mutated),
+                label=oracle_transition(s, mutated, ACTION_NONE),
                 provenance={"mutation": kind.value, **prov},
             )
         )

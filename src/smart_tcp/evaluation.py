@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cognitive_core import CognitiveDecision, MalformedDecision, Verdict
 from .tcp_core import SEQ_MOD
@@ -23,8 +23,7 @@ FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
 MALFORMED = "MALFORMED"
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     truth: CognitiveDecision
     predicted: Optional[CognitiveDecision]  # None = malformed model output
     truth_numbers: Optional[Tuple[int, int]] = None  # (seq, ack)
@@ -313,7 +312,7 @@ def _load_numbers(value) -> Optional[Tuple[int, int]]:
     raise ValueError(f"numbers must be null or two integers in [0, 2^32): {value!r}")
 
 
-def _load_record(line: str, path) -> PredictionRecord:
+def _load_record(line: str) -> PredictionRecord:
     """One record from one non-blank line; ValueError for a bad truth side."""
     try:
         obj = json.loads(line)
@@ -321,7 +320,7 @@ def _load_record(line: str, path) -> PredictionRecord:
         truth = CognitiveDecision.from_wire(truth_obj["decision"])
         truth_numbers = _load_numbers(truth_obj.get("numbers"))
     except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
-        raise ValueError(f"bad truth record in {path}: {exc}") from None
+        raise ValueError(f"bad truth record: {exc}") from None
     pred_obj = obj.get("predicted")
     if not isinstance(pred_obj, dict):
         pred_obj = {}
@@ -334,18 +333,15 @@ def _load_record(line: str, path) -> PredictionRecord:
     except ValueError:
         predicted_numbers = None
     return PredictionRecord(
-        truth=truth,
-        predicted=predicted,
-        truth_numbers=truth_numbers,
-        predicted_numbers=predicted_numbers,
-        provenance=obj.get("provenance"),
+        truth, predicted, truth_numbers, predicted_numbers, obj.get("provenance")
     )
 
 
 def load_prediction_records(path) -> List[PredictionRecord]:
     """Read newline-delimited {input, truth, predicted} records. A record
     whose predicted side is null or schema-invalid scores as malformed; a
-    predicted side with bad numbers scores as wrong numbers."""
+    predicted side with bad numbers scores as wrong numbers. Raises
+    ValueError, naming the line, for a bad truth side."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -355,7 +351,9 @@ def load_prediction_records(path) -> List[PredictionRecord]:
             # RecursionError: JSON nested past the interpreter's recursion
             # limit, met by json.loads or by the repr in an error message.
             try:
-                records.append(_load_record(line, path))
+                records.append(_load_record(line))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
             except RecursionError:
                 raise ValueError(f"{path} line {lineno}: JSON nests too deeply") from None
     return records

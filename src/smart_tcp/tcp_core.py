@@ -2,15 +2,32 @@
 
 Everything here is an immutable value type; the rest of the package builds
 on these primitives.
+
+Value types: the values that every agent step and every trace or prediction
+record builds (here `TcpFlags`, `Segment`, `LocalAction` and `AgentState`;
+likewise `AluResult`, `CognitiveInput`, `CognitiveDecision`, `StepOutcome`,
+`FiveTuple`, `TraceRecord` and `PredictionRecord`) are `typing.NamedTuple`
+classes, so construction, `==` and `hash` run in C. A type that checks its
+arguments is a subclass of its NamedTuple with `__slots__ = ()` and does the
+checks in `__new__` (`Segment` checks in `__init__` and zeroes `ack` in
+`__new__`). Being tuples has consequences that code using them must keep in
+mind:
+- a value compares equal to, and hashes like, a plain tuple (or a value of
+  another type) with the same fields, so never mix types as keys of one dict
+  or set;
+- `json` encodes a tuple as a list, so nothing may `json`-encode a value
+  directly: every wire form goes through its `to_wire`;
+- `_make` and `_replace` copy fields without the checks; library code builds
+  values only by calling the class.
+Configuration and per-session types stay dataclasses.
 """
 
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 SEQ_MOD = 2**32
 SEQ_HALF = 2**31
@@ -96,8 +113,7 @@ class Role(Enum):
 _FLAG_ORDER = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
 
 
-@dataclass(frozen=True, slots=True)
-class TcpFlags:
+class TcpFlags(NamedTuple):
     syn: bool = False
     ack: bool = False
     fin: bool = False
@@ -164,25 +180,31 @@ FLAGS_PSH_ACK = TcpFlags(psh=True, ack=True)
 MAX_PAYLOAD_LEN = 65535
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """A wire-level TCP segment as modeled here: no options, window or checksum."""
-
+class _SegmentFields(NamedTuple):
     seq: int
     ack: int
     flags: TcpFlags
     payload: bytes = b""
 
-    def __post_init__(self):
-        if not 0 <= self.seq < SEQ_MOD:
-            raise ValueError(f"seq out of range: {self.seq}")
-        if not 0 <= self.ack < SEQ_MOD:
-            raise ValueError(f"ack out of range: {self.ack}")
-        if not self.flags.any():
-            raise ValueError("a segment must carry at least one flag")
+
+class Segment(_SegmentFields):
+    """A wire-level TCP segment as modeled here: no options, window or checksum."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq: int, ack: int, flags: TcpFlags, payload: bytes = b""):
         # Non-ACK segments carry ack=0 by convention.
-        if not self.flags.ack and self.ack != 0:
-            object.__setattr__(self, "ack", 0)
+        return tuple.__new__(cls, (seq, ack if flags.ack else 0, flags, payload))
+
+    # The checks see the arguments as given, so an out-of-range ack is
+    # rejected even on a segment whose ack __new__ zeroed.
+    def __init__(self, seq: int, ack: int, flags: TcpFlags, payload: bytes = b""):
+        if not 0 <= seq < SEQ_MOD:
+            raise ValueError(f"seq out of range: {seq}")
+        if not 0 <= ack < SEQ_MOD:
+            raise ValueError(f"ack out of range: {ack}")
+        if not flags.any():
+            raise ValueError("a segment must carry at least one flag")
 
     @property
     def payload_len(self) -> int:
@@ -210,17 +232,13 @@ class Segment:
             # Payload bytes are carried separately in most files; synthesize
             # a deterministic filler of the declared length.
             payload = b"\x00" * declared
-        return cls(
-            seq=int(obj["seq"]),
-            ack=int(obj["ack"]),
-            flags=flags_parse(obj["flags"]),
-            payload=payload,
-        )
+        return cls(int(obj["seq"]), int(obj["ack"]), flags_parse(obj["flags"]), payload)
 
 
 def segment_consumes(seg: Segment) -> int:
     """Sequence-space footprint: payload bytes plus one per SYN and FIN."""
-    return seg.payload_len + (1 if seg.flags.syn else 0) + (1 if seg.flags.fin else 0)
+    f = seg.flags
+    return len(seg.payload) + f.syn + f.fin
 
 
 class ActionKind(Enum):
@@ -233,17 +251,21 @@ class ActionKind(Enum):
     __hash__ = object.__hash__  # see TcpState
 
 
-@dataclass(frozen=True, slots=True)
-class LocalAction:
+class _LocalActionFields(NamedTuple):
     kind: ActionKind = ActionKind.NONE
     data: Optional[bytes] = None
 
-    def __post_init__(self):
-        if self.kind is ActionKind.SEND:
-            if not self.data:
+
+class LocalAction(_LocalActionFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: ActionKind = ActionKind.NONE, data: Optional[bytes] = None):
+        if kind is ActionKind.SEND:
+            if not data:
                 raise ValueError("SEND action requires non-empty data")
-        elif self.data is not None:
-            raise ValueError(f"{self.kind.value} action carries no data")
+        elif data is not None:
+            raise ValueError(f"{kind.value} action carries no data")
+        return tuple.__new__(cls, (kind, data))
 
     def to_wire(self) -> dict:
         return {
@@ -264,13 +286,7 @@ ACTION_STATES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class AgentState:
-    """The agent's protocol memory: role, state and sequence variables.
-
-    irs/rcv_nxt are None until the peer's ISN is learned.
-    """
-
+class _AgentStateFields(NamedTuple):
     role: Role
     state: TcpState
     iss: int
@@ -278,13 +294,31 @@ class AgentState:
     irs: Optional[int] = None
     rcv_nxt: Optional[int] = None
 
-    def __post_init__(self):
-        if not 0 <= self.iss < SEQ_MOD or not 0 <= self.snd_nxt < SEQ_MOD:
-            raise ValueError(f"sequence variable out of range: iss={self.iss} snd_nxt={self.snd_nxt}")
-        if self.irs is not None and not 0 <= self.irs < SEQ_MOD:
-            raise ValueError(f"irs out of range: {self.irs}")
-        if self.rcv_nxt is not None and not 0 <= self.rcv_nxt < SEQ_MOD:
-            raise ValueError(f"rcv_nxt out of range: {self.rcv_nxt}")
+
+class AgentState(_AgentStateFields):
+    """The agent's protocol memory: role, state and sequence variables.
+
+    irs/rcv_nxt are None until the peer's ISN is learned.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        role: Role,
+        state: TcpState,
+        iss: int,
+        snd_nxt: int,
+        irs: Optional[int] = None,
+        rcv_nxt: Optional[int] = None,
+    ):
+        if not 0 <= iss < SEQ_MOD or not 0 <= snd_nxt < SEQ_MOD:
+            raise ValueError(f"sequence variable out of range: iss={iss} snd_nxt={snd_nxt}")
+        if irs is not None and not 0 <= irs < SEQ_MOD:
+            raise ValueError(f"irs out of range: {irs}")
+        if rcv_nxt is not None and not 0 <= rcv_nxt < SEQ_MOD:
+            raise ValueError(f"rcv_nxt out of range: {rcv_nxt}")
+        return tuple.__new__(cls, (role, state, iss, snd_nxt, irs, rcv_nxt))
 
     def to_wire(self) -> dict:
         return {

@@ -6,8 +6,6 @@ SYN|FIN instead of ACK, so the peer's oracle halts with FLAG_ERROR. Tests take
 the ISSs to plant from a clean run of the same seeds.
 """
 
-from dataclasses import replace
-
 from smart_tcp.cognitive_core import CognitiveCore, oracle_transition
 from smart_tcp.tcp_core import FLAGS_ACK, ActionKind, Role, flags_parse
 
@@ -22,7 +20,7 @@ def planted_transition(s, r, a, planted):
         and r.flags.fin
         and decision.flags == FLAGS_ACK
     ):
-        return replace(decision, flags=SYN_FIN)
+        return decision._replace(flags=SYN_FIN)
     return decision
 
 

@@ -1,11 +1,15 @@
 """Oracle state machine, decision schema and prompt/remote plumbing."""
 
 import json
+import time
+from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
+    _extract_json_object,
     CognitiveDecision,
     CognitiveInput,
     MalformedDecision,
@@ -280,6 +284,52 @@ class TestDecisionSchema:
         ]
         for d in decisions:
             assert parse_decision(serialize_decision(d)) == d
+
+
+def quadratic_extract_json_object(text: str) -> Optional[str]:
+    """The reference lenient scan: a fresh scan from every '{' in turn, each
+    to the end of the text if it does not close."""
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_str = False
+        escaped = False
+        for i in range(start, len(text)):
+            c = text[i]
+            if in_str:
+                if escaped:
+                    escaped = False
+                elif c == "\\":
+                    escaped = True
+                elif c == '"':
+                    in_str = False
+            elif c == '"':
+                in_str = True
+            elif c == "{":
+                depth += 1
+            elif c == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[start : i + 1]
+        start = text.find("{", start + 1)
+    return None
+
+
+class TestLenientScan:
+    @settings(deadline=None, max_examples=500)
+    @given(st.one_of(st.text(alphabet='{}"\\x', max_size=40), st.text(max_size=40)))
+    @example('{"a":"}"} {}')
+    @example('"{"}{"\\"}"}')
+    @example('{\\"{"}')
+    def test_same_result_as_the_reference(self, text):
+        assert _extract_json_object(text) == quadratic_extract_json_object(text)
+
+    def test_many_open_braces_parse_in_linear_time(self):
+        # The reference scan takes seconds on this input.
+        t0 = time.perf_counter()
+        with pytest.raises(MalformedDecision, match="no JSON object found"):
+            parse_decision("{" * 20_000)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestPrompting:

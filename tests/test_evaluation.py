@@ -534,6 +534,15 @@ class TestLoadPredictionRecords:
         with pytest.raises(ValueError, match="bad truth record"):
             load_prediction_records(self.write(tmp_path, [line]))
 
+    def test_bad_truth_names_its_line(self, tmp_path):
+        good = self.good_line()
+        path = self.write(tmp_path, [good, good, good, {"truth": {"decision": {"next_state": "OPEN"}}}])
+        with pytest.raises(ValueError) as exc:
+            load_prediction_records(path)
+        assert str(exc.value) == (
+            f"{path} line 4: bad truth record: missing keys: ['flags', 'payload_len', 't_task', 'verdict']"
+        )
+
     def test_bad_truth_raises(self, tmp_path):
         line = self.good_line()
         del line["truth"]["decision"]["verdict"]

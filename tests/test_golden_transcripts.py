@@ -7,7 +7,6 @@ outputs byte for byte as they were. A change that alters a format on purpose
 updates the digests.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -88,7 +87,7 @@ def golden_sessions():
 def duplicated(records, i):
     """Repeat records[i] right after itself, as a retransmission would
     appear in a capture."""
-    return records[: i + 1] + [dataclasses.replace(records[i], ts=records[i].ts + 0.0005)] + records[i + 1 :]
+    return records[: i + 1] + [records[i]._replace(ts=records[i].ts + 0.0005)] + records[i + 1 :]
 
 
 def test_trace2sft_outputs(tmp_path, capsys):
