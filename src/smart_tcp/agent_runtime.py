@@ -19,6 +19,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, AluResult, AluTask, alu_execute
 from .cognitive_core import (
+    ACTION_STATES,
     CognitiveCore,
     CognitiveDecision,
     CognitiveInput,
@@ -29,7 +30,6 @@ from .cognitive_core import (
 from .evaluation import _pct
 from .tcp_core import (
     ACTION_NONE,
-    ACTION_STATES,
     ActionKind,
     AgentState,
     FLAGS_ACK,

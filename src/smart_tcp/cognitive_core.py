@@ -70,6 +70,10 @@ class CognitiveInput(_CognitiveInputFields):
             raise ValueError("a cognitive step needs a received segment or an action")
         return tuple.__new__(cls, (s, r, a))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def to_wire(self) -> dict:
         return {
             "state": self.s.to_wire(),
@@ -298,160 +302,76 @@ def _verdict(s: AgentState, kind: Verdict) -> CognitiveDecision:
     return CognitiveDecision(s.state, None, 0, None, kind)
 
 
+# A decision is frozen, so equal replies can be one instance that serves
+# every step.
+@functools.lru_cache(maxsize=None)
 def _reply(
-    next_state: TcpState,
-    flags: Optional[TcpFlags],
-    payload_len: int = 0,
-    t_task: Optional[AluTask] = None,
+    next_state: TcpState, flags: Optional[TcpFlags] = None, t_task: Optional[AluTask] = None
 ) -> CognitiveDecision:
-    return CognitiveDecision(next_state, flags, payload_len, t_task, Verdict.NORMAL)
+    return CognitiveDecision(next_state, flags, 0, t_task, Verdict.NORMAL)
 
 
-def _check_flags(s: AgentState, r: Segment) -> Optional[CognitiveDecision]:
-    f = r.flags
-    if f.syn and f.fin:
-        return _verdict(s, Verdict.FLAG_ERROR)
-    if f.syn and f.rst:
-        return _verdict(s, Verdict.FLAG_ERROR)
-    if s.state in SYNCHRONIZED_STATES:
-        if f.syn:
-            return _verdict(s, Verdict.FLAG_ERROR)
-        if f.fin and not f.ack:
-            return _verdict(s, Verdict.FLAG_ERROR)
-    return None
+_S = TcpState
+_CALC_ACK = AluTask.CALCULATE_ACK
+_CALC_SEQ_ACK = AluTask.CALCULATE_SEQ_ACK
+
+# The reply to each local action, by (state, action kind). A SEND's reply
+# carries the length of its data. Any other pair is not a valid action.
+ACTION_TRANSITIONS = {
+    (_S.CLOSED, ActionKind.OPEN_ACTIVE): _reply(_S.SYN_SENT, FLAGS_SYN, AluTask.INIT_SYN),
+    (_S.CLOSED, ActionKind.OPEN_PASSIVE): _reply(_S.LISTEN),
+    (_S.ESTABLISHED, ActionKind.SEND): _reply(_S.ESTABLISHED, FLAGS_PSH_ACK, _CALC_SEQ_ACK),
+    (_S.ESTABLISHED, ActionKind.CLOSE): _reply(_S.FIN_WAIT_1, FLAGS_FIN_ACK, _CALC_SEQ_ACK),
+    (_S.CLOSE_WAIT, ActionKind.CLOSE): _reply(_S.LAST_ACK, FLAGS_FIN_ACK, _CALC_SEQ_ACK),
+}
+
+# The states in which each local action is valid.
+ACTION_STATES = {
+    kind: frozenset(state for state, k in ACTION_TRANSITIONS if k is kind)
+    for kind in ActionKind
+    if kind is not ActionKind.NONE
+}
 
 
-def _check_order(s: AgentState, r: Segment) -> Optional[CognitiveDecision]:
-    if s.state in SYNCHRONIZED_STATES:
-        if s.rcv_nxt is not None and r.seq != s.rcv_nxt:
-            return _verdict(s, Verdict.ORDER_ERROR)
-    if r.flags.ack and seq_lt(s.snd_nxt, r.ack):
-        # Acknowledges data we never sent.
-        return _verdict(s, Verdict.ORDER_ERROR)
-    return None
+def _cells(rows: dict) -> dict:
+    """Expand each row whose third key field is None into both of its values."""
+    return {
+        (state, cls, value): reply
+        for (state, cls, acked), reply in rows.items()
+        for value in ((False, True) if acked is None else (acked,))
+    }
 
 
-# Every oracle reply that depends on nothing but the transition taken. A
-# decision is frozen, so one instance serves every step. _TO_<STATE> moves
-# silently; _TO_<STATE>_<FLAGS> also emits a segment.
-_TO_SYN_SENT_SYN = _reply(TcpState.SYN_SENT, FLAGS_SYN, 0, AluTask.INIT_SYN)
-_TO_LISTEN = _reply(TcpState.LISTEN, None)
-_TO_FIN_WAIT_1_FIN_ACK = _reply(TcpState.FIN_WAIT_1, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
-_TO_LAST_ACK_FIN_ACK = _reply(TcpState.LAST_ACK, FLAGS_FIN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
-_TO_SYN_RCVD_SYN_ACK = _reply(TcpState.SYN_RCVD, FLAGS_SYN_ACK, 0, AluTask.CALCULATE_SEQ_ACK)
-_TO_ESTABLISHED_ACK = _reply(TcpState.ESTABLISHED, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_ESTABLISHED = _reply(TcpState.ESTABLISHED, None)
-_TO_CLOSE_WAIT_ACK = _reply(TcpState.CLOSE_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_CLOSE_WAIT = _reply(TcpState.CLOSE_WAIT, None)
-_TO_FIN_WAIT_1_ACK = _reply(TcpState.FIN_WAIT_1, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_FIN_WAIT_1 = _reply(TcpState.FIN_WAIT_1, None)
-_TO_FIN_WAIT_2_ACK = _reply(TcpState.FIN_WAIT_2, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_FIN_WAIT_2 = _reply(TcpState.FIN_WAIT_2, None)
-_TO_CLOSING_ACK = _reply(TcpState.CLOSING, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_TIME_WAIT_ACK = _reply(TcpState.TIME_WAIT, FLAGS_ACK, 0, AluTask.CALCULATE_ACK)
-_TO_TIME_WAIT = _reply(TcpState.TIME_WAIT, None)
-_TO_CLOSED = _reply(TcpState.CLOSED, None)
+# The reply to each segment that passes the flag and order checks, by
+# (state, segment class, whether it acknowledges everything sent). The class
+# is the first of SYN|ACK, SYN, FIN, DATA (a payload), ACK and NONE that the
+# segment matches. A row with None in that last field holds for both values.
+# A segment whose cell is missing is an ORDER_ERROR: in CLOSED and TIME_WAIT
+# nothing should arrive, and in CLOSE_WAIT the inbound stream has already
+# ended.
+TRANSITIONS = _cells({
+    (_S.LISTEN, "SYN", False): _reply(_S.SYN_RCVD, FLAGS_SYN_ACK, _CALC_SEQ_ACK),
+    (_S.SYN_SENT, "SYN|ACK", True): _reply(_S.ESTABLISHED, FLAGS_ACK, _CALC_ACK),
+    (_S.SYN_RCVD, "ACK", True): _reply(_S.ESTABLISHED),
+    (_S.ESTABLISHED, "FIN", None): _reply(_S.CLOSE_WAIT, FLAGS_ACK, _CALC_ACK),
+    (_S.ESTABLISHED, "DATA", None): _reply(_S.ESTABLISHED, FLAGS_ACK, _CALC_ACK),
+    (_S.ESTABLISHED, "ACK", None): _reply(_S.ESTABLISHED),
+    # A FIN that also acknowledges ours ends both directions at once.
+    (_S.FIN_WAIT_1, "FIN", True): _reply(_S.TIME_WAIT, FLAGS_ACK, _CALC_ACK),
+    (_S.FIN_WAIT_1, "FIN", False): _reply(_S.CLOSING, FLAGS_ACK, _CALC_ACK),
+    (_S.FIN_WAIT_1, "DATA", None): _reply(_S.FIN_WAIT_1, FLAGS_ACK, _CALC_ACK),
+    (_S.FIN_WAIT_1, "ACK", True): _reply(_S.FIN_WAIT_2),
+    (_S.FIN_WAIT_1, "ACK", False): _reply(_S.FIN_WAIT_1),
+    (_S.FIN_WAIT_2, "FIN", None): _reply(_S.TIME_WAIT, FLAGS_ACK, _CALC_ACK),
+    (_S.FIN_WAIT_2, "DATA", None): _reply(_S.FIN_WAIT_2, FLAGS_ACK, _CALC_ACK),
+    (_S.FIN_WAIT_2, "ACK", None): _reply(_S.FIN_WAIT_2),
+    (_S.CLOSING, "ACK", True): _reply(_S.TIME_WAIT),
+    (_S.CLOSE_WAIT, "ACK", None): _reply(_S.CLOSE_WAIT),
+    (_S.LAST_ACK, "ACK", True): _reply(_S.CLOSED),
+})
 
-
-def _on_action(s: AgentState, a: LocalAction) -> CognitiveDecision:
-    kind = a.kind
-    if s.state is TcpState.CLOSED and kind is ActionKind.OPEN_ACTIVE:
-        return _TO_SYN_SENT_SYN
-    if s.state is TcpState.CLOSED and kind is ActionKind.OPEN_PASSIVE:
-        return _TO_LISTEN
-    if s.state is TcpState.ESTABLISHED and kind is ActionKind.SEND:
-        return _reply(
-            TcpState.ESTABLISHED, FLAGS_PSH_ACK, len(a.data or b""), AluTask.CALCULATE_SEQ_ACK
-        )
-    if s.state is TcpState.ESTABLISHED and kind is ActionKind.CLOSE:
-        return _TO_FIN_WAIT_1_FIN_ACK
-    if s.state is TcpState.CLOSE_WAIT and kind is ActionKind.CLOSE:
-        return _TO_LAST_ACK_FIN_ACK
-    raise ValueError(f"action {kind.value} is not valid in state {s.state.value}")
-
-
-def _on_segment(s: AgentState, r: Segment) -> CognitiveDecision:
-    bad = _check_flags(s, r)
-    if bad is not None:
-        return bad
-    bad = _check_order(s, r)
-    if bad is not None:
-        return bad
-
-    f = r.flags
-    state = s.state
-
-    if state is TcpState.LISTEN:
-        if f.syn and not f.ack:
-            return _TO_SYN_RCVD_SYN_ACK
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.SYN_SENT:
-        if f.syn and f.ack:
-            if r.ack != s.snd_nxt:
-                return _verdict(s, Verdict.ORDER_ERROR)
-            return _TO_ESTABLISHED_ACK
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.SYN_RCVD:
-        if f.ack and not f.syn and not f.fin and r.payload_len == 0:
-            if r.ack != s.snd_nxt or (s.rcv_nxt is not None and r.seq != s.rcv_nxt):
-                return _verdict(s, Verdict.ORDER_ERROR)
-            return _TO_ESTABLISHED
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.ESTABLISHED:
-        if f.fin:
-            return _TO_CLOSE_WAIT_ACK
-        if r.payload_len > 0:
-            return _TO_ESTABLISHED_ACK
-        if f.ack:
-            return _TO_ESTABLISHED
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.FIN_WAIT_1:
-        if f.fin:
-            if f.ack and r.ack == s.snd_nxt:
-                # Peer's FIN also acknowledges ours.
-                return _TO_TIME_WAIT_ACK
-            return _TO_CLOSING_ACK
-        if r.payload_len > 0:
-            return _TO_FIN_WAIT_1_ACK
-        if f.ack:
-            if r.ack == s.snd_nxt:
-                return _TO_FIN_WAIT_2
-            return _TO_FIN_WAIT_1
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.FIN_WAIT_2:
-        if f.fin:
-            return _TO_TIME_WAIT_ACK
-        if r.payload_len > 0:
-            return _TO_FIN_WAIT_2_ACK
-        if f.ack:
-            return _TO_FIN_WAIT_2
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.CLOSING:
-        if f.ack and not f.fin and r.payload_len == 0 and r.ack == s.snd_nxt:
-            return _TO_TIME_WAIT
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.CLOSE_WAIT:
-        if r.payload_len > 0 or f.fin:
-            # The inbound stream already terminated.
-            return _verdict(s, Verdict.ORDER_ERROR)
-        if f.ack:
-            return _TO_CLOSE_WAIT
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    if state is TcpState.LAST_ACK:
-        if f.ack and not f.fin and r.payload_len == 0 and r.ack == s.snd_nxt:
-            return _TO_CLOSED
-        return _verdict(s, Verdict.ORDER_ERROR)
-
-    # CLOSED / TIME_WAIT: nothing should arrive.
-    return _verdict(s, Verdict.ORDER_ERROR)
+# States whose segments must arrive at rcv_nxt, once it is known.
+_SEQ_CHECKED_STATES = SYNCHRONIZED_STATES | {_S.SYN_RCVD}
 
 
 def oracle_transition(
@@ -462,11 +382,39 @@ def oracle_transition(
     Local actions take precedence; a received segment alongside an action is
     context for the ALU, already validated when it arrived.
     """
-    if a.kind is not ActionKind.NONE:
-        return _on_action(s, a)
+    kind = a.kind
+    if kind is not ActionKind.NONE:
+        reply = ACTION_TRANSITIONS.get((s.state, kind))
+        if reply is None:
+            raise ValueError(f"action {kind.value} is not valid in state {s.state.value}")
+        if a.data is None:
+            return reply
+        return CognitiveDecision(reply.next_state, reply.flags, len(a.data), reply.t_task)
     if r is None:
         raise ValueError("no trigger: neither segment nor action")
-    return _on_segment(s, r)
+    state = s.state
+    f = r.flags
+    # SYN never goes with FIN or RST, and once synchronized a SYN, or a FIN
+    # without ACK, is a violation.
+    synchronized = state in SYNCHRONIZED_STATES
+    if f.syn and (f.fin or f.rst or synchronized) or synchronized and f.fin and not f.ack:
+        return _verdict(s, Verdict.FLAG_ERROR)
+    # Out of sequence, or acknowledges data we never sent.
+    if (
+        s.rcv_nxt is not None and r.seq != s.rcv_nxt and state in _SEQ_CHECKED_STATES
+    ) or (f.ack and seq_lt(s.snd_nxt, r.ack)):
+        return _verdict(s, Verdict.ORDER_ERROR)
+    # The segment's class in TRANSITIONS' key.
+    if f.syn:
+        cls = "SYN|ACK" if f.ack else "SYN"
+    elif f.fin:
+        cls = "FIN"
+    elif r.payload:
+        cls = "DATA"
+    else:
+        cls = "ACK" if f.ack else "NONE"
+    reply = TRANSITIONS.get((state, cls, f.ack and r.ack == s.snd_nxt))
+    return _verdict(s, Verdict.ORDER_ERROR) if reply is None else reply
 
 
 class CognitiveCore:

@@ -128,7 +128,6 @@ class Flow:
 class IngestResult:
     records: List[TraceRecord]
     rejects: List[Tuple[int, str]]  # (line number, reason)
-    malformed: int = 0
 
 
 class TraceFormatError(Exception):
@@ -183,7 +182,7 @@ def ingest_trace(path) -> IngestResult:
             f"{malformed}/{total} malformed lines exceeds the 10% threshold"
         )
     records.sort(key=lambda r: r.ts)
-    return IngestResult(records=records, rejects=rejects, malformed=malformed)
+    return IngestResult(records=records, rejects=rejects)
 
 
 def extract_flows(records: List[TraceRecord]) -> List[Flow]:

@@ -17,8 +17,8 @@ mind:
   or set;
 - `json` encodes a tuple as a list, so nothing may `json`-encode a value
   directly: every wire form goes through its `to_wire`;
-- `_make` and `_replace` copy fields without the checks; library code builds
-  values only by calling the class.
+- a checked type overrides `_make` to call the class, so `_make` and
+  `_replace` run the same checks as a call.
 Configuration and per-session types stay dataclasses.
 """
 
@@ -206,6 +206,10 @@ class Segment(_SegmentFields):
         if not flags.any():
             raise ValueError("a segment must carry at least one flag")
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     @property
     def payload_len(self) -> int:
         return len(self.payload)
@@ -267,6 +271,10 @@ class LocalAction(_LocalActionFields):
             raise ValueError(f"{kind.value} action carries no data")
         return tuple.__new__(cls, (kind, data))
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def to_wire(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -275,15 +283,6 @@ class LocalAction(_LocalActionFields):
 
 
 ACTION_NONE = LocalAction(ActionKind.NONE)
-
-# The states in which each local action is valid; the oracle raises for an
-# action anywhere else.
-ACTION_STATES = {
-    ActionKind.OPEN_ACTIVE: frozenset({TcpState.CLOSED}),
-    ActionKind.OPEN_PASSIVE: frozenset({TcpState.CLOSED}),
-    ActionKind.SEND: frozenset({TcpState.ESTABLISHED}),
-    ActionKind.CLOSE: frozenset({TcpState.ESTABLISHED, TcpState.CLOSE_WAIT}),
-}
 
 
 class _AgentStateFields(NamedTuple):
@@ -319,6 +318,10 @@ class AgentState(_AgentStateFields):
         if rcv_nxt is not None and not 0 <= rcv_nxt < SEQ_MOD:
             raise ValueError(f"rcv_nxt out of range: {rcv_nxt}")
         return tuple.__new__(cls, (role, state, iss, snd_nxt, irs, rcv_nxt))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_wire(self) -> dict:
         return {

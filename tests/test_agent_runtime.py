@@ -23,6 +23,7 @@ from smart_tcp.agent_runtime import (
 )
 from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
+    ACTION_STATES,
     CognitiveCore,
     CognitiveDecision,
     CognitiveInput,
@@ -31,7 +32,6 @@ from smart_tcp.cognitive_core import (
     oracle_transition,
 )
 from smart_tcp.tcp_core import (
-    ACTION_STATES,
     ActionKind,
     AgentState,
     ISN_MAX,

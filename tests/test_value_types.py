@@ -241,3 +241,31 @@ def test_defaults_as_before():
     assert AgentState(Role.CLIENT, TcpState.CLOSED, 1, 1)[4:] == (None, None)
     assert CognitiveInput(STATE, SEGMENT).a is ACTION_NONE
     assert CognitiveDecision(*DECISION[:4]).verdict is Verdict.NORMAL
+
+
+# ---------------------------------------------------------------------------
+# _make and _replace build through the class, so they run its checks.
+# ---------------------------------------------------------------------------
+
+
+def test_replace_keeps_the_ack_of_a_segment_without_ack_zero():
+    assert Segment(1, 0, FLAGS_SYN)._replace(ack=7).ack == 0
+    assert Segment._make((1, 7, FLAGS_SYN)).ack == 0
+
+
+@pytest.mark.parametrize(
+    "value,change,message",
+    [
+        (SEGMENT, {"seq": -1}, "seq out of range: -1"),
+        (LocalAction(ActionKind.SEND, b"x"), {"data": None}, "SEND action requires non-empty data"),
+        (STATE, {"iss": -5}, "sequence variable out of range: iss=-5"),
+        (CognitiveInput(STATE, SEGMENT), {"r": None}, "needs a received segment or an action"),
+    ],
+    ids=["Segment", "LocalAction", "AgentState", "CognitiveInput"],
+)
+def test_make_and_replace_run_the_checks(value, change, message):
+    with pytest.raises(ValueError, match=message):
+        value._replace(**change)
+    fields_after = [change.get(name, field) for name, field in zip(value._fields, value)]
+    with pytest.raises(ValueError, match=message):
+        type(value)._make(fields_after)
