@@ -74,15 +74,9 @@ class CognitiveInput(_CognitiveInputFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def to_wire(self) -> dict:
-        return {
-            "state": self.s.to_wire(),
-            "received": self.r.to_wire() if self.r is not None else None,
-            "action": self.a.to_wire(),
-        }
-
     @classmethod
     def from_wire(cls, obj: dict) -> "CognitiveInput":
+        """Decode the object that `serialize_input` writes."""
         action = obj.get("action") or {"kind": "NONE", "data_len": 0}
         kind = ActionKind(action["kind"])
         data = None
@@ -182,8 +176,9 @@ def _decode_decision(next_state, flags, payload_len, t_task, verdict) -> Cogniti
     return CognitiveDecision(state, reply_flags, payload_len, task, kind)
 
 
-# The one compact JSON byte format of prompts and SFT lines. json.dumps with
-# separators builds a new encoder on every call.
+# Compact JSON, the byte format of prompts and SFT lines (serialize_input
+# writes the same format from a template). json.dumps with separators builds
+# a new encoder on every call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -194,7 +189,27 @@ def serialize_decision(d: CognitiveDecision) -> str:
 
 
 def serialize_input(i: CognitiveInput) -> str:
-    return _encode(i.to_wire())
+    """`CognitiveInput`'s one encoder, read back by `from_wire`: compact JSON
+    written from one template. Roles, states, action kinds and rendered flags
+    are ASCII words that JSON writes as they are, and None is null. The
+    numbers must be ints, as the library builds them (through int() and
+    arithmetic): a bool passes AgentState's range checks, but `json` would
+    write it as true where the template writes True."""
+    s, r, a = i
+    role, state, iss, snd_nxt, irs, rcv_nxt = s
+    received = "null" if r is None else (
+        f'{{"seq":{r.seq},"ack":{r.ack},"flags":"{r.flags.render()}",'
+        f'"payload_len":{len(r.payload)}}}'
+    )
+    # _value_ is the member's own attribute; .value is a Python-level
+    # descriptor in 3.11.
+    return (
+        f'{{"state":{{"role":"{role._value_}","state":"{state._value_}","iss":{iss},'
+        f'"irs":{"null" if irs is None else irs},"snd_nxt":{snd_nxt},'
+        f'"rcv_nxt":{"null" if rcv_nxt is None else rcv_nxt}}},'
+        f'"received":{received},'
+        f'"action":{{"kind":"{a.kind._value_}","data_len":{len(a.data) if a.data else 0}}}}}'
+    )
 
 
 # String states of a scan for _extract_json_object.

@@ -12,12 +12,14 @@ import json
 import logging
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from operator import itemgetter
+from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .agent_runtime import SessionTranscript, implied_action, initial_states, oracle_step
-from .alu import alu_execute
+from .alu import AluTask, alu_execute
 from .cognitive_core import (
     CognitiveDecision,
     CognitiveInput,
@@ -90,34 +92,38 @@ class Flow:
         )
 
     def _is_complete(self) -> bool:
-        if not self.records:
+        records = self.records
+        if not records:
             return False
-        first = self.records[0]
+        client = self.initiator
+        server = client.reversed()
+        first = records[0]
         f0 = first.segment.flags
-        if not (f0.syn and not f0.ack) or first.five_tuple != self.initiator:
+        if not (f0.syn and not f0.ack) or first.five_tuple != client:
             return False
-        saw_synack = any(
-            r.segment.flags.syn and r.segment.flags.ack
-            and r.five_tuple == self.initiator.reversed()
-            for r in self.records
-        )
+        # One pass finds the SYN|ACK and each direction's first FIN.
+        saw_synack = False
+        fins: Dict[FiveTuple, TraceRecord] = {}
+        for r in records:
+            f = r.segment.flags
+            if f.syn and f.ack and r.five_tuple == server:
+                saw_synack = True
+            if f.fin:
+                fins.setdefault(r.five_tuple, r)
         if not saw_synack:
             return False
         # FIN-based closure from both directions, each FIN acknowledged.
-        for direction in (self.initiator, self.initiator.reversed()):
-            fin = next(
-                (r for r in self.records if r.five_tuple == direction and r.segment.flags.fin),
-                None,
-            )
+        for direction, peer in ((client, server), (server, client)):
+            fin = fins.get(direction)
             if fin is None:
                 return False
             fin_end = seq_add(fin.segment.seq, segment_consumes(fin.segment))
             acked = any(
                 r.ts >= fin.ts
-                and r.five_tuple == direction.reversed()
+                and r.five_tuple == peer
                 and r.segment.flags.ack
                 and r.segment.ack == fin_end
-                for r in self.records
+                for r in records
             )
             if not acked:
                 return False
@@ -181,60 +187,46 @@ def ingest_trace(path) -> IngestResult:
         raise TraceFormatError(
             f"{malformed}/{total} malformed lines exceeds the 10% threshold"
         )
-    records.sort(key=lambda r: r.ts)
+    records.sort(key=itemgetter(0))  # by ts
     return IngestResult(records=records, rejects=rejects)
 
 
 def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     """Group records into direction-normalized 5-tuple flows.
 
-    A pure SYN on a tuple whose previous flow closed starts a new flow.
+    A pure SYN starts a new flow on its tuple when the tuple's current flow
+    is FIN-closed (FINs seen from both directions) or did not open with a
+    pure SYN, so a stray mid-stream record cannot swallow the connection
+    that follows it. Any other record on a tuple without a flow starts one:
+    mid-stream traffic with no observed SYN is collected as its own
+    (incomplete) flow so it is reported, then discarded downstream.
     """
     flows: List[Flow] = []
-    current: Dict[Tuple[str, str, str], Flow] = {}
-
-    def fin_closed(flow: Flow) -> bool:
-        seen = set()
-        for r in flow.records:
-            if r.segment.flags.fin:
-                seen.add(r.five_tuple)
-        return len(seen) >= 2
-
+    # Per normalized tuple: its current flow, whether that flow opened with a
+    # pure SYN, and the directions it has seen a FIN from.
+    current: Dict[Tuple[str, str, str], Tuple[Flow, bool, Set[FiveTuple]]] = {}
     for rec in records:
         key = rec.five_tuple.normalized()
         flags = rec.segment.flags
         pure_syn = flags.syn and not flags.ack
-        flow = current.get(key)
-        if pure_syn and (flow is None or fin_closed(flow)):
+        flow, opened_by_syn, fin_directions = current.get(key, (None, False, None))
+        if flow is None or (pure_syn and (not opened_by_syn or len(fin_directions) >= 2)):
             flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
+            fin_directions = set()
+            current[key] = (flow, pure_syn, fin_directions)
             flows.append(flow)
-            current[key] = flow
-        if flow is None:
-            # Mid-stream traffic with no observed SYN: collect as its own
-            # (incomplete) flow so it is reported, then discarded downstream.
-            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
-            flows.append(flow)
-            current[key] = flow
+        if flags.fin:
+            fin_directions.add(rec.five_tuple)
         flow.records.append(rec)
     for flow in flows:
         flow.finalize()
     return flows
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(NamedTuple):
     input: CognitiveInput
     label: CognitiveDecision
     provenance: dict
-
-
-def _seg_matches(a: Segment, b: Segment) -> bool:
-    return (
-        a.seq == b.seq
-        and a.ack == b.ack
-        and a.flags == b.flags
-        and a.payload_len == b.payload_len
-    )
 
 
 def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
@@ -248,15 +240,15 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         raise ValueError(f"{flow.flow_id} is not COMPLETE")
 
     client_tuple = flow.initiator
+    server_tuple = client_tuple.reversed()
     synack = next(
         r
         for r in flow.records
-        if r.segment.flags.syn and r.segment.flags.ack
-        and r.five_tuple == client_tuple.reversed()
+        if r.segment.flags.syn and r.segment.flags.ack and r.five_tuple == server_tuple
     )
     states = initial_states(flow.records[0].segment.seq, synack.segment.seq)
     last_received: Dict[Role, Optional[Segment]] = {Role.CLIENT: None, Role.SERVER: None}
-    undelivered: Dict[Role, List[Segment]] = {Role.CLIENT: [], Role.SERVER: []}
+    undelivered: Dict[Role, Deque[Segment]] = {Role.CLIENT: deque(), Role.SERVER: deque()}
     samples: List[LabeledSample] = []
     skipped = 0
 
@@ -269,7 +261,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         # Consume pending inbound segments; one of them may trigger the
         # reply recorded here.
         while undelivered[sender] and trigger is None:
-            inbound = undelivered[sender].pop(0)
+            inbound = undelivered[sender].popleft()
             cinput, decision, states[sender], emitted = oracle_step(states[sender], inbound)
             if decision.verdict is not Verdict.NORMAL:
                 log.info(
@@ -294,9 +286,12 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
                 trigger = "action"
 
         if trigger is not None:
-            if emitted is not None and _seg_matches(emitted, seg):
+            # The emitted payload is empty or, for a SEND, the record's own
+            # payload, so comparing whole segments compares seq, ack, flags
+            # and payload length.
+            if emitted == seg:
                 provenance = {"flow_id": flow.flow_id, "record_index": idx}
-                samples.append(LabeledSample(input=cinput, label=decision, provenance=provenance))
+                samples.append(LabeledSample(cinput, decision, provenance))
             else:
                 log.info("%s: record %d diverges from oracle %s, skipped", flow.flow_id, idx, trigger)
                 skipped += 1
@@ -420,8 +415,6 @@ def check_alu_consistency(sample: LabeledSample, observed: Segment) -> bool:
     segment from the sample's own (S, R)."""
     if sample.label.t_task is None:
         return True
-    from .alu import AluTask
-
     if sample.label.t_task is AluTask.INIT_SYN:
         result = alu_execute(sample.label.t_task, sample.input.s, None)
     else:

@@ -6,17 +6,19 @@ on these primitives.
 Value types: the values that every agent step and every trace or prediction
 record builds (here `TcpFlags`, `Segment`, `LocalAction` and `AgentState`;
 likewise `AluResult`, `CognitiveInput`, `CognitiveDecision`, `StepOutcome`,
-`FiveTuple`, `TraceRecord` and `PredictionRecord`) are `typing.NamedTuple`
-classes, so construction, `==` and `hash` run in C. A type that checks its
-arguments is a subclass of its NamedTuple with `__slots__ = ()` and does the
-checks in `__new__` (`Segment` checks in `__init__` and zeroes `ack` in
-`__new__`). Being tuples has consequences that code using them must keep in
-mind:
+`FiveTuple`, `TraceRecord`, `LabeledSample` and `PredictionRecord`) are
+`typing.NamedTuple` classes, so construction, `==` and `hash` run in C. A
+type that checks its arguments is a subclass of its NamedTuple with
+`__slots__ = ()` and does the checks in `__new__` (`Segment` checks in
+`__init__` and zeroes `ack` in `__new__`). Being tuples has consequences
+that code using them must keep in mind:
 - a value compares equal to, and hashes like, a plain tuple (or a value of
   another type) with the same fields, so never mix types as keys of one dict
   or set;
 - `json` encodes a tuple as a list, so nothing may `json`-encode a value
-  directly: every wire form goes through its `to_wire`;
+  directly: a wire form goes through the type's `to_wire`, and
+  `cognitive_core.serialize_input` is `CognitiveInput`'s encoder (its state
+  and action have no other);
 - a checked type overrides `_make` to call the class, so `_make` and
   `_replace` run the same checks as a call.
 Configuration and per-session types stay dataclasses.
@@ -275,12 +277,6 @@ class LocalAction(_LocalActionFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def to_wire(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "data_len": len(self.data) if self.data else 0,
-        }
-
 
 ACTION_NONE = LocalAction(ActionKind.NONE)
 
@@ -322,16 +318,6 @@ class AgentState(_AgentStateFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def to_wire(self) -> dict:
-        return {
-            "role": self.role.value,
-            "state": self.state.value,
-            "iss": self.iss,
-            "irs": self.irs,
-            "snd_nxt": self.snd_nxt,
-            "rcv_nxt": self.rcv_nxt,
-        }
 
     @classmethod
     def from_wire(cls, obj: dict) -> "AgentState":

@@ -1,11 +1,12 @@
 """Oracle state machine, decision schema and prompt/remote plumbing."""
 
+import itertools
 import json
 import time
 from typing import Optional
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
@@ -28,12 +29,18 @@ from smart_tcp.tcp_core import (
     ACTION_NONE,
     ActionKind,
     AgentState,
+    FLAGS_PSH_ACK,
     LocalAction,
+    MAX_PAYLOAD_LEN,
     Role,
+    SEQ_MOD,
     Segment,
+    TcpFlags,
     TcpState,
     flags_parse,
 )
+
+from wire_reference import reference_serialize_input
 
 
 def state(role=Role.CLIENT, st=TcpState.ESTABLISHED, iss=1000, snd_nxt=None, irs=2000, rcv_nxt=None):
@@ -330,6 +337,70 @@ class TestLenientScan:
         with pytest.raises(MalformedDecision, match="no JSON object found"):
             parse_decision("{" * 20_000)
         assert time.perf_counter() - t0 < 0.5
+
+
+# Every non-empty flag set, and the sequence values at the edges of the space.
+ALL_FLAGS = [f for f in itertools.starmap(TcpFlags, itertools.product((False, True), repeat=6)) if f.any()]
+SEQ_EDGES = (0, 1, 2**31, SEQ_MOD - 1)
+
+seq_numbers = st.one_of(st.sampled_from(SEQ_EDGES), st.integers(0, SEQ_MOD - 1))
+payloads = st.integers(0, MAX_PAYLOAD_LEN).map(lambda n: b"\x00" * n)
+segments = st.builds(Segment, seq_numbers, seq_numbers, st.sampled_from(ALL_FLAGS), payloads)
+actions = st.sampled_from(ActionKind).flatmap(
+    lambda kind: st.integers(1, MAX_PAYLOAD_LEN).map(lambda n: LocalAction(kind, b"\x00" * n))
+    if kind is ActionKind.SEND
+    else st.just(LocalAction(kind))
+)
+agent_states = st.builds(
+    AgentState,
+    st.sampled_from(Role),
+    st.sampled_from(TcpState),
+    seq_numbers,
+    seq_numbers,
+    st.none() | seq_numbers,
+    st.none() | seq_numbers,
+)
+
+
+class TestSerializeInput:
+    """`serialize_input` writes what `json` wrote for the reference dict form,
+    and `CognitiveInput.from_wire` reads it back. Payloads are zero bytes, as
+    `from_wire` rebuilds them from their lengths."""
+
+    @staticmethod
+    def check(i):
+        text = serialize_input(i)
+        assert text == reference_serialize_input(i)
+        assert CognitiveInput.from_wire(json.loads(text)) == i
+
+    @settings(deadline=None, max_examples=500)
+    @given(agent_states, st.none() | segments, actions)
+    def test_same_text_as_the_reference(self, s, r, a):
+        assume(r is not None or a.kind is not ActionKind.NONE)
+        self.check(CognitiveInput(s, r, a))
+
+    def test_every_role_state_action_and_flag_set(self):
+        # Every role x state x action kind, with no segment and with each of
+        # the 63 flag sets; the sequence fields and irs/rcv_nxt (None
+        # included) cycle through the edge values.
+        options = (None,) + SEQ_EDGES
+        n = 0
+        for role, tcp_state, kind in itertools.product(Role, TcpState, ActionKind):
+            a = LocalAction(kind, b"\x00" * (1 + n % MAX_PAYLOAD_LEN) if kind is ActionKind.SEND else None)
+            for flags in (None, *ALL_FLAGS):
+                n += 1
+                edge = SEQ_EDGES[n % 4]
+                s = AgentState(role, tcp_state, edge, SEQ_EDGES[-1 - n % 4], options[n % 5], options[(n + 2) % 5])
+                r = None if flags is None else Segment(edge, SEQ_EDGES[(n + 1) % 4], flags, b"\x00" * (n % 3))
+                if r is None and kind is ActionKind.NONE:
+                    continue
+                self.check(CognitiveInput(s, r, a))
+
+    def test_largest_lengths(self):
+        s = AgentState(Role.SERVER, TcpState.ESTABLISHED, SEQ_MOD - 1, 0, None, None)
+        big = b"\x00" * MAX_PAYLOAD_LEN
+        self.check(CognitiveInput(s, Segment(SEQ_MOD - 1, SEQ_MOD - 1, FLAGS_PSH_ACK, big), ACTION_NONE))
+        self.check(CognitiveInput(s, None, LocalAction(ActionKind.SEND, big)))
 
 
 class TestPrompting:

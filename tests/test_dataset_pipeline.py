@@ -30,6 +30,8 @@ from smart_tcp.dataset_pipeline import (
 )
 from smart_tcp.tcp_core import ActionKind, Role
 
+from wire_reference import state_to_wire
+
 
 def session_records(seed=1, scenario=None, t0=0.0, src=None, dst=None):
     t = run_session(OracleCore(), OracleCore(), scenario or Scenario(), seed=seed)
@@ -326,4 +328,4 @@ class TestEmitSft:
             obj = json.loads(line)
             assert obj["instruction"] == PERSONA
             assert parse_decision(obj["output"]) == sample.label
-            assert json.loads(obj["input"])["state"] == sample.input.s.to_wire()
+            assert json.loads(obj["input"])["state"] == state_to_wire(sample.input.s)

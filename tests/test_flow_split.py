@@ -1,0 +1,196 @@
+"""`extract_flows` against the flow splitter it replaced.
+
+The reference below is the earlier splitter: it rescanned a flow for its FIN
+directions on every pure SYN (`fin_closed`) and judged completeness with a
+scan per condition (`reference_is_complete`). Drawn record streams put
+several oracle sessions on two or three shared 5-tuples, drop FINs, ACKs or
+SYN|ACKs, retransmit records and lead with a stray record. `extract_flows`
+must give the same flow ids, initiators, record lists and completeness.
+
+One difference is intended, the stray-record rule: a pure SYN also starts a
+new flow when the tuple's current flow did not open with a pure SYN. The
+earlier splitter appended the SYN, and the connection after it, to the stray
+record's incomplete flow, so the connection was lost. The reference applies
+the rule only when asked, and the property names every stream on which it
+changes the result.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from smart_tcp.agent_runtime import Scenario, run_session
+from smart_tcp.cognitive_core import OracleCore
+from smart_tcp.dataset_pipeline import (
+    CLIENT_ADDR,
+    Completeness,
+    FiveTuple,
+    Flow,
+    extract_flows,
+    reconstruct_labels,
+    transcript_to_trace_records,
+)
+from smart_tcp.tcp_core import Role, segment_consumes, seq_add
+
+# ---------------------------------------------------------------------------
+# The earlier splitter.
+# ---------------------------------------------------------------------------
+
+
+def reference_is_complete(flow: Flow) -> bool:
+    if not flow.records:
+        return False
+    first = flow.records[0]
+    f0 = first.segment.flags
+    if not (f0.syn and not f0.ack) or first.five_tuple != flow.initiator:
+        return False
+    saw_synack = any(
+        r.segment.flags.syn and r.segment.flags.ack
+        and r.five_tuple == flow.initiator.reversed()
+        for r in flow.records
+    )
+    if not saw_synack:
+        return False
+    # FIN-based closure from both directions, each FIN acknowledged.
+    for direction in (flow.initiator, flow.initiator.reversed()):
+        fin = next(
+            (r for r in flow.records if r.five_tuple == direction and r.segment.flags.fin),
+            None,
+        )
+        if fin is None:
+            return False
+        fin_end = seq_add(fin.segment.seq, segment_consumes(fin.segment))
+        acked = any(
+            r.ts >= fin.ts
+            and r.five_tuple == direction.reversed()
+            and r.segment.flags.ack
+            and r.segment.ack == fin_end
+            for r in flow.records
+        )
+        if not acked:
+            return False
+    return True
+
+
+def reference_extract_flows(records, stray_rule: bool):
+    """The earlier splitter, plus the stray-record rule when `stray_rule` is
+    set. Returns the flows and how many of them the rule alone started."""
+    flows = []
+    current = {}
+    stray_splits = 0
+
+    def fin_closed(flow):
+        seen = set()
+        for r in flow.records:
+            if r.segment.flags.fin:
+                seen.add(r.five_tuple)
+        return len(seen) >= 2
+
+    def opened_with_pure_syn(flow):
+        f = flow.records[0].segment.flags
+        return f.syn and not f.ack
+
+    for rec in records:
+        key = rec.five_tuple.normalized()
+        flags = rec.segment.flags
+        pure_syn = flags.syn and not flags.ack
+        flow = current.get(key)
+        stray_split = (
+            stray_rule and pure_syn and flow is not None
+            and not fin_closed(flow) and not opened_with_pure_syn(flow)
+        )
+        if (pure_syn and (flow is None or fin_closed(flow))) or stray_split:
+            stray_splits += stray_split
+            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
+            flows.append(flow)
+            current[key] = flow
+        if flow is None:
+            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
+            flows.append(flow)
+            current[key] = flow
+        flow.records.append(rec)
+    for flow in flows:
+        flow.completeness = (
+            Completeness.COMPLETE if reference_is_complete(flow) else Completeness.INCOMPLETE
+        )
+    return flows, stray_splits
+
+
+def summary(flows):
+    return [(f.flow_id, f.initiator, f.records, f.completeness) for f in flows]
+
+
+# ---------------------------------------------------------------------------
+# Drawn record streams.
+# ---------------------------------------------------------------------------
+
+ENDPOINTS = [
+    ("10.0.0.1:40000", "10.0.0.2:80"),
+    ("10.0.0.3:40001", "10.0.0.2:80"),
+    ("10.0.0.4:5", "10.0.0.5:6"),
+]
+
+
+@st.composite
+def record_streams(draw):
+    n_tuples = draw(st.integers(2, 3), label="tuples")
+    records = []
+    t0 = 0.0
+    for _ in range(draw(st.integers(1, 5), label="sessions")):
+        a, b = ENDPOINTS[draw(st.integers(0, n_tuples - 1), label="tuple")]
+        if draw(st.booleans(), label="initiator is the second endpoint"):
+            a, b = b, a
+        scenario = Scenario(
+            data_script=tuple(draw(st.lists(
+                st.tuples(st.sampled_from(Role), st.integers(1, 1460)), max_size=3
+            ))),
+            closer=draw(st.sampled_from(Role)),
+        )
+        t = run_session(OracleCore(), OracleCore(), scenario, draw(st.integers(0, 2**32 - 1)))
+        session = []
+        for r in transcript_to_trace_records(t, t0=t0):
+            ft = FiveTuple(a, b) if r.five_tuple.src == CLIENT_ADDR else FiveTuple(b, a)
+            session.append(r._replace(five_tuple=ft))
+        # Lost FINs, ACKs or SYN|ACKs.
+        dropped = draw(st.sets(st.integers(0, len(session) - 1), max_size=2), label="dropped")
+        session = [r for i, r in enumerate(session) if i not in dropped]
+        # Retransmitted duplicates, halfway to the next record.
+        duplicated = draw(st.sets(st.integers(0, len(session) - 1), max_size=2), label="duplicated")
+        for i in sorted(duplicated, reverse=True):
+            session.insert(i + 1, session[i]._replace(ts=session[i].ts + 0.0005))
+        # A stray copy of one of the session's records, ahead of it.
+        if draw(st.booleans(), label="leading stray"):
+            stray = draw(st.sampled_from(session), label="stray")
+            session.insert(0, stray._replace(ts=t0 - 0.0001))
+        records += session
+        # The next session starts inside or after this one.
+        t0 += draw(st.sampled_from([0.0003, 0.004, 0.02]), label="gap")
+    # A coarse clock: records a few milliseconds apart share a timestamp, so
+    # a FIN and the ACK of it can carry the same one.
+    tick = draw(st.sampled_from([None, 0.002, 0.005]), label="tick")
+    if tick is not None:
+        records = [r._replace(ts=round(r.ts / tick) * tick) for r in records]
+    records.sort(key=lambda r: r.ts)
+    return records
+
+
+@settings(deadline=None, max_examples=300)
+@given(record_streams())
+def test_same_flows_as_the_reference(records):
+    got = summary(extract_flows(records))
+    want, stray_splits = reference_extract_flows(records, stray_rule=True)
+    assert got == summary(want)
+    earlier, _ = reference_extract_flows(records, stray_rule=False)
+    # Equal to the earlier splitter unless the stray-record rule started a
+    # flow; where it did, the earlier splitter kept that SYN in the stray
+    # record's flow.
+    assert (got == summary(earlier)) == (stray_splits == 0)
+
+
+def test_a_stray_record_does_not_hide_the_connection_after_it():
+    session = transcript_to_trace_records(run_session(OracleCore(), OracleCore(), Scenario(), 1))
+    stray = session[2]._replace(ts=-1.0)  # the handshake's ACK, seen first
+    earlier, _ = reference_extract_flows([stray] + session, stray_rule=False)
+    flows = extract_flows([stray] + session)
+    assert [f.completeness for f in earlier] == [Completeness.INCOMPLETE]
+    assert [f.completeness for f in flows] == [Completeness.INCOMPLETE, Completeness.COMPLETE]
+    assert flows[1].records == session
+    assert len(reconstruct_labels(flows[1])) == len(session) == 11

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from smart_tcp.agent_runtime import Scenario, run_session, run_trials
 from smart_tcp.cli import EXIT_OK, main
-from smart_tcp.cognitive_core import OracleCore, Verdict
+from smart_tcp.cognitive_core import OracleCore, Verdict, serialize_decision, serialize_input
 from smart_tcp.dataset_pipeline import extract_flows, reconstruct_labels, transcript_to_trace_records
 from smart_tcp.tcp_core import Role
 
@@ -26,7 +26,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class RecordingOracle(OracleCore):
-    """The oracle, keeping the wire form of each decision that emits."""
+    """The oracle, keeping the SFT text of each input and decision that emits."""
 
     def __init__(self):
         self.emitting = []
@@ -34,7 +34,7 @@ class RecordingOracle(OracleCore):
     def decide(self, input):
         decision = super().decide(input)
         if decision.verdict is Verdict.NORMAL and decision.t_task is not None:
-            self.emitting.append((input.to_wire(), decision.to_wire()))
+            self.emitting.append((serialize_input(input), serialize_decision(decision)))
         return decision
 
 
@@ -46,7 +46,7 @@ def test_labels_are_the_runtime_oracles_decisions(scenario, seed):
     assert t.all_passed()
     [flow] = extract_flows(transcript_to_trace_records(t))
     samples = reconstruct_labels(flow)
-    assert [(s.input.to_wire(), s.label.to_wire()) for s in samples] == core.emitting
+    assert [(serialize_input(s.input), serialize_decision(s.label)) for s in samples] == core.emitting
 
 
 def replay_verdicts(transcript, *fault):

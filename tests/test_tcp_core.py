@@ -24,6 +24,8 @@ from smart_tcp.tcp_core import (
     seq_lt,
 )
 
+from wire_reference import state_to_wire
+
 u32 = st.integers(min_value=0, max_value=SEQ_MOD - 1)
 
 
@@ -204,7 +206,7 @@ class TestAgentState:
             irs=3,
             rcv_nxt=4,
         )
-        assert AgentState.from_wire(s.to_wire()) == s
+        assert AgentState.from_wire(state_to_wire(s)) == s
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
