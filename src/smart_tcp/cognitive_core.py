@@ -13,7 +13,7 @@ import json
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .alu import AluTask, alu_parse_task
 from .tcp_core import (
@@ -81,7 +81,11 @@ class CognitiveInput(_CognitiveInputFields):
         kind = ActionKind(action["kind"])
         data = None
         if kind is ActionKind.SEND:
-            data = b"\x00" * int(action.get("data_len", 0))
+            # Segment.from_wire's bound, checked before the filler is built.
+            data_len = int(action.get("data_len", 0))
+            if not 0 <= data_len <= MAX_PAYLOAD_LEN:
+                raise ValueError(f"data_len out of range: {data_len}")
+            data = b"\x00" * data_len
         return cls(
             s=AgentState.from_wire(obj["state"]),
             r=Segment.from_wire(obj["received"]) if obj.get("received") else None,
@@ -435,7 +439,6 @@ def oracle_transition(
 class CognitiveCore:
     """Decision interface: maps (S, R, A) to (S', F, P_L, T_task, verdict)."""
 
-    name = "base"
     # How many decide calls one instance can serve at once. Cores that are
     # CPU-bound keep 1: threads would only add switching under the GIL.
     concurrency = 1
@@ -448,8 +451,6 @@ class CognitiveCore:
 
 
 class OracleCore(CognitiveCore):
-    name = "oracle"
-
     def decide(self, input: CognitiveInput) -> CognitiveDecision:
         return oracle_transition(input.s, input.r, input.a)
 
@@ -470,41 +471,12 @@ PERSONA = (
 )
 
 
-@dataclass(frozen=True)
-class PromptConfig:
-    persona: str = PERSONA
-    few_shot: Tuple[Tuple[CognitiveInput, CognitiveDecision], ...] = ()
-    fine_tuned: bool = False
-
-    def __post_init__(self):
-        if not self.fine_tuned and not self.few_shot:
-            raise ValueError("baseline mode requires at least one few-shot pair")
-
-
-@dataclass(frozen=True)
-class PromptBundle:
-    system_persona: str
-    few_shot_examples: Tuple[Tuple[str, str], ...]
-    input_object: str
-
-    def messages(self) -> List[dict]:
-        msgs = [{"role": "system", "content": self.system_persona}]
-        for inp, out in self.few_shot_examples:
-            msgs.append({"role": "user", "content": inp})
-            msgs.append({"role": "assistant", "content": out})
-        msgs.append({"role": "user", "content": self.input_object})
-        return msgs
-
-
-def build_prompt(input: CognitiveInput, config: PromptConfig) -> PromptBundle:
-    shots = tuple(
-        (serialize_input(i), serialize_decision(d)) for i, d in config.few_shot
-    )
-    return PromptBundle(
-        system_persona=config.persona,
-        few_shot_examples=shots,
-        input_object=serialize_input(input),
-    )
+def build_prompt(input: CognitiveInput) -> List[dict]:
+    """The chat messages of one decision: the persona, then the input."""
+    return [
+        {"role": "system", "content": PERSONA},
+        {"role": "user", "content": serialize_input(input)},
+    ]
 
 
 ENDPOINT_ENV = "SMART_TCP_MODEL_ENDPOINT"
@@ -513,6 +485,8 @@ KEY_ENV = "SMART_TCP_MODEL_KEY"
 # pool. A remote decision is a blocking round trip, so independent sessions
 # overlap their waits.
 REMOTE_CONCURRENCY = 4
+# Sampling temperature of every request: decisions must be reproducible.
+TEMPERATURE = 0.0
 
 
 @dataclass
@@ -520,7 +494,6 @@ class RemoteConfig:
     endpoint: str
     model: str = "smart-tcp"
     api_key: Optional[str] = None
-    temperature: float = 0.0
     timeout: float = 30.0
 
 
@@ -531,17 +504,15 @@ class RemoteCore(CognitiveCore):
     callers can score it as a wrong prediction rather than crash.
     """
 
-    name = "remote"
     concurrency = REMOTE_CONCURRENCY
 
-    def __init__(self, config: RemoteConfig, prompt_config: Optional[PromptConfig] = None):
+    def __init__(self, config: RemoteConfig):
         # Imported here, not at module level: http.client costs ~40 ms to
         # import, which no oracle-only command should pay.
         import http.client
         from urllib.parse import urlsplit
 
         self.config = config
-        self.prompt_config = prompt_config or PromptConfig(fine_tuned=True)
         self.malformed_count = 0
         self.request_count = 0
         self._count_lock = threading.Lock()
@@ -626,7 +597,7 @@ class RemoteCore(CognitiveCore):
         body = {
             "model": self.config.model,
             "messages": messages,
-            "temperature": self.config.temperature,
+            "temperature": TEMPERATURE,
         }
         try:
             data = json.loads(self._post(json.dumps(body).encode()))
@@ -653,12 +624,12 @@ class RemoteCore(CognitiveCore):
         raise TransportError("unrecognized response body from model endpoint")
 
     def decide(self, input: CognitiveInput) -> CognitiveDecision:
-        bundle = build_prompt(input, self.prompt_config)
+        messages = build_prompt(input)
         last_error: Optional[Exception] = None
         for _ in range(2):
             with self._count_lock:
                 self.request_count += 1
-            raw = self._complete(bundle.messages())
+            raw = self._complete(messages)
             try:
                 return parse_decision(raw)
             except MalformedDecision as exc:

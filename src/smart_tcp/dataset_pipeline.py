@@ -194,26 +194,30 @@ def ingest_trace(path) -> IngestResult:
 def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     """Group records into direction-normalized 5-tuple flows.
 
-    A pure SYN starts a new flow on its tuple when the tuple's current flow
-    is FIN-closed (FINs seen from both directions) or did not open with a
-    pure SYN, so a stray mid-stream record cannot swallow the connection
-    that follows it. Any other record on a tuple without a flow starts one:
-    mid-stream traffic with no observed SYN is collected as its own
-    (incomplete) flow so it is reported, then discarded downstream.
+    A pure SYN starts a new flow on its tuple unless it repeats the SYN that
+    opened the tuple's current flow (same seq) and that flow is not
+    FIN-closed (FINs seen from both directions). So a stray mid-stream
+    record, or a late retransmitted SYN of a closed connection, cannot
+    swallow the connection that follows it. Any other record on a tuple
+    without a flow starts one: mid-stream traffic with no observed SYN is
+    collected as its own (incomplete) flow so it is reported, then
+    discarded downstream.
     """
     flows: List[Flow] = []
-    # Per normalized tuple: its current flow, whether that flow opened with a
-    # pure SYN, and the directions it has seen a FIN from.
-    current: Dict[Tuple[str, str, str], Tuple[Flow, bool, Set[FiveTuple]]] = {}
+    # Per normalized tuple: its current flow, the seq of the pure SYN that
+    # opened it (None if another record did), and the directions it has seen
+    # a FIN from.
+    current: Dict[Tuple[str, str, str], Tuple[Flow, Optional[int], Set[FiveTuple]]] = {}
     for rec in records:
         key = rec.five_tuple.normalized()
-        flags = rec.segment.flags
+        seg = rec.segment
+        flags = seg.flags
         pure_syn = flags.syn and not flags.ack
-        flow, opened_by_syn, fin_directions = current.get(key, (None, False, None))
-        if flow is None or (pure_syn and (not opened_by_syn or len(fin_directions) >= 2)):
+        flow, syn_seq, fin_directions = current.get(key, (None, None, None))
+        if flow is None or (pure_syn and (seg.seq != syn_seq or len(fin_directions) >= 2)):
             flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
             fin_directions = set()
-            current[key] = (flow, pure_syn, fin_directions)
+            current[key] = (flow, seg.seq if pure_syn else None, fin_directions)
             flows.append(flow)
         if flags.fin:
             fin_directions.add(rec.five_tuple)

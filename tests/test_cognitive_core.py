@@ -15,7 +15,7 @@ from smart_tcp.cognitive_core import (
     CognitiveInput,
     MalformedDecision,
     OracleCore,
-    PromptConfig,
+    PERSONA,
     RemoteConfig,
     RemoteCore,
     Verdict,
@@ -404,33 +404,20 @@ class TestSerializeInput:
 
 
 class TestPrompting:
-    def example_pair(self):
+    def example_input(self):
         s = AgentState(role=Role.CLIENT, state=TcpState.CLOSED, iss=10, snd_nxt=10)
-        inp = CognitiveInput(s=s, a=LocalAction(ActionKind.OPEN_ACTIVE))
-        return inp, oracle_transition(s, None, inp.a)
+        return CognitiveInput(s=s, a=LocalAction(ActionKind.OPEN_ACTIVE))
 
-    def test_fine_tuned_mode_has_no_shots(self):
-        inp, _ = self.example_pair()
-        bundle = build_prompt(inp, PromptConfig(fine_tuned=True))
-        assert bundle.few_shot_examples == ()
-        msgs = bundle.messages()
-        assert msgs[0]["role"] == "system" and msgs[-1]["content"] == serialize_input(inp)
-
-    def test_baseline_mode_requires_shots(self):
-        with pytest.raises(ValueError):
-            PromptConfig(fine_tuned=False)
-
-    def test_few_shot_layout(self):
-        pair = self.example_pair()
-        bundle = build_prompt(pair[0], PromptConfig(few_shot=(pair, pair, pair)))
-        assert len(bundle.messages()) == 1 + 3 * 2 + 1
+    def test_persona_then_input(self):
+        inp = self.example_input()
+        assert build_prompt(inp) == [
+            {"role": "system", "content": PERSONA},
+            {"role": "user", "content": serialize_input(inp)},
+        ]
 
     def test_deterministic_bytes(self):
-        inp, _ = self.example_pair()
-        cfg = PromptConfig(fine_tuned=True)
-        a = json.dumps(build_prompt(inp, cfg).messages())
-        b = json.dumps(build_prompt(inp, cfg).messages())
-        assert a == b
+        inp = self.example_input()
+        assert json.dumps(build_prompt(inp)) == json.dumps(build_prompt(inp))
 
 
 class FakeRemote(RemoteCore):

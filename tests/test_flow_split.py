@@ -7,12 +7,21 @@ several oracle sessions on two or three shared 5-tuples, drop FINs, ACKs or
 SYN|ACKs, retransmit records and lead with a stray record. `extract_flows`
 must give the same flow ids, initiators, record lists and completeness.
 
-One difference is intended, the stray-record rule: a pure SYN also starts a
-new flow when the tuple's current flow did not open with a pure SYN. The
-earlier splitter appended the SYN, and the connection after it, to the stray
-record's incomplete flow, so the connection was lost. The reference applies
-the rule only when asked, and the property names every stream on which it
-changes the result.
+Two differences are intended, and the reference applies each rule only
+when asked:
+
+- the stray-record rule: a pure SYN also starts a new flow when the tuple's
+  current flow did not open with a pure SYN. The earlier splitter appended
+  the SYN, and the connection after it, to the stray record's incomplete
+  flow, so the connection was lost.
+- the stale-SYN rule: a pure SYN also starts a new flow when its seq differs
+  from that of the pure SYN that opened the tuple's current flow. The
+  earlier splitter let a late retransmitted SYN of a closed connection open
+  a flow that then swallowed the next connection on the tuple, and appended
+  the SYN of a session that overlaps another on one tuple to that session's
+  flow.
+
+The property names every stream on which each rule changes the result.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -70,12 +79,12 @@ def reference_is_complete(flow: Flow) -> bool:
     return True
 
 
-def reference_extract_flows(records, stray_rule: bool):
-    """The earlier splitter, plus the stray-record rule when `stray_rule` is
-    set. Returns the flows and how many of them the rule alone started."""
+def reference_extract_flows(records, stray_rule: bool, syn_rule: bool):
+    """The earlier splitter, plus the stray-record and stale-SYN rules where
+    set. Returns the flows and how many of them each rule alone started."""
     flows = []
     current = {}
-    stray_splits = 0
+    stray_splits = syn_splits = 0
 
     def fin_closed(flow):
         seen = set()
@@ -93,12 +102,15 @@ def reference_extract_flows(records, stray_rule: bool):
         flags = rec.segment.flags
         pure_syn = flags.syn and not flags.ack
         flow = current.get(key)
-        stray_split = (
-            stray_rule and pure_syn and flow is not None
-            and not fin_closed(flow) and not opened_with_pure_syn(flow)
+        syn_on_open_flow = pure_syn and flow is not None and not fin_closed(flow)
+        stray_split = stray_rule and syn_on_open_flow and not opened_with_pure_syn(flow)
+        syn_split = (
+            syn_rule and syn_on_open_flow and opened_with_pure_syn(flow)
+            and flow.records[0].segment.seq != rec.segment.seq
         )
-        if (pure_syn and (flow is None or fin_closed(flow))) or stray_split:
+        if (pure_syn and (flow is None or fin_closed(flow))) or stray_split or syn_split:
             stray_splits += stray_split
+            syn_splits += syn_split
             flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
             flows.append(flow)
             current[key] = flow
@@ -111,7 +123,7 @@ def reference_extract_flows(records, stray_rule: bool):
         flow.completeness = (
             Completeness.COMPLETE if reference_is_complete(flow) else Completeness.INCOMPLETE
         )
-    return flows, stray_splits
+    return flows, stray_splits, syn_splits
 
 
 def summary(flows):
@@ -176,21 +188,42 @@ def record_streams(draw):
 @given(record_streams())
 def test_same_flows_as_the_reference(records):
     got = summary(extract_flows(records))
-    want, stray_splits = reference_extract_flows(records, stray_rule=True)
+    want, stray_splits, syn_splits = reference_extract_flows(records, True, True)
     assert got == summary(want)
-    earlier, _ = reference_extract_flows(records, stray_rule=False)
-    # Equal to the earlier splitter unless the stray-record rule started a
-    # flow; where it did, the earlier splitter kept that SYN in the stray
-    # record's flow.
-    assert (got == summary(earlier)) == (stray_splits == 0)
+    # Equal to the splitter without a rule unless that rule started a flow;
+    # where it did, the splitter without it kept that SYN in the open flow.
+    without_stray, _, _ = reference_extract_flows(records, False, True)
+    assert (got == summary(without_stray)) == (stray_splits == 0)
+    without_syn, _, _ = reference_extract_flows(records, True, False)
+    assert (got == summary(without_syn)) == (syn_splits == 0)
 
 
 def test_a_stray_record_does_not_hide_the_connection_after_it():
     session = transcript_to_trace_records(run_session(OracleCore(), OracleCore(), Scenario(), 1))
     stray = session[2]._replace(ts=-1.0)  # the handshake's ACK, seen first
-    earlier, _ = reference_extract_flows([stray] + session, stray_rule=False)
+    earlier, _, _ = reference_extract_flows([stray] + session, False, False)
     flows = extract_flows([stray] + session)
     assert [f.completeness for f in earlier] == [Completeness.INCOMPLETE]
     assert [f.completeness for f in flows] == [Completeness.INCOMPLETE, Completeness.COMPLETE]
     assert flows[1].records == session
     assert len(reconstruct_labels(flows[1])) == len(session) == 11
+
+
+def test_a_stale_syn_does_not_swallow_the_next_connection():
+    first = transcript_to_trace_records(run_session(OracleCore(), OracleCore(), Scenario(), 1))
+    second = transcript_to_trace_records(
+        run_session(OracleCore(), OracleCore(), Scenario(), 2), t0=1.0
+    )
+    stale = first[0]._replace(ts=0.5)  # the first SYN, retransmitted late
+    records = first + [stale] + second
+    earlier, _, _ = reference_extract_flows(records, True, False)
+    assert [len(f.records) for f in earlier] == [11, 12]
+    flows = extract_flows(records)
+    assert [(len(f.records), f.completeness) for f in flows] == [
+        (11, Completeness.COMPLETE),
+        (1, Completeness.INCOMPLETE),
+        (11, Completeness.COMPLETE),
+    ]
+    assert flows[0].records == first and flows[2].records == second
+    samples = [s for f in flows if f.completeness is Completeness.COMPLETE for s in reconstruct_labels(f)]
+    assert len(samples) == 22

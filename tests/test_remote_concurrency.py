@@ -15,10 +15,12 @@ from smart_tcp.agent_runtime import run_trials
 from smart_tcp.cognitive_core import (
     CognitiveInput,
     OracleCore,
+    PERSONA,
     RemoteConfig,
     RemoteCore,
     TransportError,
     serialize_decision,
+    serialize_input,
 )
 from smart_tcp.tcp_core import ActionKind, AgentState, LocalAction, Role, TcpState
 
@@ -128,7 +130,7 @@ class TestConcurrentTrials:
 class LoopbackModel:
     """A chat-completion endpoint on 127.0.0.1 answering like the oracle;
     counts the connections it accepted, those still open, and requests, and
-    records each request's Authorization header.
+    records each request's body and Authorization header.
 
     Variants: `reply=(status, body)` answers every request with those bytes
     instead; `drop_after=k` silently closes the connection that served the
@@ -141,6 +143,7 @@ class LoopbackModel:
         self.connections = 0
         self.open = 0
         self.requests = 0
+        self.bodies = []
         self.authorizations = []
 
         class Handler(BaseHTTPRequestHandler):
@@ -175,6 +178,7 @@ class LoopbackModel:
                 self.wfile.write(payload)
                 with stats.lock:
                     stats.requests += 1
+                    stats.bodies.append(body)
                     stats.authorizations.append(self.headers.get("Authorization"))
                     if stats.requests == drop_after:
                         # No Connection: close header, so the client keeps it.
@@ -260,6 +264,23 @@ class TestRemoteTransport:
             assert model.connections == model.open == 1
             core.close()
             assert model.wait_all_closed()
+
+    def test_request_body_is_the_persona_and_the_input(self):
+        with LoopbackModel() as model:
+            core = RemoteCore(RemoteConfig(endpoint=model.url))
+            try:
+                core.decide(OPEN_ACTIVE)
+            finally:
+                core.close()
+        body = {
+            "model": "smart-tcp",
+            "messages": [
+                {"role": "system", "content": PERSONA},
+                {"role": "user", "content": serialize_input(OPEN_ACTIVE)},
+            ],
+            "temperature": 0.0,
+        }
+        assert model.bodies == [json.dumps(body).encode()]
 
     @pytest.mark.parametrize("key, header", [("k", "Bearer k"), (None, None)])
     def test_bearer_header_only_with_a_key(self, key, header):

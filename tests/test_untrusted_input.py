@@ -171,6 +171,20 @@ def test_decision_payload_len_must_be_an_int_in_range(n):
     assert str(exc.value) == f"bad payload_len: {n!r}"
 
 
+def input_with_send(data_len):
+    state = {"role": "CLIENT", "state": "ESTABLISHED", "iss": 1, "irs": 2, "snd_nxt": 2, "rcv_nxt": 3}
+    return {"state": state, "received": None, "action": {"kind": "SEND", "data_len": data_len}}
+
+
+def test_input_send_data_len_is_bounded_like_a_segment_payload():
+    # The filler is built only after the check, so no test value may be
+    # large: an unbounded decoder would really allocate it.
+    sent = CognitiveInput.from_wire(input_with_send(MAX_PAYLOAD_LEN))
+    assert sent.a == LocalAction(ActionKind.SEND, b"\x00" * MAX_PAYLOAD_LEN)
+    with pytest.raises(ValueError, match=f"data_len out of range: {MAX_PAYLOAD_LEN + 1}"):
+        CognitiveInput.from_wire(input_with_send(MAX_PAYLOAD_LEN + 1))
+
+
 def either(valid, near):
     """Valid values and near misses, drawn about equally often."""
     return st.one_of(st.sampled_from(valid), st.sampled_from(near))
