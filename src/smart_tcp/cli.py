@@ -1,7 +1,6 @@
 """Command-line entry point: simulate, trace2sft, evaluate, inject.
 
-Exit codes: 0 completed, 1 usage/config, 2 I/O, 3 remote transport.
-Configuration precedence: flag > environment > config file > default.
+Exit codes: 0 completed, 1 usage, 2 I/O, 3 remote transport.
 """
 
 from __future__ import annotations
@@ -48,43 +47,17 @@ EXIT_IO = 2
 EXIT_TRANSPORT = 3
 
 
-def load_config_file(path) -> dict:
-    """Simple key=value text format; '#' starts a comment."""
-    cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _resolve(flag_value, env_name, cfg, cfg_key, default=None):
-    if flag_value is not None:
-        return flag_value
-    if env_name and os.environ.get(env_name):
-        return os.environ[env_name]
-    if cfg_key in cfg:
-        return cfg[cfg_key]
-    return default
-
-
-def _make_core(args, cfg):
+def _make_core(args):
     if args.core == "oracle":
         return OracleCore()
-    endpoint = _resolve(getattr(args, "endpoint", None), ENDPOINT_ENV, cfg, "model_endpoint")
+    # A given --endpoint, even an empty one, wins over the environment.
+    endpoint = args.endpoint if args.endpoint is not None else os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise TransportError("remote core selected but no endpoint configured")
-    key = _resolve(None, KEY_ENV, cfg, "model_key")
-    return RemoteCore(RemoteConfig(endpoint=endpoint, api_key=key))
+    return RemoteCore(RemoteConfig(endpoint=endpoint, api_key=os.environ.get(KEY_ENV)))
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config_file(args.config) if args.config else {}
     if args.sessions < 1:
         print("error: --sessions must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -105,8 +78,8 @@ def cmd_simulate(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     try:
-        client = _make_core(args, cfg)
-        server = _make_core(args, cfg)
+        client = _make_core(args)
+        server = _make_core(args)
     except TransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
@@ -238,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smart-tcp", description="TCP agent simulator, data pipeline and evaluator"
     )
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run full-lifecycle dual-agent sessions")

@@ -485,16 +485,18 @@ KEY_ENV = "SMART_TCP_MODEL_KEY"
 # pool. A remote decision is a blocking round trip, so independent sessions
 # overlap their waits.
 REMOTE_CONCURRENCY = 4
-# Sampling temperature of every request: decisions must be reproducible.
+# The model every request names, and its sampling temperature: decisions
+# must be reproducible.
+MODEL = "smart-tcp"
 TEMPERATURE = 0.0
+# Socket timeout, in seconds, of each connection to the endpoint.
+TIMEOUT = 30.0
 
 
 @dataclass
 class RemoteConfig:
     endpoint: str
-    model: str = "smart-tcp"
     api_key: Optional[str] = None
-    timeout: float = 30.0
 
 
 class RemoteCore(CognitiveCore):
@@ -512,7 +514,6 @@ class RemoteCore(CognitiveCore):
         import http.client
         from urllib.parse import urlsplit
 
-        self.config = config
         self.malformed_count = 0
         self.request_count = 0
         self._count_lock = threading.Lock()
@@ -523,7 +524,7 @@ class RemoteCore(CognitiveCore):
             raise TransportError(f"bad model endpoint {config.endpoint!r}: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise TransportError(f"model endpoint must be an http(s) URL: {config.endpoint!r}")
-        kwargs = {"timeout": config.timeout}
+        kwargs = {"timeout": TIMEOUT}
         if url.scheme == "https":
             import ssl
 
@@ -595,7 +596,7 @@ class RemoteCore(CognitiveCore):
 
     def _complete(self, messages: List[dict]) -> str:
         body = {
-            "model": self.config.model,
+            "model": MODEL,
             "messages": messages,
             "temperature": TEMPERATURE,
         }

@@ -350,6 +350,8 @@ def generate_error_dataset(
     yields ORDER_ERROR and a FLAG_* mutation FLAG_ERROR."""
     if count < 2:
         raise ValueError("need at least 2 samples")
+    if not 0 <= ratio <= 1:  # NaN fails this too
+        raise ValueError(f"error ratio must be within [0, 1], got {ratio}")
     contexts = []
     for sample in samples:
         s, r = sample.input.s, sample.input.r

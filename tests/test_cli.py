@@ -15,7 +15,6 @@ from smart_tcp.cli import (
     EXIT_OK,
     EXIT_TRANSPORT,
     EXIT_USAGE,
-    load_config_file,
     main,
 )
 
@@ -66,7 +65,7 @@ class TestSimulate:
         monkeypatch.delenv("SMART_TCP_MODEL_ENDPOINT", raising=False)
         code, _, stderr = run(capsys, "simulate", "--core", "remote", "--sessions", "1")
         assert code == EXIT_TRANSPORT
-        assert "endpoint" in stderr
+        assert "remote core selected but no endpoint configured" in stderr
 
     def test_scenario_file(self, tmp_path, capsys):
         sc = tmp_path / "scenario.json"
@@ -180,6 +179,19 @@ class TestTrace2Sft:
         )
         assert code == EXIT_OK
         assert "53 samples" in stdout
+
+    @pytest.mark.parametrize("ratio", ["1.5", "-0.5", "inf", "nan"])
+    def test_error_ratio_outside_unit_interval_is_usage(self, tmp_path, capsys, ratio):
+        trace = make_trace(tmp_path, capsys, sessions=1)
+        out = tmp_path / "sft.jsonl"
+        code, _, stderr = run(
+            capsys,
+            "trace2sft", "--in", str(trace), "--out", str(out),
+            "--errors", "10", "--error-ratio", ratio,
+        )
+        assert code == EXIT_USAGE
+        assert stderr.startswith("error: error ratio must be within [0, 1]")
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path, capsys):
         trace = make_trace(tmp_path, capsys)
@@ -449,18 +461,3 @@ def test_unreadable_input_is_io_error(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == EXIT_IO and stderr.startswith("error: ")
 
-
-class TestConfig:
-    def test_load_config_file(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("model_endpoint = http://localhost:9\n# comment\n\nmodel_key=k\n")
-        assert load_config_file(path) == {
-            "model_endpoint": "http://localhost:9",
-            "model_key": "k",
-        }
-
-    def test_bad_config_line(self, tmp_path):
-        path = tmp_path / "cfg"
-        path.write_text("no equals sign here\n")
-        with pytest.raises(ValueError):
-            load_config_file(path)

@@ -4,8 +4,9 @@ The reference below is the earlier splitter: it rescanned a flow for its FIN
 directions on every pure SYN (`fin_closed`) and judged completeness with a
 scan per condition (`reference_is_complete`). Drawn record streams put
 several oracle sessions on two or three shared 5-tuples, drop FINs, ACKs or
-SYN|ACKs, retransmit records and lead with a stray record. `extract_flows`
-must give the same flow ids, initiators, record lists and completeness.
+SYN|ACKs, retransmit records, lead with a stray record and repeat a
+session's SYN after its end. `extract_flows` must give the same flow ids,
+initiators, record lists and completeness.
 
 Two differences are intended, and the reference applies each rule only
 when asked:
@@ -161,6 +162,7 @@ def record_streams(draw):
         for r in transcript_to_trace_records(t, t0=t0):
             ft = FiveTuple(a, b) if r.five_tuple.src == CLIENT_ADDR else FiveTuple(b, a)
             session.append(r._replace(five_tuple=ft))
+        syn = session[0]
         # Lost FINs, ACKs or SYN|ACKs.
         dropped = draw(st.sets(st.integers(0, len(session) - 1), max_size=2), label="dropped")
         session = [r for i, r in enumerate(session) if i not in dropped]
@@ -172,6 +174,12 @@ def record_streams(draw):
         if draw(st.booleans(), label="leading stray"):
             stray = draw(st.sampled_from(session), label="stray")
             session.insert(0, stray._replace(ts=t0 - 0.0001))
+        # A late retransmission of the session's own SYN, after its last
+        # record: where both FINs were seen, it opens a new flow.
+        if draw(st.booleans(), label="late SYN"):
+            end = max(r.ts for r in session)
+            delay = draw(st.sampled_from([0.0002, 0.003]), label="late SYN delay")
+            session.append(syn._replace(ts=end + delay))
         records += session
         # The next session starts inside or after this one.
         t0 += draw(st.sampled_from([0.0003, 0.004, 0.02]), label="gap")

@@ -359,3 +359,55 @@ class TestRemoteTransport:
             assert capsys.readouterr().out == oracle_out
             assert len(made) == 2 and model.connections > 0
             assert model.wait_all_closed()
+
+
+class TestSettings:
+    """How `simulate --core remote` finds its endpoint and key: the flag, then
+    the environment; an empty variable counts as unset."""
+
+    @pytest.fixture(autouse=True)
+    def clean_env(self, monkeypatch):
+        monkeypatch.delenv(cli.ENDPOINT_ENV, raising=False)
+        monkeypatch.delenv(cli.KEY_ENV, raising=False)
+
+    def simulate(self, *extra):
+        return cli.main(["simulate", "--core", "remote", "--sessions", "1", *extra])
+
+    def test_endpoint_flag_beats_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENDPOINT_ENV, "ftp://127.0.0.1/unused")
+        with LoopbackModel() as model:
+            assert self.simulate("--endpoint", model.url) == cli.EXIT_OK
+            assert model.requests > 0
+        assert "trial=100.00%" in capsys.readouterr().out
+
+    def test_environment_endpoint_without_the_flag(self, capsys, monkeypatch):
+        with LoopbackModel() as model:
+            monkeypatch.setenv(cli.ENDPOINT_ENV, model.url)
+            assert self.simulate() == cli.EXIT_OK
+            assert model.requests > 0
+        assert "trial=100.00%" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, header", [("k", "Bearer k"), ("", None)])
+    def test_environment_key_reaches_the_bearer_header(self, capsys, monkeypatch, key, header):
+        monkeypatch.setenv(cli.KEY_ENV, key)
+        with LoopbackModel() as model:
+            assert self.simulate("--endpoint", model.url) == cli.EXIT_OK
+        assert model.requests > 0
+        assert set(model.authorizations) == {header}
+
+    @pytest.mark.parametrize(
+        "env, extra",
+        [("", ()), ("http://127.0.0.1:9/", ("--endpoint", ""))],
+        ids=["empty-env", "empty-flag"],
+    )
+    def test_empty_endpoint_exits_3(self, capsys, monkeypatch, env, extra):
+        monkeypatch.setenv(cli.ENDPOINT_ENV, env)
+        assert self.simulate(*extra) == cli.EXIT_TRANSPORT
+        assert "remote core selected but no endpoint configured" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--config", "x", "simulate"], ["simulate", "--config", "x"]]
+    )
+    def test_config_option_is_unknown(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
