@@ -2,10 +2,17 @@
 
 One agent step aggregates context, asks the cognitive core for a decision,
 runs the arithmetic tool when the decision names a task, assembles the
-outbound segment and updates protocol memory. The same step functions,
-driven by the oracle, label traces and replay injected faults. Sessions run
-two agents over a lossless, ordered in-memory duplex channel and are graded
-per phase from the transcript alone.
+outbound segment and updates protocol memory. Sessions run two agents over a
+lossless, ordered in-memory duplex channel and are graded per phase from the
+transcript alone.
+
+Two replays walk a recorded stream through a pair of oracle endpoints, and
+they keep different contracts. The labeler (`reconstruct_labels` in
+`dataset_pipeline`) runs the step with the oracle: memory follows the
+oracle's own replies, and anomalous inbound segments are ignored.
+`replay_deliveries` (the `inject` command) judges each delivery when it
+arrives: memory follows the recorded stream, and a receiver stops at its
+first anomaly. `remember` is the memory update that all three share.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, AluResult, AluTask, alu_execute
@@ -42,7 +48,6 @@ from .tcp_core import (
     Role,
     SEQ_MOD,
     Segment,
-    TcpFlags,
     TcpState,
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
@@ -61,8 +66,8 @@ class StepFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# The step: sessions, the labeler and fault replay all advance an endpoint's
-# memory through these functions.
+# The step: sessions and the labeler advance an endpoint's memory through
+# `advance`; fault replay calls `oracle_transition` and `remember` directly.
 # ---------------------------------------------------------------------------
 
 
@@ -160,7 +165,6 @@ class Agent:
     """One TCP endpoint: cognitive core + ALU + protocol memory."""
 
     def __init__(self, role: Role, core: CognitiveCore, iss: int):
-        self.role = role
         self.core = core
         self.state = AgentState(role=role, state=TcpState.CLOSED, iss=iss, snd_nxt=iss)
         self.last_received: Optional[Segment] = None
@@ -185,30 +189,8 @@ class Agent:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios, faults, transcripts.
+# Scenarios, transcripts and fault replay.
 # ---------------------------------------------------------------------------
-
-
-class FaultKind(Enum):
-    NONE = "NONE"
-    REORDER_SWAP = "REORDER_SWAP"
-    FLAG_MUTATE = "FLAG_MUTATE"
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    kind: FaultKind = FaultKind.NONE
-    target_index: Optional[int] = None
-    mutation: Optional[TcpFlags] = None
-
-    def __post_init__(self):
-        if self.kind is FaultKind.NONE:
-            if self.target_index is not None or self.mutation is not None:
-                raise ValueError("NONE fault sets no other fields")
-        elif self.target_index is None:
-            raise ValueError(f"{self.kind.value} requires a target index")
-        if self.kind is FaultKind.FLAG_MUTATE and self.mutation is None:
-            raise ValueError("FLAG_MUTATE requires a flag override")
 
 
 @dataclass(frozen=True)
@@ -383,27 +365,6 @@ class SessionTranscript:
         self.halt_reason = tr.get("halt_reason", "")
         for k, v in phases.items():
             self.phase_results[k] = PhaseResult(v["passed"], v.get("reason", ""))
-
-
-def inject_fault(
-    deliveries: List[Tuple[Role, Segment]], fault: FaultSpec
-) -> List[Tuple[Role, Segment]]:
-    """Mutate a recorded delivery stream: swap two adjacent deliveries or
-    override one segment's flag set (numbers and payload untouched)."""
-    if fault.kind is FaultKind.NONE:
-        return list(deliveries)
-    i = fault.target_index
-    if i is None or not 0 <= i < len(deliveries):
-        raise IndexError(f"fault target index out of range: {i}")
-    out = list(deliveries)
-    if fault.kind is FaultKind.REORDER_SWAP:
-        if i + 1 >= len(out):
-            raise IndexError("REORDER_SWAP needs a segment after the target")
-        out[i], out[i + 1] = out[i + 1], out[i]
-    else:  # FLAG_MUTATE
-        sender, seg = out[i]
-        out[i] = (sender, Segment(seq=seg.seq, ack=seg.ack, flags=fault.mutation, payload=seg.payload))
-    return out
 
 
 def replay_deliveries(

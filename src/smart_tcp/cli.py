@@ -11,15 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .agent_runtime import (
-    FaultKind,
-    FaultSpec,
-    Scenario,
-    SessionTranscript,
-    inject_fault,
-    replay_deliveries,
-    run_trials,
-)
+from .agent_runtime import Scenario, SessionTranscript, replay_deliveries, run_trials
 from .cognitive_core import (
     ENDPOINT_ENV,
     KEY_ENV,
@@ -39,7 +31,7 @@ from .dataset_pipeline import (
     reconstruct_labels,
 )
 from .evaluation import ReportFormat, compute_report, emit_report, load_prediction_records
-from .tcp_core import flags_parse
+from .tcp_core import Segment, flags_parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,17 +69,11 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-    try:
-        client = _make_core(args)
-        server = _make_core(args)
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    # A TransportError from here on is main's to report.
+    client = _make_core(args)
+    server = _make_core(args)
     try:
         report = run_trials(client, server, args.sessions, args.seed, scenario)
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     finally:
         client.close()
         server.close()
@@ -171,23 +157,28 @@ def cmd_inject(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     deliveries = [(e.direction, e.segment) for e in transcript.entries]
-    kind = FaultKind(args.fault.upper())
+    i = args.index
+    # A swap takes the delivery after the target too.
+    last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
     try:
-        mutation = flags_parse(args.mutation) if args.mutation else None
-        fault = FaultSpec(
-            kind=kind,
-            target_index=args.index if kind is not FaultKind.NONE else None,
-            mutation=mutation,
-        )
-        mutated = inject_fault(deliveries, fault)
-    except (IndexError, ValueError) as exc:
+        if (args.mutation is not None) != (args.fault == "flag_mutate"):
+            raise ValueError("--mutation goes with --fault flag_mutate, and only with it")
+        if args.fault != "none" and not 0 <= i <= last:
+            raise ValueError(f"fault target index out of range: {i}")
+        if args.fault == "reorder_swap":
+            deliveries[i], deliveries[i + 1] = deliveries[i + 1], deliveries[i]
+        elif args.fault == "flag_mutate":
+            # Numbers and payload stay as recorded; only the flag set changes.
+            sender, seg = deliveries[i]
+            deliveries[i] = (sender, Segment(seg.seq, seg.ack, flags_parse(args.mutation), seg.payload))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    verdicts = replay_deliveries(mutated, transcript.client_iss, transcript.server_iss)
+    verdicts = replay_deliveries(deliveries, transcript.client_iss, transcript.server_iss)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                for (sender, seg), verdict in zip(mutated, verdicts):
+                for (sender, seg), verdict in zip(deliveries, verdicts):
                     fh.write(
                         json.dumps(
                             {
@@ -203,7 +194,7 @@ def cmd_inject(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     flagged = [(i, v.value) for i, v in enumerate(verdicts) if v.value != "NORMAL"]
-    print(f"{len(mutated)} deliveries, anomalies: {flagged or 'none'}")
+    print(f"{len(deliveries)} deliveries, anomalies: {flagged or 'none'}")
     return EXIT_OK
 
 
@@ -241,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--fault", choices=("none", "reorder_swap", "flag_mutate"), required=True)
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--mutation", help="flag override for flag_mutate, e.g. SYN|FIN")
+    p.add_argument("--mutation", help="flag set for flag_mutate (and only for it), e.g. SYN|FIN")
     p.add_argument("--out")
     p.set_defaults(func=cmd_inject)
     return parser

@@ -93,8 +93,6 @@ class Flow:
 
     def _is_complete(self) -> bool:
         records = self.records
-        if not records:
-            return False
         client = self.initiator
         server = client.reversed()
         first = records[0]

@@ -1,20 +1,20 @@
 """Agent step loop, dual-agent sessions, grading and fault injection."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from smart_tcp.agent_runtime import (
     Agent,
-    FaultKind,
-    FaultSpec,
+    PhaseResult,
     Scenario,
     SessionTranscript,
     StepFailure,
     advance,
+    grade_session,
     implied_action,
     initial_states,
-    inject_fault,
     oracle_step,
     remember,
     replay_deliveries,
@@ -382,50 +382,123 @@ class TestRunTrials:
         assert report.to_wire()["handshake"] == "100.00%"
 
 
+# Seed 1's default session, 11 deliveries: 0 SYN, 1 SYN|ACK, 2 ACK (client),
+# 3 client data, 4 ACK, 5 server data, 6 ACK, 7 client FIN|ACK, 8 ACK,
+# 9 server FIN|ACK, 10 ACK (client).
+GRADED = run_session(OracleCore(), OracleCore(), Scenario(), seed=1)
+DEFAULT_SCRIPT = Scenario().data_script
+
+
+def grade_doctored(
+    index=None, flags=None, seq_delta=0, ack_delta=0, payload=None,
+    keep=None, halt_reason="", both_closed=True, script=DEFAULT_SCRIPT,
+):
+    """Grade GRADED's first `keep` deliveries, with delivery `index`
+    doctored, against a scenario that scripts `script`."""
+    entries = list(GRADED.entries[:keep])
+    if index is not None:
+        seg = entries[index].segment
+        seg = Segment(
+            seq_add(seg.seq, seq_delta),
+            seq_add(seg.ack, ack_delta),
+            flags_parse(flags) if flags else seg.flags,
+            seg.payload if payload is None else payload,
+        )
+        entries[index] = replace(entries[index], segment=seg)
+    t = SessionTranscript("doctored", 1, entries, halt_reason=halt_reason)
+    return grade_session(t, Scenario(data_script=script), both_closed)
+
+
+HS_FAILED = ("handshake failed", "handshake failed")
+C, S = Role.CLIENT, Role.SERVER
+
+
+class TestGradeSession:
+    """One row per failure reason of grade_session: the doctoring and the
+    (handshake, data_transfer, termination) reasons it must give, "" for a
+    pass. No reason is out of run_session's reach: a core picks each step's
+    flags, its ALU task (and with it the numbers) and its next state, may
+    send nothing on a SEND, and a halt or the step budget ends a session
+    anywhere, so each doctored stream stands for some pair of cores."""
+
+    @pytest.mark.parametrize(
+        "doctor, expected",
+        [
+            (dict(keep=2), ("fewer than three segments", *HS_FAILED)),
+            (dict(index=0, flags="SYN|ACK"), ("first segment is not a client SYN", *HS_FAILED)),
+            (dict(index=1, flags="SYN"), ("second segment is not a server SYN|ACK", *HS_FAILED)),
+            (dict(index=1, ack_delta=1), ("SYN|ACK does not acknowledge client ISN+1", *HS_FAILED)),
+            (dict(index=2, flags="PSH|ACK"), ("third segment is not a pure ACK", *HS_FAILED)),
+            (dict(index=2, ack_delta=1), ("handshake ACK numbers wrong", *HS_FAILED)),
+            (dict(index=10, flags="SYN|ACK"), ("", "", "unexpected SYN after handshake")),
+            (dict(index=10, payload=b"x"), ("", "data after FIN", "")),
+            (dict(index=3, seq_delta=1), ("", "data segment out of sequence", "")),
+            (dict(script=((S, 256), (C, 512))), ("", "data segment does not match script", "")),
+            (dict(index=4, ack_delta=1), ("", "acknowledgment does not match bytes received", "")),
+            (dict(index=8, ack_delta=1), ("", "", "acknowledgment does not match bytes received")),
+            (dict(index=10, flags="FIN|ACK"), ("", "", "duplicate FIN")),
+            (dict(index=7, seq_delta=1), ("", "", "FIN out of sequence")),
+            (
+                dict(script=DEFAULT_SCRIPT + ((C, 1),)),
+                ("", "scripted data never transferred", ""),
+            ),
+            (
+                dict(keep=7, halt_reason="CLIENT verdict ORDER_ERROR", both_closed=False),
+                ("", "halted: CLIENT verdict ORDER_ERROR", "closer never sent FIN"),
+            ),
+            (dict(keep=7, both_closed=False), ("", "", "closer never sent FIN")),
+            (dict(keep=9, both_closed=False), ("", "", "peer never sent FIN")),
+            (dict(keep=10, both_closed=False), ("", "", "FIN not acknowledged")),
+            (dict(both_closed=False), ("", "", "agents did not both reach CLOSED")),
+            (dict(halt_reason="step budget exhausted"), ("", "", "timeout")),
+            (dict(), ("", "", "")),
+        ],
+    )
+    def test_each_failure_reason(self, doctor, expected):
+        phases = ("handshake", "data_transfer", "termination")
+        assert grade_doctored(**doctor) == {
+            phase: PhaseResult(not reason, reason) for phase, reason in zip(phases, expected)
+        }
+
+
 class TestFaultInjection:
-    def record_stream(self, seed=42, scenario=None):
-        t = run_session(OracleCore(), OracleCore(), scenario or Scenario(), seed=seed)
-        return [(e.direction, e.segment) for e in t.entries]
+    """`replay_deliveries` on recorded streams edited by hand, as `inject`
+    edits them; the CLI's checks on the edit are in test_cli.py."""
 
-    def iss(self, seed=42):
-        t = run_session(OracleCore(), OracleCore(), Scenario(), seed=seed)
-        return t.client_iss, t.server_iss
+    def recorded(self):
+        t = run_session(OracleCore(), OracleCore(), Scenario(), seed=42)
+        return [(e.direction, e.segment) for e in t.entries], (t.client_iss, t.server_iss)
 
-    def test_none_is_identity(self):
-        stream = self.record_stream()
-        assert inject_fault(stream, FaultSpec()) == stream
+    def test_unmutated_replay_all_normal(self):
+        stream, iss = self.recorded()
+        assert replay_deliveries(stream, *iss) == [Verdict.NORMAL] * len(stream)
 
     def test_swap_triggers_order_error_on_replay(self):
-        stream = self.record_stream()
-        mutated = inject_fault(stream, FaultSpec(FaultKind.REORDER_SWAP, target_index=3))
-        verdicts = replay_deliveries(mutated, *self.iss())
+        stream, iss = self.recorded()
+        stream[3], stream[4] = stream[4], stream[3]
+        verdicts = replay_deliveries(stream, *iss)
         assert Verdict.ORDER_ERROR in verdicts
         assert Verdict.FLAG_ERROR not in verdicts
 
     def test_flag_mutation_triggers_flag_error_on_replay(self):
-        stream = self.record_stream()
-        mutated = inject_fault(
-            stream, FaultSpec(FaultKind.FLAG_MUTATE, target_index=2, mutation=flags_parse("SYN|FIN"))
-        )
-        verdicts = replay_deliveries(mutated, *self.iss())
-        assert Verdict.FLAG_ERROR in verdicts
+        stream, iss = self.recorded()
+        sender, seg = stream[2]
+        stream[2] = (sender, Segment(seg.seq, seg.ack, flags_parse("SYN|FIN"), seg.payload))
+        verdicts = replay_deliveries(stream, *iss)
+        assert verdicts[2] is Verdict.FLAG_ERROR
+        assert verdicts[:2] == [Verdict.NORMAL] * 2
 
-    def test_unmutated_replay_all_normal(self):
-        verdicts = replay_deliveries(self.record_stream(), *self.iss())
-        assert all(v is Verdict.NORMAL for v in verdicts)
-
-    def test_index_out_of_range(self):
-        stream = self.record_stream()
-        with pytest.raises(IndexError):
-            inject_fault(stream, FaultSpec(FaultKind.REORDER_SWAP, target_index=len(stream)))
-
-    def test_fault_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(FaultKind.REORDER_SWAP)
-        with pytest.raises(ValueError):
-            FaultSpec(FaultKind.FLAG_MUTATE, target_index=1)
-        with pytest.raises(ValueError):
-            FaultSpec(FaultKind.NONE, target_index=1)
+    def test_a_receiver_stops_at_its_first_anomaly(self):
+        # After the client's FLAG_ERROR at delivery 1 (SYN|ACK mutated to
+        # SYN|FIN), every later delivery to the client reads NORMAL.
+        stream, iss = self.recorded()
+        sender, seg = stream[1]
+        assert sender is Role.SERVER
+        stream[1] = (sender, Segment(seg.seq, seg.ack, flags_parse("SYN|FIN"), seg.payload))
+        verdicts = replay_deliveries(stream, *iss)
+        assert verdicts[1] is Verdict.FLAG_ERROR
+        to_client = [v for (s, _), v in zip(stream[2:], verdicts[2:]) if s is Role.SERVER]
+        assert to_client and all(v is Verdict.NORMAL for v in to_client)
 
 
 class TestScenario:

@@ -142,6 +142,12 @@ class TestSimulate:
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 
 
+def with_blank_lines(text):
+    """text with an empty line first, a blank one after each line and a
+    whitespace-only one last."""
+    return "\n" + "".join(line + "\n\n" for line in text.splitlines()) + "  \t\n"
+
+
 def make_trace(tmp_path, capsys, sessions=3):
     """Simulate, then stitch the transcripts into one ingestible trace."""
     from smart_tcp.agent_runtime import SessionTranscript
@@ -257,6 +263,18 @@ class TestTrace2Sft:
         assert code == EXIT_OK
         assert "1 rejected lines" in stdout and "33 samples" in stdout
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        trace = make_trace(tmp_path, capsys)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text(with_blank_lines(trace.read_text()))
+        outputs = []
+        for name, src in (("a", trace), ("b", spaced)):
+            out = tmp_path / f"{name}.jsonl"
+            code, stdout, _ = run(capsys, "trace2sft", "--in", str(src), "--out", str(out), "--errors", "5")
+            assert code == EXIT_OK and "0 rejected lines" in stdout
+            outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run(
             capsys,
@@ -335,6 +353,18 @@ class TestEvaluate:
         code, _, stderr = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
         assert code == EXIT_IO and "bad truth record" in stderr
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        pred = self.write_predictions(tmp_path)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text(with_blank_lines(pred.read_text()))
+        outputs = []
+        for name, src in (("a", pred), ("b", spaced)):
+            out = tmp_path / f"{name}.json"
+            code, stdout, _ = run(capsys, "evaluate", "--pred", str(src), "--out", str(out))
+            assert code == EXIT_OK and "records=36 " in stdout
+            outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"
         pred.write_text("")
@@ -387,19 +417,69 @@ class TestInject:
         assert code == EXIT_OK
         assert "FLAG_ERROR" in stdout
 
-    def test_flag_mutate_without_mutation_is_usage(self, tmp_path, capsys):
+    def test_none_replays_the_recorded_stream_and_ignores_index(self, tmp_path, capsys):
         path = self.session_path(tmp_path, capsys)
-        code, _, stderr = run(
-            capsys, "inject", "--in", str(path), "--fault", "flag_mutate", "--index", "2"
+        out = tmp_path / "replay.jsonl"
+        code, stdout, _ = run(
+            capsys, "inject", "--in", str(path), "--fault", "none", "--index", "-5", "--out", str(out)
         )
-        assert code == EXIT_USAGE and "error" in stderr
+        assert code == EXIT_OK
+        recorded = [json.loads(l) for l in path.read_text().splitlines()[:-1]]
+        replayed = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [(r["direction"], r["segment"]) for r in replayed] == [
+            (r["direction"], r["segment"]) for r in recorded
+        ]
+        assert {r["replay_verdict"] for r in replayed} == {"NORMAL"}
+        assert stdout == f"{len(recorded)} deliveries, anomalies: none\n"
 
-    def test_index_out_of_range_is_usage(self, tmp_path, capsys):
+    # A default session has 11 deliveries: a swap's last target is 9.
+    @pytest.mark.parametrize(
+        "fault, index",
+        [
+            ("reorder_swap", "999"),
+            ("reorder_swap", "10"),
+            ("reorder_swap", "-1"),
+            ("flag_mutate", "11"),
+            ("flag_mutate", "-1"),
+        ],
+    )
+    def test_index_out_of_range_is_usage(self, tmp_path, capsys, fault, index):
         path = self.session_path(tmp_path, capsys)
-        code, _, _ = run(
-            capsys, "inject", "--in", str(path), "--fault", "reorder_swap", "--index", "999"
+        mutation = ["--mutation", "SYN|FIN"] if fault == "flag_mutate" else []
+        out = tmp_path / "replay.jsonl"
+        code, stdout, stderr = run(
+            capsys, "inject", "--in", str(path), "--fault", fault, "--index", index,
+            *mutation, "--out", str(out),
         )
-        assert code == EXIT_USAGE
+        assert code == EXIT_USAGE and stdout == "" and not out.exists()
+        assert stderr == f"error: fault target index out of range: {index}\n"
+
+    def test_last_index_is_in_range(self, tmp_path, capsys):
+        path = self.session_path(tmp_path, capsys)
+        swap = run(capsys, "inject", "--in", str(path), "--fault", "reorder_swap", "--index", "9")
+        flag = run(
+            capsys, "inject", "--in", str(path), "--fault", "flag_mutate", "--index", "10",
+            "--mutation", "SYN|FIN",
+        )
+        assert swap[0] == flag[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "fault, mutation",
+        [
+            ("flag_mutate", None),
+            ("reorder_swap", "SYN|FIN"),
+            ("none", "SYN|FIN"),
+            ("none", ""),
+        ],
+    )
+    def test_mutation_goes_with_flag_mutate_only(self, tmp_path, capsys, fault, mutation):
+        path = self.session_path(tmp_path, capsys)
+        argv = ["inject", "--in", str(path), "--fault", fault, "--index", "2"]
+        if mutation is not None:
+            argv += ["--mutation", mutation]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == "error: --mutation goes with --fault flag_mutate, and only with it\n"
 
     def test_missing_transcript_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(
@@ -461,3 +541,23 @@ def test_unreadable_input_is_io_error(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == EXIT_IO and stderr.startswith("error: ")
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace2sft", "--in", "{trace}", "--out", "{dir}"],
+        ["evaluate", "--pred", "{pred}", "--out", "{dir}"],
+        ["inject", "--in", "{session}", "--fault", "none", "--out", "{dir}"],
+    ],
+)
+def test_unwritable_out_is_io_error(tmp_path, capsys, argv):
+    # A directory where the output file should be: open() raises
+    # IsADirectoryError once the input has been read and processed.
+    inputs = {
+        "trace": make_trace(tmp_path, capsys, sessions=1),
+        "pred": TestEvaluate().write_predictions(tmp_path),
+        "session": TestInject().session_path(tmp_path, capsys),
+        "dir": tmp_path,
+    }
+    code, stdout, stderr = run(capsys, *(a.format(**inputs) for a in argv))
+    assert code == EXIT_IO and stderr.startswith("error: ") and stdout == ""
