@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, AluResult, AluTask, alu_execute
@@ -31,6 +30,7 @@ from .cognitive_core import (
     CognitiveInput,
     MalformedDecision,
     Verdict,
+    encode_compact,
     oracle_transition,
 )
 from .evaluation import _pct
@@ -81,12 +81,14 @@ def remember(
     `received`: snd_nxt follows the segment sent, irs is learned from the
     first SYN received and rcv_nxt follows the segment consumed."""
     snd_nxt, irs, rcv_nxt = s.snd_nxt, s.irs, s.rcv_nxt
+    # Segment has checked seq and a footprint is never negative, so the sums
+    # need seq_add's wrap but not its checks; AgentState checks the results.
     if sent is not None:
-        snd_nxt = seq_add(sent.seq, segment_consumes(sent))
+        snd_nxt = (sent.seq + segment_consumes(sent)) % SEQ_MOD
     if received is not None:
         if irs is None and received.flags.syn:
             irs = received.seq
-        rcv_nxt = seq_add(received.seq, segment_consumes(received))
+        rcv_nxt = (received.seq + segment_consumes(received)) % SEQ_MOD
     # No 2MSL timer in a lossless ordered simulation.
     if next_state is TcpState.TIME_WAIT:
         next_state = TcpState.CLOSED
@@ -193,8 +195,7 @@ class Agent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     data_script: Tuple[Tuple[Role, int], ...] = ((Role.CLIENT, 512), (Role.SERVER, 256))
     closer: Role = Role.CLIENT
     steps_budget: int = 64
@@ -249,8 +250,7 @@ class Scenario:
                 raise ValueError("JSON nests too deeply") from None
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     passed: bool
     reason: str = ""
 
@@ -258,8 +258,7 @@ class PhaseResult:
         return {"passed": self.passed, "reason": self.reason}
 
 
-@dataclass
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     step: int
     direction: Role  # sender
     segment: Segment
@@ -282,15 +281,32 @@ class TranscriptEntry:
         return obj
 
 
-@dataclass
 class SessionTranscript:
-    scenario_id: str
-    rng_seed: int
-    entries: List[TranscriptEntry] = field(default_factory=list)
-    phase_results: Dict[str, PhaseResult] = field(default_factory=dict)
-    halt_reason: str = ""
-    client_iss: int = 0
-    server_iss: int = 0
+    """One session's deliveries, grades and halt reason; the session driver
+    fills it in as the session runs."""
+
+    __slots__ = (
+        "scenario_id", "rng_seed", "entries", "phase_results",
+        "halt_reason", "client_iss", "server_iss",
+    )
+
+    def __init__(
+        self,
+        scenario_id: str,
+        rng_seed: int,
+        entries: Optional[List[TranscriptEntry]] = None,
+        phase_results: Optional[Dict[str, PhaseResult]] = None,
+        halt_reason: str = "",
+        client_iss: int = 0,
+        server_iss: int = 0,
+    ):
+        self.scenario_id = scenario_id
+        self.rng_seed = rng_seed
+        self.entries = [] if entries is None else entries
+        self.phase_results = {} if phase_results is None else phase_results
+        self.halt_reason = halt_reason
+        self.client_iss = client_iss
+        self.server_iss = server_iss
 
     def all_passed(self) -> bool:
         return all(p.passed for p in self.phase_results.values())
@@ -298,7 +314,7 @@ class SessionTranscript:
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for e in self.entries:
-                fh.write(json.dumps(e.to_wire(), separators=(",", ":")) + "\n")
+                fh.write(encode_compact(e.to_wire()) + "\n")
             trailer = {
                 "trailer": {
                     "scenario_id": self.scenario_id,
@@ -311,7 +327,7 @@ class SessionTranscript:
                     },
                 }
             }
-            fh.write(json.dumps(trailer, separators=(",", ":")) + "\n")
+            fh.write(encode_compact(trailer) + "\n")
 
     @classmethod
     def read(cls, path) -> "SessionTranscript":
@@ -428,28 +444,26 @@ def run_session(
     actions: deque = deque()
     actions.append((Role.SERVER, LocalAction(ActionKind.OPEN_PASSIVE)))
     actions.append((Role.CLIENT, LocalAction(ActionKind.OPEN_ACTIVE)))
+    # Transcripts, prompts and traces carry payload lengths only, so the
+    # data is zeros, as Segment.from_wire fills a payload in.
     for side, n in scenario.data_script:
-        actions.append((side, LocalAction(ActionKind.SEND, rng.randbytes(n))))
+        actions.append((side, LocalAction(ActionKind.SEND, bytes(n))))
     other = Role.SERVER if scenario.closer is Role.CLIENT else Role.CLIENT
     actions.append((scenario.closer, LocalAction(ActionKind.CLOSE)))
     actions.append((other, LocalAction(ActionKind.CLOSE)))
 
-    in_flight: deque = deque()  # (receiver, TranscriptEntry)
+    in_flight: deque = deque()  # TranscriptEntry; the sender's peer receives it
+    entries = transcript.entries
     step = 0
-
-    def enqueue(sender: Role, outcome: StepOutcome) -> None:
-        if outcome.emitted is not None:
-            receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
-            entry = TranscriptEntry(step, sender, outcome.emitted, outcome)
-            in_flight.append((receiver, entry))
 
     while step < scenario.steps_budget:
         if in_flight:
-            receiver, entry = in_flight.popleft()
+            entry = in_flight.popleft()
+            receiver = Role.SERVER if entry.direction is Role.CLIENT else Role.CLIENT
             step += 1
-            transcript.entries.append(entry)
+            entries.append(entry)
             try:
-                outcome = agents[receiver].step(segment=entry.segment)
+                outcome = agents[receiver].step(entry.segment, None)
             except (MalformedDecision, StepFailure) as exc:
                 transcript.halt_reason = f"{receiver.value} step failure: {exc}"
                 break
@@ -458,7 +472,8 @@ def run_session(
                     f"{receiver.value} verdict {outcome.decision.verdict.value}"
                 )
                 break
-            enqueue(receiver, outcome)
+            if outcome.emitted is not None:
+                in_flight.append(TranscriptEntry(step, receiver, outcome.emitted, outcome))
             continue
         if not actions:
             break  # quiescent: session complete
@@ -472,14 +487,16 @@ def run_session(
         actions.popleft()
         step += 1
         try:
-            outcome = agents[role].step(action=action)
+            outcome = agents[role].step(None, action)
         except (MalformedDecision, StepFailure) as exc:
             transcript.halt_reason = f"{role.value} step failure: {exc}"
             break
-        enqueue(role, outcome)
-
-    if step >= scenario.steps_budget:
-        transcript.halt_reason = transcript.halt_reason or "step budget exhausted"
+        if outcome.emitted is not None:
+            in_flight.append(TranscriptEntry(step, role, outcome.emitted, outcome))
+    else:
+        # The budget ran out; a session whose last step used it up is done.
+        if in_flight or actions:
+            transcript.halt_reason = "step budget exhausted"
 
     both_closed = all(a.state.state is TcpState.CLOSED for a in agents.values())
     transcript.phase_results = grade_session(transcript, scenario, both_closed)
@@ -501,13 +518,13 @@ def grade_session(
         hs_fail = "fewer than three segments"
     else:
         (d0, s0), (d1, s1), (d2, s2) = segs[0], segs[1], segs[2]
-        if d0 is not Role.CLIENT or s0.flags != FLAGS_SYN or s0.payload_len:
+        if d0 is not Role.CLIENT or s0.flags != FLAGS_SYN or s0.payload:
             hs_fail = "first segment is not a client SYN"
         elif d1 is not Role.SERVER or s1.flags != FLAGS_SYN_ACK:
             hs_fail = "second segment is not a server SYN|ACK"
         elif s1.ack != seq_add(s0.seq, 1):
             hs_fail = "SYN|ACK does not acknowledge client ISN+1"
-        elif d2 is not Role.CLIENT or s2.flags != FLAGS_ACK or s2.payload_len:
+        elif d2 is not Role.CLIENT or s2.flags != FLAGS_ACK or s2.payload:
             hs_fail = "third segment is not a pure ACK"
         elif s2.ack != seq_add(s1.seq, 1) or s2.seq != seq_add(s0.seq, 1):
             hs_fail = "handshake ACK numbers wrong"
@@ -533,16 +550,17 @@ def grade_session(
         if seg.flags.syn:
             term_fail = term_fail or "unexpected SYN after handshake"
             continue
-        if seg.payload_len:
+        n = len(seg.payload)
+        if n:
             if fin_seen[sender] is not None:
                 data_fail = data_fail or "data after FIN"
             if seg.seq != expected[sender]:
                 data_fail = data_fail or "data segment out of sequence"
-            if script_left and script_left[0] == (sender, seg.payload_len):
+            if script_left and script_left[0] == (sender, n):
                 script_left.pop(0)
             else:
                 data_fail = data_fail or "data segment does not match script"
-            expected[sender] = seq_add(expected[sender], seg.payload_len)
+            expected[sender] = seq_add(expected[sender], n)
         if seg.flags.fin:
             if fin_seen[sender] is not None:
                 term_fail = term_fail or "duplicate FIN"
@@ -565,10 +583,11 @@ def grade_session(
 
     if script_left:
         data_fail = data_fail or "scripted data never transferred"
-    if transcript.halt_reason and (data_fail is None and term_fail is None):
-        # Session halted abnormally; blame the earliest incomplete phase.
-        if script_left or fin_seen[scenario.closer] is None:
-            data_fail = data_fail or f"halted: {transcript.halt_reason}"
+    if transcript.halt_reason and data_fail is None and term_fail is None:
+        # Session halted abnormally; blame the earliest incomplete phase. All
+        # scripted data went through, or data_fail would say so.
+        if fin_seen[scenario.closer] is None:
+            data_fail = f"halted: {transcript.halt_reason}"
     results["data_transfer"] = PhaseResult(data_fail is None, data_fail or "")
 
     if term_fail is None:
@@ -588,14 +607,13 @@ def grade_session(
     return results
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     n: int
     handshake: float
     data_transfer: float
     termination: float
     trial_accuracy: float
-    transcripts: List[SessionTranscript] = field(default_factory=list)
+    transcripts: List[SessionTranscript]
 
     def to_wire(self) -> dict:
         return {

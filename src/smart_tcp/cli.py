@@ -19,6 +19,7 @@ from .cognitive_core import (
     RemoteConfig,
     RemoteCore,
     TransportError,
+    encode_compact,
 )
 from .dataset_pipeline import (
     Completeness,
@@ -179,17 +180,12 @@ def cmd_inject(args) -> int:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 for (sender, seg), verdict in zip(deliveries, verdicts):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "direction": sender.value,
-                                "segment": seg.to_wire(),
-                                "replay_verdict": verdict.value,
-                            },
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
+                    obj = {
+                        "direction": sender.value,
+                        "segment": seg.to_wire(),
+                        "replay_verdict": verdict.value,
+                    }
+                    fh.write(encode_compact(obj) + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO

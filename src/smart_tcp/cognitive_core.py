@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Optional
 
@@ -180,16 +179,16 @@ def _decode_decision(next_state, flags, payload_len, t_task, verdict) -> Cogniti
     return CognitiveDecision(state, reply_flags, payload_len, task, kind)
 
 
-# Compact JSON, the byte format of prompts and SFT lines (serialize_input
-# writes the same format from a template). json.dumps with separators builds
-# a new encoder on every call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# Compact JSON, the byte format of prompts, SFT lines, transcripts, traces
+# and inject output (serialize_input writes the same format from a
+# template). json.dumps with separators builds a new encoder on every call.
+encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 # Equal decisions serialize alike, and a dataset repeats a few dozen of them.
 @functools.lru_cache(maxsize=DECISION_MEMO_SIZE)
 def serialize_decision(d: CognitiveDecision) -> str:
-    return _encode(d.to_wire())
+    return encode_compact(d.to_wire())
 
 
 def serialize_input(i: CognitiveInput) -> str:
@@ -452,7 +451,7 @@ class CognitiveCore:
 
 class OracleCore(CognitiveCore):
     def decide(self, input: CognitiveInput) -> CognitiveDecision:
-        return oracle_transition(input.s, input.r, input.a)
+        return oracle_transition(*input)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +492,7 @@ TEMPERATURE = 0.0
 TIMEOUT = 30.0
 
 
-@dataclass
-class RemoteConfig:
+class RemoteConfig(NamedTuple):
     endpoint: str
     api_key: Optional[str] = None
 

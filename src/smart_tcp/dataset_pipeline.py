@@ -13,7 +13,6 @@ import logging
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
@@ -25,6 +24,7 @@ from .cognitive_core import (
     CognitiveInput,
     PERSONA,
     Verdict,
+    encode_compact,
     oracle_transition,
     serialize_decision,
     serialize_input,
@@ -79,12 +79,22 @@ class Completeness(Enum):
     INCOMPLETE = "INCOMPLETE"
 
 
-@dataclass
 class Flow:
-    flow_id: str
-    initiator: FiveTuple  # 5-tuple as seen from the client (first SYN sender)
-    records: List[TraceRecord] = field(default_factory=list)
-    completeness: Completeness = Completeness.INCOMPLETE
+    """One connection's records; `extract_flows` fills it in and finalizes it."""
+
+    __slots__ = ("flow_id", "initiator", "records", "completeness")
+
+    def __init__(
+        self,
+        flow_id: str,
+        initiator: FiveTuple,  # 5-tuple as seen from the client (first SYN sender)
+        records: Optional[List[TraceRecord]] = None,
+        completeness: Completeness = Completeness.INCOMPLETE,
+    ):
+        self.flow_id = flow_id
+        self.initiator = initiator
+        self.records = [] if records is None else records
+        self.completeness = completeness
 
     def finalize(self) -> None:
         self.completeness = (
@@ -128,8 +138,7 @@ class Flow:
         return True
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     records: List[TraceRecord]
     rejects: List[Tuple[int, str]]  # (line number, reason)
 
@@ -411,7 +420,7 @@ def emit_sft(samples: List[LabeledSample], path, format: SftFormat = SftFormat.P
                     "input": serialize_input(sample.input),
                     "output": serialize_decision(sample.label),
                 }
-                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+                fh.write(encode_compact(obj) + "\n")
 
 
 def check_alu_consistency(sample: LabeledSample, observed: Segment) -> bool:
@@ -453,4 +462,4 @@ def transcript_to_trace_records(
 def write_trace(records: List[TraceRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_wire(), separators=(",", ":")) + "\n")
+            fh.write(encode_compact(rec.to_wire()) + "\n")

@@ -10,7 +10,6 @@ columns and of error-category counts is the order of first appearance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -31,23 +30,20 @@ class PredictionRecord(NamedTuple):
     provenance: Optional[dict] = None
 
 
-@dataclass
-class ClassScore:
+class ClassScore(NamedTuple):
     precision: float
     recall: float
     support: int
     undefined_precision: bool = False
 
 
-@dataclass
-class ErrorDetectionMetrics:
+class ErrorDetectionMetrics(NamedTuple):
     overall_accuracy: float
     recall_by_category: Dict[str, float]
     counts: Dict[str, int]
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     field_accuracy: Dict[str, float]
     atomic_accuracy: float
     newstate_scores: Dict[str, ClassScore]

@@ -7,11 +7,13 @@ Value types: the values that every agent step and every trace or prediction
 record builds (here `TcpFlags`, `Segment`, `LocalAction` and `AgentState`;
 likewise `AluResult`, `CognitiveInput`, `CognitiveDecision`, `StepOutcome`,
 `FiveTuple`, `TraceRecord`, `LabeledSample` and `PredictionRecord`) are
-`typing.NamedTuple` classes, so construction, `==` and `hash` run in C. A
-type that checks its arguments is a subclass of its NamedTuple with
-`__slots__ = ()` and does the checks in `__new__` (`Segment` checks in
-`__init__` and zeroes `ack` in `__new__`). Being tuples has consequences
-that code using them must keep in mind:
+`typing.NamedTuple` classes. `==` and `hash` run in C; construction is one
+generated Python lambda around `tuple.__new__` (cProfile shows it as
+`<string>:1(<lambda>)`), where a dataclass runs an `__init__` that sets
+each field. A type that checks its arguments is a subclass of its
+NamedTuple with `__slots__ = ()` and does the checks in `__new__`
+(`Segment` checks in `__init__` and zeroes `ack` in `__new__`). Being
+tuples has consequences that code using them must keep in mind:
 - a value compares equal to, and hashes like, a plain tuple (or a value of
   another type) with the same fields, so never mix types as keys of one dict
   or set;
@@ -21,7 +23,12 @@ that code using them must keep in mind:
   and action have no other);
 - a checked type overrides `_make` to call the class, so `_make` and
   `_replace` run the same checks as a call.
-Configuration and per-session types stay dataclasses.
+The same rule holds everywhere: immutable values (configuration,
+scenarios, grades and reports too) are NamedTuples, and the mutable
+per-session or per-flow containers, `agent_runtime.SessionTranscript` and
+`dataset_pipeline.Flow`, are `__slots__` classes. No module imports
+`dataclasses`, which would pull `inspect`, `ast`, `dis` and `tokenize` into
+every command's start-up.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """Agent step loop, dual-agent sessions, grading and fault injection."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -248,6 +247,16 @@ class TestRunSession:
         assert not t.phase_results["data_transfer"].passed
         assert not t.phase_results["termination"].passed
 
+    def test_a_session_that_ends_on_its_last_budgeted_step_passes(self):
+        # Seed 1's default session takes 17 steps: 11 deliveries and 6 actions.
+        done = run_session(OracleCore(), OracleCore(), Scenario(steps_budget=17), seed=1)
+        assert done.halt_reason == ""
+        assert all(p.passed for p in done.phase_results.values()), done.phase_results
+        short = run_session(OracleCore(), OracleCore(), Scenario(steps_budget=16), seed=1)
+        assert short.halt_reason == "step budget exhausted"
+        # The last ACK never arrives.
+        assert short.phase_results["termination"] == PhaseResult(False, "FIN not acknowledged")
+
     def test_ack_conservation(self):
         # Every ACK acknowledges exactly the peer's consumed sequence space,
         # replayed with independent counters.
@@ -404,7 +413,7 @@ def grade_doctored(
             flags_parse(flags) if flags else seg.flags,
             seg.payload if payload is None else payload,
         )
-        entries[index] = replace(entries[index], segment=seg)
+        entries[index] = entries[index]._replace(segment=seg)
     t = SessionTranscript("doctored", 1, entries, halt_reason=halt_reason)
     return grade_session(t, Scenario(data_script=script), both_closed)
 

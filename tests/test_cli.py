@@ -41,6 +41,22 @@ def test_import_loads_no_transport_or_third_party_module():
     assert result.stdout == "[]\n"
 
 
+def test_import_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which every command
+    # would pay for at start-up. -S keeps site's own imports out of the count.
+    src = str(Path(smart_tcp.__file__).resolve().parents[1])
+    probe = "import sys, smart_tcp.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 class TestSimulate:
     def test_oracle_run_writes_transcripts_and_report(self, tmp_path, capsys):
         out = tmp_path / "runs"
