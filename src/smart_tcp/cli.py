@@ -31,7 +31,13 @@ from .dataset_pipeline import (
     ingest_trace,
     reconstruct_labels,
 )
-from .evaluation import ReportFormat, compute_report, emit_report, load_prediction_records
+from .evaluation import (
+    EmptyRecordSet,
+    ReportFormat,
+    compute_report,
+    emit_report,
+    load_prediction_records,
+)
 from .tcp_core import Segment, flags_parse
 
 EXIT_OK = 0
@@ -129,15 +135,16 @@ def cmd_trace2sft(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # The records are read while the report is counted, so a bad line ends
+    # the run when it is reached.
     try:
-        records = load_prediction_records(args.pred)
+        report = compute_report(load_prediction_records(args.pred))
+    except EmptyRecordSet:
+        print("error: empty prediction file", file=sys.stderr)
+        return EXIT_IO
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if not records:
-        print("error: empty prediction file", file=sys.stderr)
-        return EXIT_IO
-    report = compute_report(records)
     fmt = ReportFormat(args.format.upper())
     try:
         emit_report(report, args.out, fmt)

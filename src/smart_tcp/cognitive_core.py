@@ -184,6 +184,25 @@ def _decode_decision(next_state, flags, payload_len, t_task, verdict) -> Cogniti
 # template). json.dumps with separators builds a new encoder on every call.
 encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
+_raw_decode = json.JSONDecoder().raw_decode
+_skip_whitespace = json.decoder.WHITESPACE.match
+
+
+def decode_stripped(line: str):
+    """`json.loads(line)` for a str that `str.strip()` has already trimmed:
+    the same value, or the same JSONDecodeError message ("Unexpected UTF-8
+    BOM (decode using utf-8-sig)", "Expecting value", "Extra data", or the
+    scanner's own). A trimmed line starts with no JSON whitespace, so this
+    skips json.loads's argument checks and its two whitespace scans."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _raw_decode(line)
+    if end != len(line):
+        # json.loads reports trailing data after the whitespace that follows
+        # the value.
+        raise json.JSONDecodeError("Extra data", line, _skip_whitespace(line, end).end())
+    return obj
+
 
 # Equal decisions serialize alike, and a dataset repeats a few dozen of them.
 @functools.lru_cache(maxsize=DECISION_MEMO_SIZE)

@@ -8,7 +8,6 @@ mutated error dataset for anomaly training.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -24,6 +23,7 @@ from .cognitive_core import (
     CognitiveInput,
     PERSONA,
     Verdict,
+    decode_stripped,
     encode_compact,
     oracle_transition,
     serialize_decision,
@@ -171,7 +171,7 @@ def ingest_trace(path) -> IngestResult:
                         line.encode("utf-8")
                     except UnicodeEncodeError:
                         raise ValueError("line is not valid UTF-8") from None
-                obj = json.loads(line)
+                obj = decode_stripped(line)
                 if not isinstance(obj, dict):
                     raise ValueError(f"not a JSON object: {type(obj).__name__}")
                 proto = str(obj.get("proto", "")).lower()

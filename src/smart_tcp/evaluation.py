@@ -5,15 +5,20 @@ averages, a row-normalized state confusion matrix and error-detection
 metrics, all counted in one pass over immutable prediction records. Every
 score is independent of record order; the order of confusion rows and
 columns and of error-category counts is the order of first appearance.
+
+Records stream: `load_prediction_records` yields one record per line as it
+reads the file, and `compute_report` counts them as they arrive, so memory
+does not grow with the file's size and a bad line is reported when it is
+reached.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .cognitive_core import CognitiveDecision, MalformedDecision, Verdict
+from .cognitive_core import CognitiveDecision, MalformedDecision, Verdict, decode_stripped
 from .tcp_core import SEQ_MOD
 
 FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
@@ -87,19 +92,23 @@ def _flags_label(flags) -> str:
     return flags.render() if flags is not None else "(none)"
 
 
-def compute_report(records: List[PredictionRecord]) -> MetricsReport:
-    """Every score of the report, from one pass over the records.
+class EmptyRecordSet(ValueError):
+    """compute_report was given no records."""
+
+
+def compute_report(records: Iterable[PredictionRecord]) -> MetricsReport:
+    """Every score of the report, from one pass over the records, which may
+    be any iterable, a one-shot generator included.
 
     A malformed prediction is wrong on every field. Seq/Ack are scored only
     on records with ground-truth numbers. Confusion rows are true states,
     each cell the percentage of its row rounded to one decimal. A NORMAL
     verdict on an error sample is a miss; error detection is reported only
-    when the truth set holds an error sample.
+    when the truth set holds an error sample. Raises EmptyRecordSet, a
+    ValueError, when there are no records.
     """
-    if not records:
-        raise ValueError("cannot build a report from an empty record set")
     normal = Verdict.NORMAL
-    state_hits = flags_hits = plen_hits = seq_hits = ack_hits = atomic_hits = 0
+    n = state_hits = flags_hits = plen_hits = seq_hits = ack_hits = atomic_hits = 0
     numbered = malformed = verdict_hits = 0
     # confusion[true state][predicted state or MALFORMED] and
     # flag_pairs[(true flags, predicted flags or MALFORMED)]: record counts.
@@ -107,11 +116,8 @@ def compute_report(records: List[PredictionRecord]) -> MetricsReport:
     flag_pairs: Dict = {}
     category_totals: Dict[Verdict, int] = {}
     category_hits: Dict[Verdict, int] = {}
-    for r in records:
-        t = r.truth
-        p = r.predicted
-        tn = r.truth_numbers
-        t_verdict = t.verdict
+    for n, (t, p, tn, pn, _) in enumerate(records, start=1):
+        t_state, t_flags, t_plen, _, t_verdict = t
         if tn is not None:
             numbered += 1
         if p is None:
@@ -119,38 +125,37 @@ def compute_report(records: List[PredictionRecord]) -> MetricsReport:
             p_state = p_flags = MALFORMED
             verdict_hit = False
         else:
-            p_state = p.next_state
-            p_flags = p.flags
-            state_ok = p_state is t.next_state
+            p_state, p_flags, p_plen, _, p_verdict = p
+            state_ok = p_state is t_state
             # Decoded flags are memoized, so equal flags are mostly one object.
-            flags_ok = p_flags is t.flags or p_flags == t.flags
-            plen_ok = p.payload_len == t.payload_len
+            flags_ok = p_flags is t_flags or p_flags == t_flags
+            plen_ok = p_plen == t_plen
             state_hits += state_ok
             flags_hits += flags_ok
             plen_hits += plen_ok
             atom = state_ok and flags_ok and plen_ok
             if tn is not None:
-                pn = r.predicted_numbers
                 seq_ok = pn is not None and tn[0] == pn[0]
                 ack_ok = pn is not None and tn[1] == pn[1]
                 seq_hits += seq_ok
                 ack_hits += ack_ok
                 atom = atom and seq_ok and ack_ok
             atomic_hits += atom
-            verdict_hit = p.verdict is t_verdict
+            verdict_hit = p_verdict is t_verdict
             verdict_hits += verdict_hit
-        row = confusion.get(t.next_state)
+        row = confusion.get(t_state)
         if row is None:
-            row = confusion[t.next_state] = {}
+            row = confusion[t_state] = {}
         row[p_state] = row.get(p_state, 0) + 1
-        key = (t.flags, p_flags)
+        key = (t_flags, p_flags)
         flag_pairs[key] = flag_pairs.get(key, 0) + 1
         if t_verdict is not normal:
             category_totals[t_verdict] = category_totals.get(t_verdict, 0) + 1
             if verdict_hit:
                 category_hits[t_verdict] = category_hits.get(t_verdict, 0) + 1
+    if not n:
+        raise EmptyRecordSet("cannot build a report from an empty record set")
 
-    n = len(records)
     state_pairs: Dict[Tuple[str, str], int] = {}
     matrix: Dict[str, Dict[str, float]] = {}
     for t_state, row in confusion.items():
@@ -295,11 +300,9 @@ def emit_report(report: MetricsReport, path, format: ReportFormat = ReportFormat
 # ---------------------------------------------------------------------------
 
 
-def _load_numbers(value) -> Optional[Tuple[int, int]]:
-    """(seq, ack) from null or a list of exactly two integers in [0, 2^32).
-    Raises ValueError for anything else."""
-    if value is None:
-        return None
+def _load_numbers(value) -> Tuple[int, int]:
+    """(seq, ack) from a non-null numbers value: a list of exactly two
+    integers in [0, 2^32). Raises ValueError for anything else."""
     if type(value) is list and len(value) == 2:
         seq, ack = value
         # type() rather than isinstance: JSON true/false load as bools.
@@ -308,48 +311,56 @@ def _load_numbers(value) -> Optional[Tuple[int, int]]:
     raise ValueError(f"numbers must be null or two integers in [0, 2^32): {value!r}")
 
 
+# Bound once: reading the classmethod off the class builds a new bound method.
+_decision_from_wire = CognitiveDecision.from_wire
+
+
 def _load_record(line: str) -> PredictionRecord:
-    """One record from one non-blank line; ValueError for a bad truth side."""
+    """One record from one stripped, non-blank line; ValueError for a bad
+    truth side."""
     try:
-        obj = json.loads(line)
+        obj = decode_stripped(line)
         truth_obj = obj["truth"]
-        truth = CognitiveDecision.from_wire(truth_obj["decision"])
-        truth_numbers = _load_numbers(truth_obj.get("numbers"))
+        truth = _decision_from_wire(truth_obj["decision"])
+        truth_numbers = truth_obj.get("numbers")
+        if truth_numbers is not None:
+            truth_numbers = _load_numbers(truth_numbers)
     except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
         raise ValueError(f"bad truth record: {exc}") from None
+    # obj is a dict: obj["truth"] raised TypeError for any other JSON value.
     pred_obj = obj.get("predicted")
-    if not isinstance(pred_obj, dict):
-        pred_obj = {}
-    try:
-        predicted = CognitiveDecision.from_wire(pred_obj.get("decision"))
-    except MalformedDecision:
-        predicted = None
-    try:
-        predicted_numbers = _load_numbers(pred_obj.get("numbers"))
-    except ValueError:
-        predicted_numbers = None
-    return PredictionRecord(
-        truth, predicted, truth_numbers, predicted_numbers, obj.get("provenance")
-    )
+    predicted = predicted_numbers = None
+    if type(pred_obj) is dict:
+        try:
+            predicted = _decision_from_wire(pred_obj.get("decision"))
+        except MalformedDecision:
+            pass
+        predicted_numbers = pred_obj.get("numbers")
+        if predicted_numbers is not None:
+            try:
+                predicted_numbers = _load_numbers(predicted_numbers)
+            except ValueError:
+                predicted_numbers = None
+    return PredictionRecord(truth, predicted, truth_numbers, predicted_numbers, obj.get("provenance"))
 
 
-def load_prediction_records(path) -> List[PredictionRecord]:
-    """Read newline-delimited {input, truth, predicted} records. A record
-    whose predicted side is null or schema-invalid scores as malformed; a
-    predicted side with bad numbers scores as wrong numbers. Raises
-    ValueError, naming the line, for a bad truth side."""
-    records = []
+def load_prediction_records(path) -> Iterator[PredictionRecord]:
+    """Yield the newline-delimited {input, truth, predicted} records of a
+    file, in file order, reading one line at a time. A record whose
+    predicted side is null or schema-invalid scores as malformed; a
+    predicted side with bad numbers scores as wrong numbers. A bad truth
+    side raises ValueError, naming its line, when that line is reached."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             # RecursionError: JSON nested past the interpreter's recursion
-            # limit, met by json.loads or by the repr in an error message.
+            # limit, met by the decoder or by the repr in an error message.
             try:
-                records.append(_load_record(line))
+                record = _load_record(line)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             except RecursionError:
                 raise ValueError(f"{path} line {lineno}: JSON nests too deeply") from None
-    return records
+            yield record

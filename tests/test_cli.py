@@ -1,5 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -381,20 +382,50 @@ class TestEvaluate:
             outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
         assert outputs[0] == outputs[1]
 
+    def evaluate_error(self, tmp_path, capsys, pred):
+        out = tmp_path / "r.json"
+        code, stdout, stderr = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))
+        assert stdout == "" and not out.exists()
+        return code, stderr
+
+    @pytest.mark.parametrize("bad", ["\ufeff{good}", "{good} {{}}", "{good}x"])
+    def test_undecodable_line_names_the_json_error(self, tmp_path, capsys, bad):
+        pred = self.write_predictions(tmp_path, n_correct=2, n_wrong=0)
+        good = pred.read_text().splitlines()[0]
+        line = bad.format(good=good)
+        pred.write_text(f"{good}\n{line}\n{good}\n")
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(line)
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, f"error: {pred} line 2: bad truth record: {exc.value}\n"
+        )
+
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"
         pred.write_text("")
-        code, _, stderr = run(
-            capsys, "evaluate", "--pred", str(pred), "--out", str(tmp_path / "r.json")
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, "error: empty prediction file\n"
         )
-        assert code == EXIT_IO and "empty" in stderr
+
+    def test_blank_lines_only_is_io_error(self, tmp_path, capsys):
+        pred = tmp_path / "blank.jsonl"
+        pred.write_text("\n  \n\t\r\n\n")
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, "error: empty prediction file\n"
+        )
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
-        code, _, _ = run(
-            capsys,
-            "evaluate", "--pred", str(tmp_path / "nope"), "--out", str(tmp_path / "r"),
+        pred = tmp_path / "nope"
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(pred)!r}\n"
         )
-        assert code == EXIT_IO
+
+    def test_directory_as_pred_is_io_error(self, tmp_path, capsys):
+        pred = tmp_path / "preds"
+        pred.mkdir()
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(pred)!r}\n"
+        )
 
 
 class TestInject:

@@ -20,6 +20,7 @@ from smart_tcp.cognitive_core import (
     RemoteCore,
     Verdict,
     build_prompt,
+    decode_stripped,
     oracle_transition,
     parse_decision,
     serialize_decision,
@@ -337,6 +338,52 @@ class TestLenientScan:
         with pytest.raises(MalformedDecision, match="no JSON object found"):
             parse_decision("{" * 20_000)
         assert time.perf_counter() - t0 < 0.5
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Whole documents, JSON-ish fragments and any text, joined by whitespace or
+# nothing, sometimes after a BOM: concatenated values and trailing junk.
+json_fragments = st.one_of(
+    json_values.map(json.dumps),
+    st.text(alphabet='{}[]",:-+.0123456789eEtrufalsnIiNy \t\\', max_size=16),
+    st.text(max_size=8),
+)
+json_lines = st.builds(
+    lambda bom, sep, parts: ("\ufeff" if bom else "") + sep.join(parts),
+    st.booleans(),
+    st.sampled_from(["", " ", "\t", "\r\n", " \n "]),
+    st.lists(json_fragments, min_size=1, max_size=3),
+)
+
+
+class TestDecodeStripped:
+    """`decode_stripped` is `json.loads` for a line that `str.strip()` has
+    trimmed: the same value, or a JSONDecodeError with the same message."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(json_lines)
+    @example("\ufeff{}")
+    @example('{"a":1} {"b":2}')
+    @example("[1]\t \r\n[2]")
+    @example('{"a":1}x')
+    @example("")
+    @example("NaN")
+    @example("1 2")
+    def test_same_result_as_json_loads(self, text):
+        line = text.strip()
+        try:
+            want = json.loads(line)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(json.JSONDecodeError) as got:
+                decode_stripped(line)
+            assert (str(got.value), got.value.pos) == (str(exc), exc.pos)
+        else:
+            # repr tells 1 from 1.0 and True, and shows NaN as itself.
+            assert repr(decode_stripped(line)) == repr(want)
 
 
 # Every non-empty flag set, and the sequence values at the edges of the space.

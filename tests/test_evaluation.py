@@ -8,6 +8,8 @@ the one-pass report to them, byte for byte.
 import hashlib
 import json
 import random
+import re
+import tracemalloc
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -470,6 +472,8 @@ class TestReport:
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
             compute_report([])
+        with pytest.raises(ValueError):
+            compute_report(iter([]))
 
     def test_emit_machine_round_trips(self, tmp_path):
         report = compute_report(perfect(3))
@@ -488,6 +492,44 @@ class TestReport:
         assert "confusion matrix" in text
 
 
+def test_a_one_shot_iterator_gives_the_list_report():
+    records = seeded_records(5, 600)
+    assert compute_report(r for r in records) == compute_report(records)
+
+
+def write_prediction_file(path, records):
+    """Write records as a prediction file, one compact JSON line each."""
+
+    def side(d, numbers):
+        return {"decision": d.to_wire(), "numbers": None if numbers is None else list(numbers)}
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            predicted = None if r.predicted is None else side(r.predicted, r.predicted_numbers)
+            obj = {"truth": side(r.truth, r.truth_numbers), "predicted": predicted}
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    return path
+
+
+def test_scoring_a_file_does_not_hold_its_records(tmp_path):
+    # A list of 20,000 records alone takes megabytes; read one at a time, the
+    # peak is the line being decoded and the report's counters.
+    records = seeded_records(11, 20_000)
+    path = write_prediction_file(tmp_path / "pred.jsonl", records)
+    expected = compute_report(records)
+    del records
+    # The first pass fills the decision and flag memos, which are bounded.
+    assert compute_report(load_prediction_records(path)) == expected
+    tracemalloc.start()
+    try:
+        report = compute_report(load_prediction_records(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == expected
+    assert peak < 0.5 * 2**20, f"peak {peak} bytes"
+
+
 class TestLoadPredictionRecords:
     def write(self, tmp_path, lines):
         path = tmp_path / "pred.jsonl"
@@ -503,7 +545,7 @@ class TestLoadPredictionRecords:
 
     def test_round_trip(self, tmp_path):
         path = self.write(tmp_path, [self.good_line()])
-        records = load_prediction_records(path)
+        records = list(load_prediction_records(path))
         assert len(records) == 1
         assert records[0].truth_numbers == (10, 20)
         assert compute_report(records).atomic_accuracy == 1.0
@@ -511,43 +553,50 @@ class TestLoadPredictionRecords:
     def test_null_predicted_is_malformed(self, tmp_path):
         line = self.good_line()
         line["predicted"] = None
-        records = load_prediction_records(self.write(tmp_path, [line]))
+        records = list(load_prediction_records(self.write(tmp_path, [line])))
         assert records[0].predicted is None
         assert compute_report(records).malformed_count == 1
 
     def test_invalid_predicted_decision_is_malformed(self, tmp_path):
         line = self.good_line()
         line["predicted"] = {"decision": {"next_state": "NOT_A_STATE"}}
-        records = load_prediction_records(self.write(tmp_path, [line]))
+        records = list(load_prediction_records(self.write(tmp_path, [line])))
         assert records[0].predicted is None
 
     @pytest.mark.parametrize("predicted", [[1], "x", 5, {"decision": [1]}])
     def test_non_object_predicted_is_malformed(self, tmp_path, predicted):
         line = self.good_line()
         line["predicted"] = predicted
-        records = load_prediction_records(self.write(tmp_path, [line]))
+        records = list(load_prediction_records(self.write(tmp_path, [line])))
         assert records[0].predicted is None and records[0].predicted_numbers is None
         assert compute_report(records).malformed_count == 1
 
     @pytest.mark.parametrize("line", [[1], "x", None, {"truth": [1], "predicted": None}])
     def test_non_object_truth_raises(self, tmp_path, line):
         with pytest.raises(ValueError, match="bad truth record"):
-            load_prediction_records(self.write(tmp_path, [line]))
+            list(load_prediction_records(self.write(tmp_path, [line])))
 
     def test_bad_truth_names_its_line(self, tmp_path):
         good = self.good_line()
         path = self.write(tmp_path, [good, good, good, {"truth": {"decision": {"next_state": "OPEN"}}}])
         with pytest.raises(ValueError) as exc:
-            load_prediction_records(path)
+            list(load_prediction_records(path))
         assert str(exc.value) == (
             f"{path} line 4: bad truth record: missing keys: ['flags', 'payload_len', 't_task', 'verdict']"
         )
+
+    def test_bad_line_raises_when_it_is_reached(self, tmp_path):
+        path = self.write(tmp_path, [self.good_line(), {"truth": None}, self.good_line()])
+        records = load_prediction_records(path)
+        assert next(records).truth_numbers == (10, 20)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 2: bad truth record"):
+            next(records)
 
     def test_bad_truth_raises(self, tmp_path):
         line = self.good_line()
         del line["truth"]["decision"]["verdict"]
         with pytest.raises(ValueError):
-            load_prediction_records(self.write(tmp_path, [line]))
+            list(load_prediction_records(self.write(tmp_path, [line])))
 
     BAD_NUMBERS = [5, "12", [], [1], [1, 2, 3], ["a", "b"], [1.0, 2], [True, 0], [-1, 0], [0, 2**32], {"seq": 1}]
 
@@ -556,13 +605,13 @@ class TestLoadPredictionRecords:
         line = self.good_line()
         line["truth"]["numbers"] = numbers
         with pytest.raises(ValueError, match="bad truth record"):
-            load_prediction_records(self.write(tmp_path, [line]))
+            list(load_prediction_records(self.write(tmp_path, [line])))
 
     @pytest.mark.parametrize("numbers", BAD_NUMBERS)
     def test_bad_predicted_numbers_score_wrong(self, tmp_path, numbers):
         line = self.good_line()
         line["predicted"]["numbers"] = numbers
-        records = load_prediction_records(self.write(tmp_path, [line]))
+        records = list(load_prediction_records(self.write(tmp_path, [line])))
         assert records[0].predicted is not None
         assert records[0].predicted_numbers is None
         report = compute_report(records)
@@ -577,7 +626,7 @@ class TestLoadPredictionRecords:
         other = self.good_line()
         other["truth"]["numbers"] = None
         del other["predicted"]["numbers"]
-        records = load_prediction_records(self.write(tmp_path, [line, other]))
+        records = list(load_prediction_records(self.write(tmp_path, [line, other])))
         assert records[0].truth_numbers == (0, 2**32 - 1) == records[0].predicted_numbers
         assert records[1].truth_numbers is None and records[1].predicted_numbers is None
         assert compute_report(records).atomic_accuracy == 1.0
