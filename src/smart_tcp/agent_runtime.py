@@ -22,13 +22,14 @@ import random
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .alu import AluError, AluResult, AluTask, alu_execute
+from .alu import AluError, AluResult, INIT_SYN, alu_execute
 from .cognitive_core import (
     ACTION_STATES,
     CognitiveCore,
     CognitiveDecision,
     CognitiveInput,
     MalformedDecision,
+    NORMAL,
     Verdict,
     encode_compact,
     oracle_transition,
@@ -36,18 +37,27 @@ from .cognitive_core import (
 from .evaluation import _pct
 from .tcp_core import (
     ACTION_NONE,
-    ActionKind,
     AgentState,
+    CLIENT,
+    CLOSED,
     FLAGS_ACK,
     FLAGS_SYN,
     FLAGS_SYN_ACK,
     ISN_MAX,
     ISN_MIN,
+    KIND_CLOSE,
+    KIND_NONE,
+    KIND_OPEN_ACTIVE,
+    KIND_OPEN_PASSIVE,
+    KIND_SEND,
+    LISTEN,
     LocalAction,
     MAX_PAYLOAD_LEN,
     Role,
     SEQ_MOD,
+    SERVER,
     Segment,
+    TIME_WAIT,
     TcpState,
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
@@ -90,8 +100,8 @@ def remember(
             irs = received.seq
         rcv_nxt = (received.seq + segment_consumes(received)) % SEQ_MOD
     # No 2MSL timer in a lossless ordered simulation.
-    if next_state is TcpState.TIME_WAIT:
-        next_state = TcpState.CLOSED
+    if next_state is TIME_WAIT:
+        next_state = CLOSED
     return AgentState(s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt)
 
 
@@ -103,7 +113,7 @@ def advance(
     trigger is consumed, an action's segment is ALU context only. Raises
     StepFailure for a task without flags or one the input cannot feed."""
     s = cinput.s
-    if decision.verdict is not Verdict.NORMAL:
+    if decision.verdict is not NORMAL:
         return s, None, None
     emitted: Optional[Segment] = None
     alu_result: Optional[AluResult] = None
@@ -111,7 +121,7 @@ def advance(
     if decision.t_task is not None:
         if decision.flags is None:
             raise StepFailure("decision names a task but no flags to emit")
-        alu_r = None if decision.t_task is AluTask.INIT_SYN else cinput.r
+        alu_r = None if decision.t_task is INIT_SYN else cinput.r
         try:
             alu_result = alu_execute(decision.t_task, s, alu_r)
         except AluError as exc:
@@ -122,9 +132,9 @@ def advance(
             alu_result.seq,
             alu_result.ack,
             decision.flags,
-            action.data if action.kind is ActionKind.SEND else b"",
+            action.data if action.kind is KIND_SEND else b"",
         )
-    received = cinput.r if action.kind is ActionKind.NONE else None
+    received = cinput.r if action.kind is KIND_NONE else None
     return remember(s, decision.next_state, emitted, received), emitted, alu_result
 
 
@@ -143,8 +153,8 @@ def initial_states(client_iss: int, server_iss: int) -> Dict[Role, AgentState]:
     """Both endpoints before the first segment: the client CLOSED, the
     server LISTENing."""
     return {
-        Role.CLIENT: AgentState(Role.CLIENT, TcpState.CLOSED, client_iss, client_iss),
-        Role.SERVER: AgentState(Role.SERVER, TcpState.LISTEN, server_iss, server_iss),
+        CLIENT: AgentState(CLIENT, CLOSED, client_iss, client_iss),
+        SERVER: AgentState(SERVER, LISTEN, server_iss, server_iss),
     }
 
 
@@ -153,13 +163,13 @@ def implied_action(s: AgentState, seg: Segment) -> Optional[LocalAction]:
     OPEN_ACTIVE for a pure SYN, CLOSE for a FIN, SEND for data. Every other
     segment is a reply to a received one."""
     f = seg.flags
-    if f.syn and not f.ack and s.state in ACTION_STATES[ActionKind.OPEN_ACTIVE]:
-        return LocalAction(ActionKind.OPEN_ACTIVE)
+    if f.syn and not f.ack and s.state in ACTION_STATES[KIND_OPEN_ACTIVE]:
+        return LocalAction(KIND_OPEN_ACTIVE)
     if f.fin:
-        if s.state in ACTION_STATES[ActionKind.CLOSE]:
-            return LocalAction(ActionKind.CLOSE)
-    elif seg.payload_len and not f.syn and s.state in ACTION_STATES[ActionKind.SEND]:
-        return LocalAction(ActionKind.SEND, seg.payload)
+        if s.state in ACTION_STATES[KIND_CLOSE]:
+            return LocalAction(KIND_CLOSE)
+    elif seg.payload_len and not f.syn and s.state in ACTION_STATES[KIND_SEND]:
+        return LocalAction(KIND_SEND, seg.payload)
     return None
 
 
@@ -168,7 +178,7 @@ class Agent:
 
     def __init__(self, role: Role, core: CognitiveCore, iss: int):
         self.core = core
-        self.state = AgentState(role=role, state=TcpState.CLOSED, iss=iss, snd_nxt=iss)
+        self.state = AgentState(role=role, state=CLOSED, iss=iss, snd_nxt=iss)
         self.last_received: Optional[Segment] = None
 
     def step(
@@ -185,7 +195,7 @@ class Agent:
             cinput = CognitiveInput(self.state, self.last_received, action)
         decision = self.core.decide(cinput)
         self.state, emitted, alu_result = advance(cinput, decision)
-        if segment is not None and decision.verdict is Verdict.NORMAL:
+        if segment is not None and decision.verdict is NORMAL:
             self.last_received = segment
         return StepOutcome(emitted, decision, alu_result)
 
@@ -393,7 +403,7 @@ def replay_deliveries(
     advancing a receiver after its first non-NORMAL verdict.
     """
     states = initial_states(client_iss, server_iss)
-    halted = {Role.CLIENT: False, Role.SERVER: False}
+    halted = {CLIENT: False, SERVER: False}
     verdicts: List[Verdict] = []
     for sender, seg in deliveries:
         s = states[sender]
@@ -401,14 +411,14 @@ def replay_deliveries(
         next_state = s.state if action is None else oracle_transition(s, None, action).next_state
         states[sender] = remember(s, next_state, sent=seg)
 
-        receiver = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
+        receiver = SERVER if sender is CLIENT else CLIENT
         if halted[receiver]:
-            verdicts.append(Verdict.NORMAL)
+            verdicts.append(NORMAL)
             continue
         rs = states[receiver]
         decision = oracle_transition(rs, seg, ACTION_NONE)
         verdicts.append(decision.verdict)
-        if decision.verdict is Verdict.NORMAL:
+        if decision.verdict is NORMAL:
             states[receiver] = remember(rs, decision.next_state, received=seg)
         else:
             halted[receiver] = True
@@ -428,8 +438,8 @@ def run_session(
     server_iss = rng.randint(ISN_MIN, ISN_MAX)
 
     agents = {
-        Role.CLIENT: Agent(Role.CLIENT, client_core, client_iss),
-        Role.SERVER: Agent(Role.SERVER, server_core, server_iss),
+        CLIENT: Agent(CLIENT, client_core, client_iss),
+        SERVER: Agent(SERVER, server_core, server_iss),
     }
 
     transcript = SessionTranscript(
@@ -442,15 +452,15 @@ def run_session(
     # Scripted local actions in lifecycle order; each is issued once its
     # agent reaches a state where it is valid.
     actions: deque = deque()
-    actions.append((Role.SERVER, LocalAction(ActionKind.OPEN_PASSIVE)))
-    actions.append((Role.CLIENT, LocalAction(ActionKind.OPEN_ACTIVE)))
+    actions.append((SERVER, LocalAction(KIND_OPEN_PASSIVE)))
+    actions.append((CLIENT, LocalAction(KIND_OPEN_ACTIVE)))
     # Transcripts, prompts and traces carry payload lengths only, so the
     # data is zeros, as Segment.from_wire fills a payload in.
     for side, n in scenario.data_script:
-        actions.append((side, LocalAction(ActionKind.SEND, bytes(n))))
-    other = Role.SERVER if scenario.closer is Role.CLIENT else Role.CLIENT
-    actions.append((scenario.closer, LocalAction(ActionKind.CLOSE)))
-    actions.append((other, LocalAction(ActionKind.CLOSE)))
+        actions.append((side, LocalAction(KIND_SEND, bytes(n))))
+    other = SERVER if scenario.closer is CLIENT else CLIENT
+    actions.append((scenario.closer, LocalAction(KIND_CLOSE)))
+    actions.append((other, LocalAction(KIND_CLOSE)))
 
     in_flight: deque = deque()  # TranscriptEntry; the sender's peer receives it
     entries = transcript.entries
@@ -459,7 +469,7 @@ def run_session(
     while step < scenario.steps_budget:
         if in_flight:
             entry = in_flight.popleft()
-            receiver = Role.SERVER if entry.direction is Role.CLIENT else Role.CLIENT
+            receiver = SERVER if entry.direction is CLIENT else CLIENT
             step += 1
             entries.append(entry)
             try:
@@ -467,7 +477,7 @@ def run_session(
             except (MalformedDecision, StepFailure) as exc:
                 transcript.halt_reason = f"{receiver.value} step failure: {exc}"
                 break
-            if outcome.decision.verdict is not Verdict.NORMAL:
+            if outcome.decision.verdict is not NORMAL:
                 transcript.halt_reason = (
                     f"{receiver.value} verdict {outcome.decision.verdict.value}"
                 )
@@ -498,7 +508,7 @@ def run_session(
         if in_flight or actions:
             transcript.halt_reason = "step budget exhausted"
 
-    both_closed = all(a.state.state is TcpState.CLOSED for a in agents.values())
+    both_closed = all(a.state.state is CLOSED for a in agents.values())
     transcript.phase_results = grade_session(transcript, scenario, both_closed)
     return transcript
 
@@ -518,13 +528,13 @@ def grade_session(
         hs_fail = "fewer than three segments"
     else:
         (d0, s0), (d1, s1), (d2, s2) = segs[0], segs[1], segs[2]
-        if d0 is not Role.CLIENT or s0.flags != FLAGS_SYN or s0.payload:
+        if d0 is not CLIENT or s0.flags != FLAGS_SYN or s0.payload:
             hs_fail = "first segment is not a client SYN"
-        elif d1 is not Role.SERVER or s1.flags != FLAGS_SYN_ACK:
+        elif d1 is not SERVER or s1.flags != FLAGS_SYN_ACK:
             hs_fail = "second segment is not a server SYN|ACK"
         elif s1.ack != seq_add(s0.seq, 1):
             hs_fail = "SYN|ACK does not acknowledge client ISN+1"
-        elif d2 is not Role.CLIENT or s2.flags != FLAGS_ACK or s2.payload:
+        elif d2 is not CLIENT or s2.flags != FLAGS_ACK or s2.payload:
             hs_fail = "third segment is not a pure ACK"
         elif s2.ack != seq_add(s1.seq, 1) or s2.seq != seq_add(s0.seq, 1):
             hs_fail = "handshake ACK numbers wrong"
@@ -536,17 +546,17 @@ def grade_session(
 
     # Independent byte counters seeded from the observed ISNs.
     expected = {
-        Role.CLIENT: seq_add(segs[0][1].seq, 1),
-        Role.SERVER: seq_add(segs[1][1].seq, 1),
+        CLIENT: seq_add(segs[0][1].seq, 1),
+        SERVER: seq_add(segs[1][1].seq, 1),
     }
-    fin_seen: Dict[Role, Optional[int]] = {Role.CLIENT: None, Role.SERVER: None}
-    fin_acked = {Role.CLIENT: False, Role.SERVER: False}
+    fin_seen: Dict[Role, Optional[int]] = {CLIENT: None, SERVER: None}
+    fin_acked = {CLIENT: False, SERVER: False}
     script_left = list(scenario.data_script)
     data_fail = None
     term_fail = None
 
     for sender, seg in segs[3:]:
-        peer = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
+        peer = SERVER if sender is CLIENT else CLIENT
         if seg.flags.syn:
             term_fail = term_fail or "unexpected SYN after handshake"
             continue
@@ -592,7 +602,7 @@ def grade_session(
 
     if term_fail is None:
         closer = scenario.closer
-        other = Role.SERVER if closer is Role.CLIENT else Role.CLIENT
+        other = SERVER if closer is CLIENT else CLIENT
         if fin_seen[closer] is None:
             term_fail = "closer never sent FIN"
         elif fin_seen[other] is None:

@@ -22,6 +22,10 @@ class AluTask(Enum):
     __hash__ = object.__hash__
 
 
+# Bound once for the hot path (see tcp_core's docstring).
+INIT_SYN = AluTask.INIT_SYN
+
+
 class AluError(ValueError):
     """Bad task token or missing/superfluous received segment."""
 
@@ -44,7 +48,7 @@ def alu_parse_task(token: str) -> AluTask:
 
 
 def alu_execute(task: AluTask, s: AgentState, r: Optional[Segment] = None) -> AluResult:
-    if task is AluTask.INIT_SYN:
+    if task is INIT_SYN:
         if r is not None:
             raise AluError("INIT_SYN takes no received segment")
         return AluResult(s.iss, 0)

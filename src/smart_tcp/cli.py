@@ -22,7 +22,7 @@ from .cognitive_core import (
     encode_compact,
 )
 from .dataset_pipeline import (
-    Completeness,
+    COMPLETE,
     SftFormat,
     TraceFormatError,
     emit_sft,
@@ -105,7 +105,7 @@ def cmd_trace2sft(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     flows = extract_flows(ingest.records)
-    complete = [f for f in flows if f.completeness is Completeness.COMPLETE]
+    complete = [f for f in flows if f.completeness is COMPLETE]
     samples = []
     for flow in complete:
         samples.extend(reconstruct_labels(flow))

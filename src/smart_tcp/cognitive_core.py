@@ -24,6 +24,7 @@ from .tcp_core import (
     FLAGS_PSH_ACK,
     FLAGS_SYN,
     FLAGS_SYN_ACK,
+    KIND_NONE,
     LocalAction,
     MAX_PAYLOAD_LEN,
     Segment,
@@ -33,6 +34,7 @@ from .tcp_core import (
     flags_parse,
     parse_state,
     seq_lt,
+    wire_int,
 )
 
 
@@ -43,6 +45,11 @@ class Verdict(Enum):
 
     __hash__ = object.__hash__  # see AluTask
 
+
+# Bound once for the hot path (see tcp_core's docstring).
+NORMAL = Verdict.NORMAL
+ORDER_ERROR = Verdict.ORDER_ERROR
+FLAG_ERROR = Verdict.FLAG_ERROR
 
 _VERDICT_BY_TOKEN = {verdict.value: verdict for verdict in Verdict}
 
@@ -65,7 +72,7 @@ class CognitiveInput(_CognitiveInputFields):
     __slots__ = ()
 
     def __new__(cls, s: AgentState, r: Optional[Segment] = None, a: LocalAction = ACTION_NONE):
-        if r is None and a.kind is ActionKind.NONE:
+        if r is None and a.kind is KIND_NONE:
             raise ValueError("a cognitive step needs a received segment or an action")
         return tuple.__new__(cls, (s, r, a))
 
@@ -81,7 +88,7 @@ class CognitiveInput(_CognitiveInputFields):
         data = None
         if kind is ActionKind.SEND:
             # Segment.from_wire's bound, checked before the filler is built.
-            data_len = int(action.get("data_len", 0))
+            data_len = wire_int("data_len", action.get("data_len", 0))
             if not 0 <= data_len <= MAX_PAYLOAD_LEN:
                 raise ValueError(f"data_len out of range: {data_len}")
             data = b"\x00" * data_len
@@ -420,7 +427,7 @@ def oracle_transition(
     context for the ALU, already validated when it arrived.
     """
     kind = a.kind
-    if kind is not ActionKind.NONE:
+    if kind is not KIND_NONE:
         reply = ACTION_TRANSITIONS.get((s.state, kind))
         if reply is None:
             raise ValueError(f"action {kind.value} is not valid in state {s.state.value}")
@@ -435,12 +442,12 @@ def oracle_transition(
     # without ACK, is a violation.
     synchronized = state in SYNCHRONIZED_STATES
     if f.syn and (f.fin or f.rst or synchronized) or synchronized and f.fin and not f.ack:
-        return _verdict(s, Verdict.FLAG_ERROR)
+        return _verdict(s, FLAG_ERROR)
     # Out of sequence, or acknowledges data we never sent.
     if (
         s.rcv_nxt is not None and r.seq != s.rcv_nxt and state in _SEQ_CHECKED_STATES
     ) or (f.ack and seq_lt(s.snd_nxt, r.ack)):
-        return _verdict(s, Verdict.ORDER_ERROR)
+        return _verdict(s, ORDER_ERROR)
     # The segment's class in TRANSITIONS' key.
     if f.syn:
         cls = "SYN|ACK" if f.ack else "SYN"
@@ -451,7 +458,7 @@ def oracle_transition(
     else:
         cls = "ACK" if f.ack else "NONE"
     reply = TRANSITIONS.get((state, cls, f.ack and r.ack == s.snd_nxt))
-    return _verdict(s, Verdict.ORDER_ERROR) if reply is None else reply
+    return _verdict(s, ORDER_ERROR) if reply is None else reply
 
 
 class CognitiveCore:

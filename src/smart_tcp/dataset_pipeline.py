@@ -21,8 +21,8 @@ from .alu import AluTask, alu_execute
 from .cognitive_core import (
     CognitiveDecision,
     CognitiveInput,
+    NORMAL,
     PERSONA,
-    Verdict,
     decode_stripped,
     encode_compact,
     oracle_transition,
@@ -31,8 +31,10 @@ from .cognitive_core import (
 )
 from .tcp_core import (
     ACTION_NONE,
-    ActionKind,
+    CLIENT,
+    KIND_NONE,
     Role,
+    SERVER,
     SYNCHRONIZED_STATES,
     Segment,
     flags_parse,
@@ -79,6 +81,12 @@ class Completeness(Enum):
     INCOMPLETE = "INCOMPLETE"
 
 
+# Bound once for the hot path (see tcp_core's docstring), as are the members
+# of MutationKind and SftFormat below.
+COMPLETE = Completeness.COMPLETE
+INCOMPLETE = Completeness.INCOMPLETE
+
+
 class Flow:
     """One connection's records; `extract_flows` fills it in and finalizes it."""
 
@@ -97,9 +105,7 @@ class Flow:
         self.completeness = completeness
 
     def finalize(self) -> None:
-        self.completeness = (
-            Completeness.COMPLETE if self._is_complete() else Completeness.INCOMPLETE
-        )
+        self.completeness = COMPLETE if self._is_complete() else INCOMPLETE
 
     def _is_complete(self) -> bool:
         records = self.records
@@ -178,7 +184,12 @@ def ingest_trace(path) -> IngestResult:
                 if proto != TCP_PROTO:
                     rejects.append((lineno, f"non-tcp protocol: {proto!r}"))
                     continue
-                ts = float(obj["ts"])
+                ts = obj["ts"]
+                # type() rather than isinstance: JSON true/false load as
+                # bools, and float() would read the string "1.0" too.
+                if type(ts) is not float and type(ts) is not int:
+                    raise ValueError(f"ts must be a number: {ts!r}")
+                ts = float(ts)
                 if not math.isfinite(ts):
                     raise ValueError(f"non-finite ts: {ts}")
                 rec = TraceRecord(
@@ -247,7 +258,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
     Segments the oracle cannot reproduce (retransmissions, out-of-window
     traffic) are skipped with a log line; a flow with >20% skips is dropped.
     """
-    if flow.completeness is not Completeness.COMPLETE:
+    if flow.completeness is not COMPLETE:
         raise ValueError(f"{flow.flow_id} is not COMPLETE")
 
     client_tuple = flow.initiator
@@ -258,14 +269,14 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         if r.segment.flags.syn and r.segment.flags.ack and r.five_tuple == server_tuple
     )
     states = initial_states(flow.records[0].segment.seq, synack.segment.seq)
-    last_received: Dict[Role, Optional[Segment]] = {Role.CLIENT: None, Role.SERVER: None}
-    undelivered: Dict[Role, Deque[Segment]] = {Role.CLIENT: deque(), Role.SERVER: deque()}
+    last_received: Dict[Role, Optional[Segment]] = {CLIENT: None, SERVER: None}
+    undelivered: Dict[Role, Deque[Segment]] = {CLIENT: deque(), SERVER: deque()}
     samples: List[LabeledSample] = []
     skipped = 0
 
     for idx, rec in enumerate(flow.records):
-        sender = Role.CLIENT if rec.five_tuple == client_tuple else Role.SERVER
-        peer = Role.SERVER if sender is Role.CLIENT else Role.CLIENT
+        sender = CLIENT if rec.five_tuple == client_tuple else SERVER
+        peer = SERVER if sender is CLIENT else CLIENT
         seg = rec.segment
         trigger = None  # "reply" or "action": the sender's step that sends this record
 
@@ -274,7 +285,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         while undelivered[sender] and trigger is None:
             inbound = undelivered[sender].popleft()
             cinput, decision, states[sender], emitted = oracle_step(states[sender], inbound)
-            if decision.verdict is not Verdict.NORMAL:
+            if decision.verdict is not NORMAL:
                 log.info(
                     "%s: anomalous inbound segment during replay (%s), ignored",
                     flow.flow_id,
@@ -321,11 +332,17 @@ class MutationKind(Enum):
     FLAG_WRONG_STATE = "FLAG_WRONG_STATE"
 
 
+ORDER_SWAP = MutationKind.ORDER_SWAP
+ORDER_SEQ_JUMP = MutationKind.ORDER_SEQ_JUMP
+FLAG_ILLEGAL_COMBO = MutationKind.FLAG_ILLEGAL_COMBO
+FLAG_WRONG_STATE = MutationKind.FLAG_WRONG_STATE
+
+
 SEQ_JUMP_MAX = 4096
 
 
 def _mutate(r: Segment, kind: MutationKind, rng: random.Random) -> Segment:
-    if kind is MutationKind.ORDER_SWAP:
+    if kind is ORDER_SWAP:
         # The following segment arrives first: seq jumps by this segment's
         # own footprint.
         return Segment(
@@ -334,14 +351,14 @@ def _mutate(r: Segment, kind: MutationKind, rng: random.Random) -> Segment:
             flags=r.flags,
             payload=r.payload,
         )
-    if kind is MutationKind.ORDER_SEQ_JUMP:
+    if kind is ORDER_SEQ_JUMP:
         return Segment(
             seq=seq_add(r.seq, rng.randint(1, SEQ_JUMP_MAX)),
             ack=r.ack,
             flags=r.flags,
             payload=r.payload,
         )
-    if kind is MutationKind.FLAG_ILLEGAL_COMBO:
+    if kind is FLAG_ILLEGAL_COMBO:
         return Segment(seq=r.seq, ack=0, flags=flags_parse("SYN|FIN"), payload=r.payload)
     return Segment(seq=r.seq, ack=0, flags=flags_parse("SYN"), payload=r.payload)
 
@@ -364,7 +381,7 @@ def generate_error_dataset(
         s, r = sample.input.s, sample.input.r
         # Only segment-triggered contexts: r must be the live trigger at
         # seq == rcv_nxt, not a stale last-received segment.
-        if r is None or sample.input.a.kind is not ActionKind.NONE:
+        if r is None or sample.input.a.kind is not KIND_NONE:
             continue
         if s.state not in SYNCHRONIZED_STATES:
             continue
@@ -375,18 +392,15 @@ def generate_error_dataset(
     rng = random.Random(seed)
     n_order = round(count * ratio)
     n_flag = count - n_order
-    plan = [MutationKind.ORDER_SWAP if i % 2 == 0 else MutationKind.ORDER_SEQ_JUMP for i in range(n_order)]
-    plan += [
-        MutationKind.FLAG_ILLEGAL_COMBO if i % 2 == 0 else MutationKind.FLAG_WRONG_STATE
-        for i in range(n_flag)
-    ]
+    plan = [ORDER_SWAP if i % 2 == 0 else ORDER_SEQ_JUMP for i in range(n_order)]
+    plan += [FLAG_ILLEGAL_COMBO if i % 2 == 0 else FLAG_WRONG_STATE for i in range(n_flag)]
 
     samples: List[LabeledSample] = []
     consuming = [c for c in contexts if segment_consumes(c[1]) > 0]
     for kind in plan:
-        pool = consuming if kind is MutationKind.ORDER_SWAP and consuming else contexts
-        if kind is MutationKind.ORDER_SWAP and not consuming:
-            kind = MutationKind.ORDER_SEQ_JUMP
+        pool = consuming if kind is ORDER_SWAP and consuming else contexts
+        if kind is ORDER_SWAP and not consuming:
+            kind = ORDER_SEQ_JUMP
         s, r, prov = pool[rng.randrange(len(pool))]
         mutated = _mutate(r, kind, rng)
         samples.append(
@@ -404,17 +418,21 @@ class SftFormat(Enum):
     INSTRUCT = "INSTRUCT"
 
 
+PAIRS = SftFormat.PAIRS
+
+
 def emit_sft(samples: List[LabeledSample], path, format: SftFormat = SftFormat.PAIRS) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            if format is SftFormat.PAIRS:
+        if format is PAIRS:
+            for sample in samples:
                 # Byte for byte what json.dumps with compact separators writes
                 # for {"input": ..., "label": ...}.
                 fh.write(
                     f'{{"input":{serialize_input(sample.input)},'
                     f'"label":{serialize_decision(sample.label)}}}\n'
                 )
-            else:
+        else:
+            for sample in samples:
                 obj = {
                     "instruction": PERSONA,
                     "input": serialize_input(sample.input),
@@ -451,7 +469,7 @@ def transcript_to_trace_records(
 ) -> List[TraceRecord]:
     records = []
     for i, entry in enumerate(transcript.entries):
-        if entry.direction is Role.CLIENT:
+        if entry.direction is CLIENT:
             ft = FiveTuple(src=CLIENT_ADDR, dst=SERVER_ADDR)
         else:
             ft = FiveTuple(src=SERVER_ADDR, dst=CLIENT_ADDR)

@@ -34,6 +34,7 @@ from smart_tcp.tcp_core import (
     LocalAction,
     MAX_PAYLOAD_LEN,
     Role,
+    Segment,
     TcpState,
     parse_state,
 )
@@ -185,6 +186,65 @@ def test_input_send_data_len_is_bounded_like_a_segment_payload():
         CognitiveInput.from_wire(input_with_send(MAX_PAYLOAD_LEN + 1))
 
 
+# Numbers that int() or float() would take but JSON does not spell as an
+# integer: a float (int() truncates 1.9 to 1), a bool (JSON true is 1 to
+# int()) and a string (int() strips " 7 ").
+NOT_JSON_INTEGERS = [1.9, 2.0, True, False, " 7 ", "7"]
+SEGMENT_WIRE = {"seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
+
+
+@pytest.mark.parametrize("value", NOT_JSON_INTEGERS)
+@pytest.mark.parametrize("key", ["seq", "ack", "payload_len"])
+def test_segment_numbers_must_be_json_integers(key, value):
+    with pytest.raises(ValueError) as exc:
+        Segment.from_wire(dict(SEGMENT_WIRE, **{key: value}))
+    assert str(exc.value) == f"{key} must be an integer: {value!r}"
+
+
+@pytest.mark.parametrize("value", NOT_JSON_INTEGERS)
+@pytest.mark.parametrize("key", ["iss", "snd_nxt", "irs", "rcv_nxt"])
+def test_state_numbers_must_be_json_integers(key, value):
+    state = dict(input_with_send(1)["state"], **{key: value})
+    with pytest.raises(ValueError) as exc:
+        AgentState.from_wire(state)
+    assert str(exc.value) == f"{key} must be an integer: {value!r}"
+
+
+@pytest.mark.parametrize("value", NOT_JSON_INTEGERS)
+def test_input_data_len_must_be_a_json_integer(value):
+    with pytest.raises(ValueError) as exc:
+        CognitiveInput.from_wire(input_with_send(value))
+    assert str(exc.value) == f"data_len must be an integer: {value!r}"
+
+
+@pytest.mark.parametrize(
+    "key,value,reason",
+    [
+        ("seq", 1.9, "seq must be an integer: 1.9"),
+        ("payload_len", True, "payload_len must be an integer: True"),
+        ("seq", " 7 ", "seq must be an integer: ' 7 '"),
+        ("ack", 0.0, "ack must be an integer: 0.0"),
+        ("ts", True, "ts must be a number: True"),
+        ("ts", "1.0", "ts must be a number: '1.0'"),
+    ],
+)
+def test_trace_line_with_a_non_integer_number_is_a_malformed_reject(key, value, reason, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    bad = json.dumps(dict(json.loads(SYN_LINE), **{key: value}))
+    # Ten good lines keep the one malformed line under the 10% threshold.
+    path.write_text((SYN_LINE + "\n") * 5 + bad + "\n" + (SYN_LINE + "\n") * 5)
+    result = ingest_trace(path)
+    assert result.rejects == [(6, f"malformed: {reason}")]
+    assert len(result.records) == 10
+
+
+def test_trace_ts_may_be_a_json_integer(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(dict(json.loads(SYN_LINE), ts=3)) + "\n")
+    [record] = ingest_trace(path).records
+    assert record.ts == 3.0 and type(record.ts) is float
+
+
 def either(valid, near):
     """Valid values and near misses, drawn about equally often."""
     return st.one_of(st.sampled_from(valid), st.sampled_from(near))
@@ -326,8 +386,12 @@ def test_inject_replays_or_exits_2(lines):
         assert "deliveries, anomalies:" in out.getvalue()
 
 
-# One line nested past the interpreter's default recursion limit of 1,000.
-DEEP = "[" * 1100
+# One line nested past the depth at which json raises RecursionError. That
+# depth is the recursion limit (1,000) on 3.10 and 3.11, but 3.12 and 3.13
+# guard the C stack with larger budgets: 1,100 levels decode there. 100,000
+# levels raise on 3.10 to 3.13.
+DEPTH = 100_000
+DEEP = "[" * DEPTH
 SYN_LINE = json.dumps(
     {"ts": 0.0, "proto": "tcp", "src": "10.0.0.1:40000", "dst": "10.0.0.2:80",
      "seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
@@ -366,6 +430,6 @@ def test_json_nested_past_the_recursion_limit_is_a_typed_error(reader, tmp_path)
         assert (code, err) == (EXIT_USAGE, f"error: bad scenario {path}: JSON nests too deeply\n")
     else:
         # Bare, and embedded in prose, where the lenient pass finds it.
-        for raw in (DEEP, 'decision: ' + '{"a":' * 1100 + "1" + "}" * 1100):
+        for raw in (DEEP, 'decision: ' + '{"a":' * DEPTH + "1" + "}" * DEPTH):
             with pytest.raises(MalformedDecision, match="nests too deeply"):
                 parse_decision(raw)
