@@ -62,6 +62,7 @@ from .tcp_core import (
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
     segment_consumes,
+    wire_int,
 )
 
 
@@ -360,7 +361,7 @@ class SessionTranscript:
                         raise ValueError("segment is not an object")
                     t.entries.append(
                         TranscriptEntry(
-                            step=int(obj["step"]),
+                            step=wire_int("step", obj["step"]),
                             direction=Role(obj["direction"]),
                             segment=Segment.from_wire(obj["segment"]),
                         )
@@ -385,7 +386,7 @@ class SessionTranscript:
             if type(iss) is not int or not 0 <= iss < SEQ_MOD:
                 raise ValueError(f"{key} must be an integer in [0, 2**32): {iss!r}")
         self.scenario_id = tr.get("scenario_id", "")
-        self.rng_seed = int(tr.get("seed", 0))
+        self.rng_seed = wire_int("seed", tr.get("seed", 0))
         self.client_iss = tr["client_iss"]
         self.server_iss = tr["server_iss"]
         self.halt_reason = tr.get("halt_reason", "")

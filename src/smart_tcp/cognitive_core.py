@@ -526,96 +526,78 @@ class RemoteConfig(NamedTuple):
 class RemoteCore(CognitiveCore):
     """Chat-completion-style client for a trained cognitive model.
 
-    Malformed output is retried once, then surfaces as MalformedDecision so
-    callers can score it as a wrong prediction rather than crash.
+    Speaks HTTP/1.1 on plain sockets (TLS for an https endpoint) through
+    `http11`: each request goes out in one send, and `http11.ReplyReader`
+    frames its reply. Malformed output is retried once, then surfaces as
+    MalformedDecision so callers can score it as a wrong prediction rather
+    than crash.
     """
 
     concurrency = REMOTE_CONCURRENCY
 
     def __init__(self, config: RemoteConfig):
-        # Imported here, not at module level: http.client costs ~40 ms to
-        # import, which no oracle-only command should pay.
-        import http.client
-        from urllib.parse import urlsplit
+        # Imported here, not at module level: no oracle-only command needs
+        # sockets or compiles the transport.
+        from .http11 import ReplyReader, open_endpoint
 
         self.malformed_count = 0
         self.request_count = 0
         self._count_lock = threading.Lock()
-        url = urlsplit(config.endpoint)
-        try:
-            port = url.port
-        except ValueError as exc:
-            raise TransportError(f"bad model endpoint {config.endpoint!r}: {exc}") from None
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise TransportError(f"model endpoint must be an http(s) URL: {config.endpoint!r}")
-        kwargs = {"timeout": TIMEOUT}
-        if url.scheme == "https":
-            import ssl
-
-            kwargs["context"] = ssl.create_default_context()
-            connection = http.client.HTTPSConnection
-        else:
-            connection = http.client.HTTPConnection
-        # Pass the port: given none, http.client takes an IPv6 host's last
-        # group for the port.
-        self._connect = functools.partial(
-            connection, url.hostname, port or connection.default_port, **kwargs
-        )
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json"}
-        if config.api_key:
-            self._headers["Authorization"] = f"Bearer {config.api_key}"
-        # Idle keep-alive connections, shared by the threads that call decide.
+        self._connect, self._head = open_endpoint(config.endpoint, config.api_key, TIMEOUT)
+        self._reply_reader = ReplyReader
+        # Idle keep-alive sockets, shared by the threads that call decide.
         # Each thread pops one (or opens one) and pushes it back when done, so
         # no more are ever open than decisions in flight.
         self._idle: List = []
         self._idle_lock = threading.Lock()
 
     def close(self) -> None:
-        """Close the idle keep-alive connections."""
+        """Close the idle keep-alive sockets."""
         with self._idle_lock:
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock in idle:
+            sock.close()
 
     def _post(self, body: bytes) -> bytes:
-        """POST `body` to the endpoint and return the whole response body.
+        """POST `body` to the endpoint and return the whole reply body.
 
-        A reused connection that fails before any response arrives is one the
-        server closed while it sat idle; the request is resent once on a new
-        connection. Any other failure, and a non-2xx status, closes the
-        connection and raises.
+        A reused socket that gives EOF, ECONNRESET or EPIPE before the first
+        reply byte is one the server closed while it sat idle; the request is
+        resent once on a new socket. Any other failure, and a non-2xx status,
+        closes the socket and raises. After a 2xx reply the socket goes back
+        to the idle list if the reply let it stay open (see `ReplyReader.reply`).
         """
+        request = self._head + b"%d\r\n\r\n" % len(body) + body
         with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        resend = conn is not None
+            sock = self._idle.pop() if self._idle else None
+        resend = sock is not None
         while True:
-            if conn is None:
-                conn = self._connect()
+            if sock is None:
+                sock = self._connect()
             try:
-                conn.request("POST", self._path, body, self._headers)
-                resp = conn.getresponse()
+                sock.sendall(request)
+                reader = self._reply_reader(sock)
                 break
             except (ConnectionResetError, BrokenPipeError):
-                # RemoteDisconnected, an empty reply, is a ConnectionResetError.
-                conn.close()
+                sock.close()
                 if not resend:
                     raise
-                resend, conn = False, None
+                resend, sock = False, None
             except BaseException:
-                conn.close()
+                sock.close()
                 raise
         try:
-            data = resp.read()
-            if not 200 <= resp.status < 300:
-                raise TransportError(f"model endpoint failure: HTTP {resp.status} {resp.reason}")
+            status, reason, data, keep = reader.reply()
+            if not 200 <= status < 300:
+                raise TransportError(f"model endpoint failure: HTTP {status} {reason}")
         except BaseException:
-            conn.close()
+            sock.close()
             raise
-        # A reply that ends its connection (will_close) has already closed the
-        # socket; the connection object opens a new one when next used.
-        with self._idle_lock:
-            self._idle.append(conn)
+        if keep:
+            with self._idle_lock:
+                self._idle.append(sock)
+        else:
+            sock.close()
         return data
 
     def _complete(self, messages: List[dict]) -> str:

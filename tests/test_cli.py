@@ -27,10 +27,10 @@ def run(capsys, *argv):
 
 
 def test_import_loads_no_transport_or_third_party_module():
-    # The remote core imports http.client when it is built; oracle-only
-    # commands, which are most runs, must not pay for that import.
+    # The remote core imports socket and its transport when it is built;
+    # oracle-only commands, which are most runs, must not pay for either.
     src = str(Path(smart_tcp.__file__).resolve().parents[1])
-    probe = "import sys, smart_tcp.cli; print([m for m in ('http.client', 'requests', 'numpy') if m in sys.modules])"
+    probe = "import sys, smart_tcp.cli; print([m for m in ('socket', 'smart_tcp.http11', 'http.client', 'requests', 'numpy') if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -40,6 +40,30 @@ def test_import_loads_no_transport_or_third_party_module():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "endpoint, loaded", [("http://127.0.0.1:9/", []), ("https://127.0.0.1:9/", ["ssl"])]
+)
+def test_remote_core_loads_ssl_only_for_https(endpoint, loaded):
+    # The client speaks HTTP/1.1 on its own sockets: building a core loads
+    # neither http.client nor the email parser behind it, and ssl only for
+    # an https endpoint. The core opens no connection when it is built.
+    src = str(Path(smart_tcp.__file__).resolve().parents[1])
+    probe = (
+        "import sys, smart_tcp.cli as c; "
+        f"c.RemoteCore(c.RemoteConfig({endpoint!r})); "
+        "print([m for m in ('http.client', 'email', 'ssl') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout == f"{loaded}\n"
 
 
 def test_import_loads_no_dataclasses():
@@ -558,6 +582,21 @@ class TestInject:
         assert code == EXIT_IO
         assert stderr.startswith(f"error: {path} line 3: bad transcript line: ")
         assert reason in stderr
+
+    @pytest.mark.parametrize("key", ["step", "seed"])
+    @pytest.mark.parametrize("value", [1.9, True, "7"])
+    def test_non_integer_step_or_seed_is_io_error(self, tmp_path, capsys, key, value):
+        # int() would read 1.9 and true as 1, and "7" as 7.
+        path = self.session_path(tmp_path, capsys)
+        lines = path.read_text().splitlines()
+        lineno = 3 if key == "step" else len(lines)
+        obj = json.loads(lines[lineno - 1])
+        (obj if key == "step" else obj["trailer"])[key] = value
+        lines[lineno - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_IO
+        assert stderr == f"error: {path} line {lineno}: bad transcript line: {key} must be an integer: {value!r}\n"
 
     def test_transcript_without_trailer_is_io_error(self, tmp_path, capsys):
         path = self.session_path(tmp_path, capsys)

@@ -2,6 +2,7 @@
 transport failures surface, and connections are reused and closed."""
 
 import json
+import re
 import socket
 import sys
 import threading
@@ -10,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from smart_tcp import cli
+from smart_tcp import cli, cognitive_core
 from smart_tcp.agent_runtime import run_trials
 from smart_tcp.cognitive_core import (
     CognitiveInput,
@@ -326,6 +327,10 @@ class TestRemoteTransport:
             ("ftp://127.0.0.1/v1/chat/completions", "must be an http(s) URL"),
             ("http:///v1/chat/completions", "must be an http(s) URL"),
             ("http://127.0.0.1:99999/v1", "bad model endpoint"),
+            ("http://127.0.0.1:9/v1 x", "not a valid request target"),
+            ("http://127.0.0.1:9/v1\x00", "not a valid request target"),
+            ("http://127.0.0.1:9/v1/\u00fc", "not a valid request target"),
+            ("http://" + "\u00fc" * 70 + "/v1", "bad model endpoint"),
         ],
     )
     def test_unusable_endpoint_exits_3(self, capsys, endpoint, reason):
@@ -361,6 +366,211 @@ class TestRemoteTransport:
             assert model.wait_all_closed()
 
 
+class RawReplyServer:
+    """A loopback endpoint that answers the k-th request it reads with the
+    k-th of `replies`, raw bytes, and closes that connection after a reply
+    whose `close` is true. Records each request's bytes, the connections it
+    accepted and how many of them the client closed. Serves one connection
+    at a time and stops after the last reply, once the client closes."""
+
+    def __init__(self, *replies):
+        self.replies = replies  # (bytes, close) pairs
+        self.requests = []
+        self.connections = 0
+        self.client_closed = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        # A client that hangs fails the test instead of blocking it.
+        self.listener.settimeout(5)
+        self.port = self.listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}/v1/chat/completions"
+        self.conn = self.rfile = None
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+        self.listener.close()
+
+    def hang_up(self):
+        self.rfile.close()
+        self.conn.close()
+        self.conn = self.rfile = None
+
+    def read_request(self):
+        """Read the next request, on a new connection once the client has
+        closed the last one."""
+        while True:
+            if self.conn is None:
+                self.conn, _ = self.listener.accept()
+                self.conn.settimeout(5)
+                self.rfile = self.conn.makefile("rb")
+                self.connections += 1
+            line = self.rfile.readline()
+            if line:
+                break
+            self.client_closed += 1
+            self.hang_up()
+        head = line
+        while line != b"\r\n":
+            line = self.rfile.readline()
+            head += line
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        self.requests.append(head + self.rfile.read(length))
+
+    def serve(self):
+        try:
+            for reply, close in self.replies:
+                self.read_request()
+                self.conn.sendall(reply)
+                if close:
+                    self.hang_up()
+            if self.conn is not None:
+                if self.rfile.readline() == b"":
+                    self.client_closed += 1
+                self.hang_up()
+        except OSError:
+            if self.conn is not None:
+                self.hang_up()
+
+
+def reply(status_line, *headers, body=b""):
+    return b"\r\n".join([status_line, *headers, b""]) + b"\r\n" + body
+
+
+OK_2 = reply(b"HTTP/1.1 200 OK", b"Content-Length: 2", body=b"ok")
+
+
+class TestReplyFraming:
+    """Each reply is read to its end or is a TransportError; none waits for
+    the socket timeout (5 s here). The request after a reply shows whether
+    the socket was kept."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(cognitive_core, "TIMEOUT", 5.0)
+
+    def post_twice(self, first):
+        """Post with `first` as the reply, then with OK_2; return the first
+        body and the server."""
+        with RawReplyServer(first, (OK_2, False)) as server:
+            core = RemoteCore(RemoteConfig(endpoint=server.url))
+            try:
+                body = core._post(b"{}")
+                assert core._post(b"{}") == b"ok"
+            finally:
+                core.close()
+        assert len(server.requests) == 2
+        return body, server
+
+    @pytest.mark.parametrize(
+        "first, body",
+        [
+            (
+                reply(
+                    b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked",
+                    body=b"4;name=value\r\nWiki\r\nA\r\npedia, the\r\n0\r\nExpires: never\r\nX-T: 1\r\n\r\n",
+                ),
+                b"Wikipedia, the",
+            ),
+            (reply(b"HTTP/1.1 100 Continue") + OK_2, b"ok"),
+            (reply(b"HTTP/1.1 204 No Content"), b""),
+            (reply(b"HTTP/1.0 200 OK", b"Connection: keep-alive", b"Content-Length: 2", body=b"ok"), b"ok"),
+            (reply(b"HTTP/1.1 200 OK", *[b"X-H: v"] * 99, b"Content-Length: 2", body=b"ok"), b"ok"),
+        ],
+        ids=["chunked", "100-continue", "204", "http1.0-keep-alive", "100-header-lines"],
+    )
+    def test_framed_reply_keeps_the_socket(self, first, body):
+        got, server = self.post_twice((first, False))
+        assert got == body
+        assert server.connections == 1 and server.client_closed == 1
+
+    @pytest.mark.parametrize(
+        "first, close",
+        [
+            (reply(b"HTTP/1.0 200 OK", body=b"hello"), True),
+            (reply(b"HTTP/1.0 200 OK", b"Content-Length: 5", body=b"hello"), False),
+            (reply(b"HTTP/1.1 200 OK", b"Connection: close", b"Content-Length: 5", body=b"hello"), False),
+            (reply(b"HTTP/1.1 200 OK", b"Content-Length: 5", body=b"helloEXTRA"), False),
+        ],
+        ids=["http1.0-to-close", "http1.0", "connection-close", "bytes-left-over"],
+    )
+    def test_reply_that_ends_its_socket(self, first, close):
+        got, server = self.post_twice((first, close))
+        assert got == b"hello"
+        assert server.connections == 2
+        # The client closed the first socket itself unless the server did.
+        assert server.client_closed == (1 if close else 2)
+
+    @pytest.mark.parametrize(
+        "first, reason",
+        [
+            (reply(b"HTTP/1.1 200 OK", b"Content-Length: 10", body=b"short"), "connection closed inside the reply body"),
+            (b"HTTP/1.1 200 OK\r\nContent-Le", "connection closed inside the reply head"),
+            (reply(b"garbage"), "bad status line b'garbage'"),
+            (reply(b"HTTP/2 200 OK"), "bad status line"),
+            (reply(b"HTTP/1.1 20 OK"), "bad status line"),
+            (reply(b"HTTP/1.1 200 OK", b"no colon"), "bad header line"),
+            (reply(b"HTTP/1.1 200 OK", *[b"X-H: v"] * 101), "more than 100 header lines"),
+            (reply(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 70_000), "reply head line longer than 65536 bytes"),
+            (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"zz\r\n"), "bad chunk size b'zz'"),
+            (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"0x4\r\nWiki\r\n0\r\n\r\n"), "bad chunk size"),
+            (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"2\r\nokay\r\n0\r\n\r\n"), "chunk longer than its size"),
+            (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: gzip", b"Content-Length: 2", body=b"ok"), "unsupported transfer coding b'gzip'"),
+            (reply(b"HTTP/1.1 503 Busy", b"Content-Length: 2", body=b"no"), "HTTP 503 Busy"),
+        ],
+        ids=[
+            "short-body", "eof-in-head", "garbage-status", "http2", "two-digit-status", "no-colon",
+            "101-header-lines", "long-line", "bad-chunk-size", "0x-chunk-size", "long-chunk",
+            "gzip", "non-2xx",
+        ],
+    )
+    def test_broken_reply_is_a_transport_error(self, first, reason):
+        with RawReplyServer((first, True)) as server:
+            core = RemoteCore(RemoteConfig(endpoint=server.url))
+            try:
+                with pytest.raises(TransportError, match=f"^model endpoint failure: {re.escape(reason)}"):
+                    core._post(b"{}")
+                assert core._idle == []
+            finally:
+                core.close()
+
+    @pytest.mark.parametrize("key, authorization", [("k", b"Authorization: Bearer k\r\n"), (None, b"")])
+    def test_request_bytes(self, key, authorization):
+        with RawReplyServer((OK_2, False)) as server:
+            core = RemoteCore(RemoteConfig(endpoint=f"http://127.0.0.1:{server.port}/v1/chat?a=1&b=2", api_key=key))
+            try:
+                assert core._post(b'{"x":1}') == b"ok"
+            finally:
+                core.close()
+        assert server.requests == [
+            b"POST /v1/chat?a=1&b=2 HTTP/1.1\r\n"
+            + f"Host: 127.0.0.1:{server.port}\r\n".encode()
+            + b"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+            + authorization
+            + b'Content-Length: 7\r\n\r\n{"x":1}'
+        ]
+
+    @pytest.mark.parametrize(
+        "endpoint, host",
+        [
+            ("http://[::1]:8080/v1", b"[::1]:8080"),
+            ("http://[::1]/v1", b"[::1]"),
+            ("http://Example.COM:80/v1", b"example.com"),
+            ("https://example.com:443/v1", b"example.com"),
+            ("https://example.com:80/v1", b"example.com:80"),
+            ("http://b\u00fccher.example/v1", b"xn--bcher-kva.example"),
+        ],
+    )
+    def test_host_header(self, endpoint, host):
+        # The head is built when the core is; no socket is opened.
+        head = RemoteCore(RemoteConfig(endpoint=endpoint))._head
+        assert head.startswith(b"POST /v1 HTTP/1.1\r\nHost: " + host + b"\r\n")
+
+
 class TestSettings:
     """How `simulate --core remote` finds its endpoint and key: the flag, then
     the environment; an empty variable counts as unset."""
@@ -394,6 +604,12 @@ class TestSettings:
             assert self.simulate("--endpoint", model.url) == cli.EXIT_OK
         assert model.requests > 0
         assert set(model.authorizations) == {header}
+
+    @pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\u20ac"])
+    def test_key_that_is_not_one_ascii_line_exits_3(self, capsys, monkeypatch, key):
+        monkeypatch.setenv(cli.KEY_ENV, key)
+        assert self.simulate("--endpoint", "http://127.0.0.1:9/") == cli.EXIT_TRANSPORT
+        assert "model key must be one line of ASCII text" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "env, extra",
