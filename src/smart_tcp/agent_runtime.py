@@ -4,7 +4,10 @@ One agent step aggregates context, asks the cognitive core for a decision,
 runs the arithmetic tool when the decision names a task, assembles the
 outbound segment and updates protocol memory. Sessions run two agents over a
 lossless, ordered in-memory duplex channel and are graded per phase from the
-transcript alone.
+transcript alone. `SessionTranscript.write` records a session as a trace
+(`trace_records`, written through `tcp_core.TraceRecord.to_wire`) with a
+trailer line, so `trace2sft` and `inject` read a session file as they read
+any other trace.
 
 Two replays walk a recorded stream through a pair of oracle endpoints, and
 they keep different contracts. The labeler (`reconstruct_labels` in
@@ -43,6 +46,7 @@ from .tcp_core import (
     FLAGS_ACK,
     FLAGS_SYN,
     FLAGS_SYN_ACK,
+    FiveTuple,
     ISN_MAX,
     ISN_MIN,
     KIND_CLOSE,
@@ -59,10 +63,10 @@ from .tcp_core import (
     Segment,
     TIME_WAIT,
     TcpState,
+    TraceRecord,
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
     segment_consumes,
-    wire_int,
 )
 
 
@@ -275,22 +279,6 @@ class TranscriptEntry(NamedTuple):
     segment: Segment
     outcome: Optional[StepOutcome] = None  # sender's step outcome
 
-    def to_wire(self) -> dict:
-        obj = {
-            "step": self.step,
-            "direction": self.direction.value,
-            "segment": self.segment.to_wire(),
-        }
-        if self.outcome is not None:
-            obj["decision"] = self.outcome.decision.to_wire()
-            if self.outcome.alu_result is not None:
-                obj["alu_result"] = {
-                    "seq": self.outcome.alu_result.seq,
-                    "ack": self.outcome.alu_result.ack,
-                }
-            obj["verdict"] = self.outcome.decision.verdict.value
-        return obj
-
 
 class SessionTranscript:
     """One session's deliveries, grades and halt reason; the session driver
@@ -322,10 +310,31 @@ class SessionTranscript:
     def all_passed(self) -> bool:
         return all(p.passed for p in self.phase_results.values())
 
+    def trace_records(self) -> List[TraceRecord]:
+        """The deliveries as a trace: the client speaks from 10.0.0.1:40000
+        to the server at 10.0.0.2:80, and delivery i is seen at i ms."""
+        client = FiveTuple("10.0.0.1:40000", "10.0.0.2:80")
+        server = client.reversed()
+        return [
+            TraceRecord(i * 0.001, client if e.direction is CLIENT else server, e.segment)
+            for i, e in enumerate(self.entries)
+        ]
+
     def write(self, path) -> None:
+        """A session file: one trace line per delivery, with the step, the
+        sender's decision and its ALU result as extra keys that
+        `ingest_trace` ignores, then a trailer line with the seed, ISSs,
+        halt reason and grades."""
         with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(encode_compact(e.to_wire()) + "\n")
+            for e, rec in zip(self.entries, self.trace_records()):
+                obj = rec.to_wire()
+                obj["step"] = e.step
+                if e.outcome is not None:
+                    obj["decision"] = e.outcome.decision.to_wire()
+                    alu_result = e.outcome.alu_result
+                    if alu_result is not None:
+                        obj["alu_result"] = {"seq": alu_result.seq, "ack": alu_result.ack}
+                fh.write(encode_compact(obj) + "\n")
             trailer = {
                 "trailer": {
                     "scenario_id": self.scenario_id,
@@ -339,59 +348,6 @@ class SessionTranscript:
                 }
             }
             fh.write(encode_compact(trailer) + "\n")
-
-    @classmethod
-    def read(cls, path) -> "SessionTranscript":
-        """Read what write() wrote. Raises ValueError, naming the line, for
-        anything else; the trailer must be there, since a replay starts from
-        its ISSs."""
-        t = cls(scenario_id="", rng_seed=0)
-        has_trailer = False
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                    if not isinstance(obj, dict):
-                        raise ValueError(f"not a JSON object: {type(obj).__name__}")
-                    if "trailer" in obj:
-                        t._read_trailer(obj["trailer"])
-                        has_trailer = True
-                        continue
-                    if not isinstance(obj["segment"], dict):
-                        raise ValueError("segment is not an object")
-                    t.entries.append(
-                        TranscriptEntry(
-                            step=wire_int("step", obj["step"]),
-                            direction=Role(obj["direction"]),
-                            segment=Segment.from_wire(obj["segment"]),
-                        )
-                    )
-                # RecursionError: JSON nested past the interpreter's recursion limit.
-                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-                    raise ValueError(f"{path} line {lineno}: bad transcript line: {detail}") from None
-        if not has_trailer:
-            raise ValueError(f"{path}: no trailer line")
-        return t
-
-    def _read_trailer(self, tr) -> None:
-        if not isinstance(tr, dict):
-            raise ValueError("trailer is not an object")
-        phases = tr.get("phase_results", {})
-        if not isinstance(phases, dict) or not all(isinstance(v, dict) for v in phases.values()):
-            raise ValueError("phase_results is not an object of objects")
-        for key in ("client_iss", "server_iss"):
-            iss = tr.get(key)
-            # type() rather than isinstance: JSON true/false load as bools.
-            if type(iss) is not int or not 0 <= iss < SEQ_MOD:
-                raise ValueError(f"{key} must be an integer in [0, 2**32): {iss!r}")
-        self.scenario_id = tr.get("scenario_id", "")
-        self.rng_seed = wire_int("seed", tr.get("seed", 0))
-        self.client_iss = tr["client_iss"]
-        self.server_iss = tr["server_iss"]
-        self.halt_reason = tr.get("halt_reason", "")
-        for k, v in phases.items():
-            self.phase_results[k] = PhaseResult(v["passed"], v.get("reason", ""))
 
 
 def replay_deliveries(

@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .agent_runtime import Scenario, SessionTranscript, replay_deliveries, run_trials
+from .agent_runtime import Scenario, replay_deliveries, run_trials
 from .cognitive_core import (
     ENDPOINT_ENV,
     KEY_ENV,
@@ -38,7 +38,7 @@ from .evaluation import (
     emit_report,
     load_prediction_records,
 )
-from .tcp_core import Segment, flags_parse
+from .tcp_core import CLIENT, SERVER, Segment, flags_parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,16 +159,46 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    path = args.infile
     try:
-        transcript = SessionTranscript.read(args.infile)
-    except (OSError, ValueError) as exc:  # ValueError: a malformed transcript
+        ingest = ingest_trace(path)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    deliveries = [(e.direction, e.segment) for e in transcript.entries]
+    except TraceFormatError as exc:  # more than 10% malformed
+        rejects, records = exc.rejects, []
+    else:
+        rejects, records = ingest.rejects, ingest.records
+    # Unlike trace2sft, a replay takes every line or none: a dropped
+    # delivery would change what the stream means.
+    for lineno, reason in rejects:
+        if reason.startswith("malformed:"):
+            print(f"error: {path} line {lineno}: {reason}", file=sys.stderr)
+            return EXIT_IO
+    flows = extract_flows(records)
     i = args.index
-    # A swap takes the delivery after the target too.
-    last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
     try:
+        if len(flows) != 1:
+            raise ValueError(f"{path} holds {len(flows)} flows; inject replays exactly one")
+        [flow] = flows
+        deliveries = [
+            (CLIENT if rec.five_tuple == flow.initiator else SERVER, rec.segment)
+            for rec in flow.records
+        ]
+        # The ISSs, taken as the labeler takes them: the seqs of the
+        # client's pure SYN and of the server's SYN|ACK.
+        client_iss = next(
+            (s.seq for side, s in deliveries if side is CLIENT and s.flags.syn and not s.flags.ack),
+            None,
+        )
+        server_iss = next(
+            (s.seq for side, s in deliveries if side is SERVER and s.flags.syn and s.flags.ack),
+            None,
+        )
+        if client_iss is None or server_iss is None:
+            raise ValueError(f"{path} has no SYN and SYN|ACK to take the ISSs from")
+        # A swap takes the delivery after the target too.
+        last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
         if (args.mutation is not None) != (args.fault == "flag_mutate"):
             raise ValueError("--mutation goes with --fault flag_mutate, and only with it")
         if args.fault != "none" and not 0 <= i <= last:
@@ -182,7 +212,7 @@ def cmd_inject(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    verdicts = replay_deliveries(deliveries, transcript.client_iss, transcript.server_iss)
+    verdicts = replay_deliveries(deliveries, client_iss, server_iss)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

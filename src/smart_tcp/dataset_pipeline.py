@@ -4,6 +4,10 @@ Ingests newline-delimited trace records, groups them into 5-tuple flows,
 replays complete flows through the reference oracle to recover each sender's
 pre-decision context, and emits supervised (context, decision) pairs plus a
 mutated error dataset for anomaly training.
+
+A trace line is what `tcp_core.TraceRecord.to_wire` writes (the session
+files of `simulate --out` are traces too); `TraceRecord` and `FiveTuple`
+live in `tcp_core` and are imported here by name.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .agent_runtime import SessionTranscript, implied_action, initial_states, oracle_step
+from .agent_runtime import implied_action, initial_states, oracle_step
 from .alu import AluTask, alu_execute
 from .cognitive_core import (
     CognitiveDecision,
@@ -32,49 +36,20 @@ from .cognitive_core import (
 from .tcp_core import (
     ACTION_NONE,
     CLIENT,
+    FiveTuple,
     KIND_NONE,
     Role,
     SERVER,
     SYNCHRONIZED_STATES,
     Segment,
+    TCP_PROTO,
+    TraceRecord,
     flags_parse,
     seq_add,
     segment_consumes,
 )
 
 log = logging.getLogger(__name__)
-
-TCP_PROTO = "tcp"
-
-
-class FiveTuple(NamedTuple):
-    src: str  # "addr:port"
-    dst: str
-    proto: str = TCP_PROTO
-
-    def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.dst, self.src, self.proto)
-
-    def normalized(self) -> Tuple[str, str, str]:
-        a, b = sorted((self.src, self.dst))
-        return (a, b, self.proto)
-
-
-class TraceRecord(NamedTuple):
-    ts: float
-    five_tuple: FiveTuple
-    segment: Segment
-
-    def to_wire(self) -> dict:
-        obj = {
-            "ts": self.ts,
-            "src": self.five_tuple.src,
-            "dst": self.five_tuple.dst,
-            "proto": self.five_tuple.proto,
-        }
-        obj.update(self.segment.to_wire())
-        return obj
-
 
 class Completeness(Enum):
     COMPLETE = "COMPLETE"
@@ -150,7 +125,12 @@ class IngestResult(NamedTuple):
 
 
 class TraceFormatError(Exception):
-    pass
+    """More than 10% of a trace's lines are malformed; `rejects` holds the
+    rejects that `IngestResult` would have."""
+
+    def __init__(self, message: str, rejects: List[Tuple[int, str]]):
+        super().__init__(message)
+        self.rejects = rejects
 
 
 def ingest_trace(path) -> IngestResult:
@@ -203,7 +183,7 @@ def ingest_trace(path) -> IngestResult:
             records.append(rec)
     if total and malformed / total > 0.10:
         raise TraceFormatError(
-            f"{malformed}/{total} malformed lines exceeds the 10% threshold"
+            f"{malformed}/{total} malformed lines exceeds the 10% threshold", rejects
         )
     records.sort(key=itemgetter(0))  # by ts
     return IngestResult(records=records, rejects=rejects)
@@ -454,30 +434,3 @@ def check_alu_consistency(sample: LabeledSample, observed: Segment) -> bool:
         result = alu_execute(sample.label.t_task, sample.input.s, sample.input.r)
     expected_ack = result.ack if observed.flags.ack else 0
     return observed.seq == result.seq and observed.ack == expected_ack
-
-
-# ---------------------------------------------------------------------------
-# Transcript export: simulated sessions become ingestible traces.
-# ---------------------------------------------------------------------------
-
-CLIENT_ADDR = "10.0.0.1:40000"
-SERVER_ADDR = "10.0.0.2:80"
-
-
-def transcript_to_trace_records(
-    transcript: SessionTranscript, t0: float = 0.0, dt: float = 0.001
-) -> List[TraceRecord]:
-    records = []
-    for i, entry in enumerate(transcript.entries):
-        if entry.direction is CLIENT:
-            ft = FiveTuple(src=CLIENT_ADDR, dst=SERVER_ADDR)
-        else:
-            ft = FiveTuple(src=SERVER_ADDR, dst=CLIENT_ADDR)
-        records.append(TraceRecord(ts=t0 + i * dt, five_tuple=ft, segment=entry.segment))
-    return records
-
-
-def write_trace(records: List[TraceRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(encode_compact(rec.to_wire()) + "\n")

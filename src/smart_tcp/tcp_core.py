@@ -1,7 +1,10 @@
 """Core TCP domain types and 32-bit modular sequence arithmetic.
 
 Everything here is an immutable value type; the rest of the package builds
-on these primitives.
+on these primitives. The trace types live here too: `FiveTuple` and
+`TraceRecord`, whose `to_wire` is the one trace-line encoder. Session files
+(`agent_runtime.SessionTranscript.write`) and test traces are written with
+it, and `dataset_pipeline.ingest_trace` reads its lines back.
 
 Value types: the values that every agent step and every trace or prediction
 record builds (here `TcpFlags`, `Segment`, `LocalAction` and `AgentState`;
@@ -47,7 +50,7 @@ from __future__ import annotations
 import base64
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 SEQ_MOD = 2**32
 SEQ_HALF = 2**31
@@ -284,6 +287,41 @@ def segment_consumes(seg: Segment) -> int:
     """Sequence-space footprint: payload bytes plus one per SYN and FIN."""
     f = seg.flags
     return len(seg.payload) + f.syn + f.fin
+
+
+TCP_PROTO = "tcp"
+
+
+class FiveTuple(NamedTuple):
+    src: str  # "addr:port"
+    dst: str
+    proto: str = TCP_PROTO
+
+    def reversed(self) -> "FiveTuple":
+        return FiveTuple(self.dst, self.src, self.proto)
+
+    def normalized(self) -> Tuple[str, str, str]:
+        a, b = sorted((self.src, self.dst))
+        return (a, b, self.proto)
+
+
+class TraceRecord(NamedTuple):
+    """One line of a trace: a segment seen on the wire at ts. `to_wire` is
+    the one trace-line encoder; `dataset_pipeline.ingest_trace` reads it."""
+
+    ts: float
+    five_tuple: FiveTuple
+    segment: Segment
+
+    def to_wire(self) -> dict:
+        obj = {
+            "ts": self.ts,
+            "src": self.five_tuple.src,
+            "dst": self.five_tuple.dst,
+            "proto": self.five_tuple.proto,
+        }
+        obj.update(self.segment.to_wire())
+        return obj
 
 
 class ActionKind(Enum):

@@ -5,7 +5,6 @@ Run with -s to see the per-criterion lines:
     pytest tests/test_acceptance.py -v -s
 """
 
-import json
 import os
 import random
 import time
@@ -31,7 +30,6 @@ from smart_tcp.dataset_pipeline import (
     extract_flows,
     generate_error_dataset,
     reconstruct_labels,
-    transcript_to_trace_records,
 )
 from smart_tcp.evaluation import FIELD_NAMES, PredictionRecord, compute_report
 from smart_tcp.tcp_core import (
@@ -137,7 +135,7 @@ def test_criterion_3_retrospective_round_trip():
     alu_ok = True
     for t in transcripts:
         assert t.all_passed()
-        records = transcript_to_trace_records(t)
+        records = t.trace_records()
         flows = extract_flows(records)
         assert len(flows) == 1
         samples = reconstruct_labels(flows[0])
@@ -180,7 +178,7 @@ def _error_detection_fixture_records():
 def test_criterion_4_error_detection_oracle():
     flows = []
     for t in _sessions(10, base_seed=300):
-        flows.extend(extract_flows(transcript_to_trace_records(t)))
+        flows.extend(extract_flows(t.trace_records()))
     samples = generate_error_dataset(_reconstructed(flows), count=200, ratio=0.5, seed=5)
     counts = {
         Verdict.ORDER_ERROR: sum(1 for s in samples if s.label.verdict is Verdict.ORDER_ERROR),
@@ -244,7 +242,7 @@ def test_criterion_5_metric_fidelity_fixtures():
     verdict_line("5 metric fidelity fixtures (49.27% / 97.22% / 5.6)", ok)
 
 
-def test_criterion_6_property_suites():
+def test_criterion_6_property_suites(tmp_path):
     t0 = time.perf_counter()
     rng = random.Random(6)
 
@@ -276,15 +274,15 @@ def test_criterion_6_property_suites():
             consumed[e.direction] += segment_consumes(e.segment)
     assert ack_cases >= 10_000
 
-    # Transcript determinism: re-running a seed reproduces every entry
-    # byte-for-byte (>= 10^4 compared wire objects).
+    # Transcript determinism: re-running a seed reproduces every line of
+    # its session file byte-for-byte (>= 10^4 compared lines).
     compared = 0
+    pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for seed in range(1000):
-        a = run_session(OracleCore(), OracleCore(), Scenario(), seed=seed)
-        b = run_session(OracleCore(), OracleCore(), Scenario(), seed=seed)
-        wa = [json.dumps(e.to_wire(), sort_keys=True) for e in a.entries]
-        wb = [json.dumps(e.to_wire(), sort_keys=True) for e in b.entries]
-        assert wa == wb
+        run_session(OracleCore(), OracleCore(), Scenario(), seed=seed).write(pa)
+        run_session(OracleCore(), OracleCore(), Scenario(), seed=seed).write(pb)
+        wa = pa.read_bytes().splitlines()
+        assert wa == pb.read_bytes().splitlines()
         compared += len(wa)
     assert compared >= 10_000
 
@@ -292,7 +290,7 @@ def test_criterion_6_property_suites():
     # verdict under the oracle, with state preserved.
     flows = []
     for t in _sessions(6, base_seed=600):
-        flows.extend(extract_flows(transcript_to_trace_records(t)))
+        flows.extend(extract_flows(t.trace_records()))
     for s in generate_error_dataset(_reconstructed(flows), count=10_000, ratio=0.5, seed=9):
         decision = oracle_transition(s.input.s, s.input.r, ACTION_NONE)
         assert decision.verdict is s.label.verdict

@@ -18,6 +18,10 @@ from smart_tcp.cli import (
     EXIT_USAGE,
     main,
 )
+from smart_tcp.dataset_pipeline import ingest_trace
+from smart_tcp.tcp_core import FiveTuple
+
+from traces import shifted, write_records
 
 
 def run(capsys, *argv):
@@ -190,19 +194,16 @@ def with_blank_lines(text):
 
 
 def make_trace(tmp_path, capsys, sessions=3):
-    """Simulate, then stitch the transcripts into one ingestible trace."""
-    from smart_tcp.agent_runtime import SessionTranscript
-    from smart_tcp.dataset_pipeline import transcript_to_trace_records, write_trace
-
+    """Simulate, then stitch the session files into one trace, one second
+    apart."""
     out = tmp_path / "sim"
     code, _, _ = run(capsys, "simulate", "--sessions", str(sessions), "--out", str(out))
     assert code == EXIT_OK
     records = []
     for i, path in enumerate(sorted(out.glob("session-*.jsonl"))):
-        t = SessionTranscript.read(path)
-        records.extend(transcript_to_trace_records(t, t0=float(i)))
+        records.extend(shifted(ingest_trace(path).records, float(i)))
     trace = tmp_path / "trace.jsonl"
-    write_trace(records, trace)
+    write_records(records, trace)
     return trace
 
 
@@ -215,6 +216,22 @@ class TestTrace2Sft:
         assert "3 flows, 33 packets" in stdout
         assert "33 samples" in stdout
         assert len(out.read_text().splitlines()) == 33
+
+    def test_session_file_is_a_trace(self, tmp_path, capsys):
+        # The trailer is the one non-TCP reject; the SFT is that of the
+        # session's records without it.
+        path = TestInject().session_path(tmp_path, capsys)
+        out = tmp_path / "sft.jsonl"
+        code, stdout, _ = run(capsys, "trace2sft", "--in", str(path), "--out", str(out))
+        assert code == EXIT_OK
+        assert stdout == (
+            f"1 flows, 11 packets (0 incomplete discarded, 1 rejected lines); 11 samples -> {out}\n"
+        )
+        bare = tmp_path / "bare.jsonl"
+        write_records(ingest_trace(path).records, bare)
+        bare_out = tmp_path / "bare-sft.jsonl"
+        assert run(capsys, "trace2sft", "--in", str(bare), "--out", str(bare_out))[0] == EXIT_OK
+        assert out.read_bytes() == bare_out.read_bytes()
 
     def test_with_error_samples(self, tmp_path, capsys):
         trace = make_trace(tmp_path, capsys)
@@ -497,8 +514,13 @@ class TestInject:
         assert code == EXIT_OK
         recorded = [json.loads(l) for l in path.read_text().splitlines()[:-1]]
         replayed = [json.loads(l) for l in out.read_text().splitlines()]
+        segment_keys = ("seq", "ack", "flags", "payload_len")
         assert [(r["direction"], r["segment"]) for r in replayed] == [
-            (r["direction"], r["segment"]) for r in recorded
+            (
+                "CLIENT" if r["src"] == recorded[0]["src"] else "SERVER",
+                {k: r[k] for k in segment_keys},
+            )
+            for r in recorded
         ]
         assert {r["replay_verdict"] for r in replayed} == {"NORMAL"}
         assert stdout == f"{len(recorded)} deliveries, anomalies: none\n"
@@ -562,48 +584,99 @@ class TestInject:
         "line, reason",
         [
             ("not json", "Expecting value"),
-            ('{"step":1}', "missing key 'segment'"),
-            (
-                '{"step":1,"direction":"CLIENT","segment":{"seq":1,"ack":0,"flags":"SYN|BOGUS","payload_len":0}}',
-                "unknown flag token",
-            ),
-            ('{"trailer":{"client_iss":"x","server_iss":1}}', "client_iss must be an integer"),
-            ('{"trailer":{"client_iss":1,"server_iss":true}}', "server_iss must be an integer"),
-            ('{"trailer":{"client_iss":4294967296,"server_iss":1}}', "client_iss must be an integer"),
             ("[1]", "not a JSON object: list"),
+            ('{"ts":0.0015,"src":"10.0.0.1:40000","dst":"10.0.0.2:80","proto":"tcp","ack":0,'
+             '"flags":"ACK","payload_len":0}', "'seq'"),
+            ('{"ts":0.0015,"src":"10.0.0.1:40000","dst":"10.0.0.2:80","proto":"tcp","seq":1,'
+             '"ack":0,"flags":"SYN|BOGUS","payload_len":0}', "unknown flag token"),
+            ('{"ts":0.0015,"src":"10.0.0.1:40000","dst":"10.0.0.2:80","proto":"tcp","seq":1.5,'
+             '"ack":0,"flags":"ACK","payload_len":0}', "seq must be an integer: 1.5"),
         ],
     )
     def test_malformed_transcript_is_io_error(self, tmp_path, capsys, line, reason):
+        # trace2sft skips a malformed line; inject replays every line or none.
         path = self.session_path(tmp_path, capsys)
         lines = path.read_text().splitlines()
         lines.insert(2, line)
         path.write_text("\n".join(lines) + "\n")
-        code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
-        assert code == EXIT_IO
-        assert stderr.startswith(f"error: {path} line 3: bad transcript line: ")
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_IO and stdout == ""
+        assert stderr.startswith(f"error: {path} line 3: malformed: ")
         assert reason in stderr
 
-    @pytest.mark.parametrize("key", ["step", "seed"])
-    @pytest.mark.parametrize("value", [1.9, True, "7"])
-    def test_non_integer_step_or_seed_is_io_error(self, tmp_path, capsys, key, value):
-        # int() would read 1.9 and true as 1, and "7" as 7.
-        path = self.session_path(tmp_path, capsys)
-        lines = path.read_text().splitlines()
-        lineno = 3 if key == "step" else len(lines)
-        obj = json.loads(lines[lineno - 1])
-        (obj if key == "step" else obj["trailer"])[key] = value
-        lines[lineno - 1] = json.dumps(obj)
-        path.write_text("\n".join(lines) + "\n")
+    def test_mostly_malformed_file_names_its_first_bad_line(self, tmp_path, capsys):
+        # Past trace2sft's 10% threshold, the same line is reported.
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"proto":"udp"}\nnot json\n[1]\n')
         code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
         assert code == EXIT_IO
-        assert stderr == f"error: {path} line {lineno}: bad transcript line: {key} must be an integer: {value!r}\n"
+        assert stderr.startswith(f"error: {path} line 2: malformed: Expecting value")
 
-    def test_transcript_without_trailer_is_io_error(self, tmp_path, capsys):
+    def test_any_one_flow_trace_replays(self, tmp_path, capsys):
+        # Other addresses and timestamps, the server's address sorting
+        # first: the flow's SYN says who the client is.
         path = self.session_path(tmp_path, capsys)
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
-        assert code == EXIT_IO
-        assert "no trailer line" in stderr
+        records = ingest_trace(path).records
+        client = FiveTuple("192.168.7.9:80", "172.16.0.2:51000")
+        records = [
+            r._replace(
+                ts=5 + 2 * r.ts,
+                five_tuple=client if r.five_tuple == records[0].five_tuple else client.reversed(),
+            )
+            for r in records
+        ]
+        other = tmp_path / "capture.jsonl"
+        write_records(records, other)
+        outputs = []
+        for p in (path, other):
+            out = tmp_path / f"{p.stem}-replay.jsonl"
+            code, stdout, _ = run(
+                capsys, "inject", "--in", str(p), "--fault", "flag_mutate", "--index", "4",
+                "--mutation", "SYN|FIN", "--out", str(out),
+            )
+            assert code == EXIT_OK
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "FLAG_ERROR" in outputs[0][0]
+
+    def test_session_file_without_trailer_replays_the_same_verdicts(self, tmp_path, capsys):
+        path = self.session_path(tmp_path, capsys)
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        outputs = []
+        for p in (path, bare):
+            out = tmp_path / f"{p.stem}-replay.jsonl"
+            code, stdout, _ = run(
+                capsys, "inject", "--in", str(p), "--fault", "reorder_swap", "--index", "3",
+                "--out", str(out),
+            )
+            assert code == EXIT_OK
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "ORDER_ERROR" in outputs[0][0]
+
+    @pytest.mark.parametrize("sessions, flows", [(0, 0), (2, 2)])
+    def test_not_exactly_one_flow_is_usage(self, tmp_path, capsys, sessions, flows):
+        if sessions:
+            path = make_trace(tmp_path, capsys, sessions=sessions)
+        else:  # a session that halted before its first delivery
+            path = tmp_path / "trailer.jsonl"
+            path.write_text(self.session_path(tmp_path, capsys).read_text().splitlines()[-1] + "\n")
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == f"error: {path} holds {flows} flows; inject replays exactly one\n"
+
+    @pytest.mark.parametrize(
+        "keep",
+        [lambda lines: lines[:1] + lines[-1:], lambda lines: lines[1:]],
+        ids=["halted after the SYN", "SYN missed"],
+    )
+    def test_flow_without_syn_and_syn_ack_is_usage(self, tmp_path, capsys, keep):
+        path = self.session_path(tmp_path, capsys)
+        path.write_text("".join(keep(path.read_text().splitlines(keepends=True))))
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == f"error: {path} has no SYN and SYN|ACK to take the ISSs from\n"
 
     def test_bad_mutation_is_usage(self, tmp_path, capsys):
         path = self.session_path(tmp_path, capsys)

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smart_tcp import dataset_pipeline, tcp_core
 from smart_tcp.agent_runtime import Scenario, run_session
 from smart_tcp.cognitive_core import (
     CognitiveDecision,
@@ -25,17 +26,16 @@ from smart_tcp.dataset_pipeline import (
     generate_error_dataset,
     ingest_trace,
     reconstruct_labels,
-    transcript_to_trace_records,
-    write_trace,
 )
 from smart_tcp.tcp_core import ActionKind, Role
 
+from traces import shifted, write_records
 from wire_reference import state_to_wire
 
 
 def session_records(seed=1, scenario=None, t0=0.0, src=None, dst=None):
     t = run_session(OracleCore(), OracleCore(), scenario or Scenario(), seed=seed)
-    records = transcript_to_trace_records(t, t0=t0)
+    records = shifted(t.trace_records(), t0)
     if src is not None:
         remapped = []
         for r in records:
@@ -53,11 +53,17 @@ def malformed(result) -> int:
     return sum(reason.startswith("malformed:") for _, reason in result.rejects)
 
 
+def test_trace_types_are_tcp_cores():
+    # They moved to tcp_core, and this module still binds them.
+    for name in ("TCP_PROTO", "FiveTuple", "TraceRecord"):
+        assert getattr(dataset_pipeline, name) is getattr(tcp_core, name)
+
+
 class TestIngest:
     def test_round_trip(self, tmp_path):
         records = session_records()
         path = tmp_path / "trace.jsonl"
-        write_trace(records, path)
+        write_records(records, path)
         result = ingest_trace(path)
         assert len(result.records) == len(records)
         assert result.rejects == []
@@ -69,7 +75,7 @@ class TestIngest:
         records = session_records()
         shuffled = [records[i] for i in (3, 0, 2, 1)] + records[4:]
         path = tmp_path / "trace.jsonl"
-        write_trace(shuffled, path)
+        write_records(shuffled, path)
         result = ingest_trace(path)
         ts = [r.ts for r in result.records]
         assert ts == sorted(ts)

@@ -30,15 +30,15 @@ from hypothesis import given, settings, strategies as st
 from smart_tcp.agent_runtime import Scenario, run_session
 from smart_tcp.cognitive_core import OracleCore
 from smart_tcp.dataset_pipeline import (
-    CLIENT_ADDR,
     Completeness,
     FiveTuple,
     Flow,
     extract_flows,
     reconstruct_labels,
-    transcript_to_trace_records,
 )
 from smart_tcp.tcp_core import Role, segment_consumes, seq_add
+
+from traces import shifted
 
 # ---------------------------------------------------------------------------
 # The earlier splitter.
@@ -159,8 +159,8 @@ def record_streams(draw):
         )
         t = run_session(OracleCore(), OracleCore(), scenario, draw(st.integers(0, 2**32 - 1)))
         session = []
-        for r in transcript_to_trace_records(t, t0=t0):
-            ft = FiveTuple(a, b) if r.five_tuple.src == CLIENT_ADDR else FiveTuple(b, a)
+        for e, r in zip(t.entries, shifted(t.trace_records(), t0)):
+            ft = FiveTuple(a, b) if e.direction is Role.CLIENT else FiveTuple(b, a)
             session.append(r._replace(five_tuple=ft))
         syn = session[0]
         # Lost FINs, ACKs or SYN|ACKs.
@@ -207,7 +207,7 @@ def test_same_flows_as_the_reference(records):
 
 
 def test_a_stray_record_does_not_hide_the_connection_after_it():
-    session = transcript_to_trace_records(run_session(OracleCore(), OracleCore(), Scenario(), 1))
+    session = run_session(OracleCore(), OracleCore(), Scenario(), 1).trace_records()
     stray = session[2]._replace(ts=-1.0)  # the handshake's ACK, seen first
     earlier, _, _ = reference_extract_flows([stray] + session, False, False)
     flows = extract_flows([stray] + session)
@@ -218,10 +218,8 @@ def test_a_stray_record_does_not_hide_the_connection_after_it():
 
 
 def test_a_stale_syn_does_not_swallow_the_next_connection():
-    first = transcript_to_trace_records(run_session(OracleCore(), OracleCore(), Scenario(), 1))
-    second = transcript_to_trace_records(
-        run_session(OracleCore(), OracleCore(), Scenario(), 2), t0=1.0
-    )
+    first = run_session(OracleCore(), OracleCore(), Scenario(), 1).trace_records()
+    second = shifted(run_session(OracleCore(), OracleCore(), Scenario(), 2).trace_records(), 1.0)
     stale = first[0]._replace(ts=0.5)  # the first SYN, retransmitted late
     records = first + [stale] + second
     earlier, _, _ = reference_extract_flows(records, True, False)

@@ -13,8 +13,9 @@ import json
 from smart_tcp.agent_runtime import Scenario, run_session
 from smart_tcp.cli import EXIT_OK, EXIT_USAGE, main
 from smart_tcp.cognitive_core import OracleCore
-from smart_tcp.dataset_pipeline import transcript_to_trace_records, write_trace
 from smart_tcp.tcp_core import Role
+
+from traces import shifted, write_records
 
 # Alternating data segments of awkward sizes, the server closes.
 MULTI_SEGMENT = Scenario(
@@ -34,8 +35,8 @@ MULTI_SEGMENT = Scenario(
 )
 
 GOLDEN = {
-    "default": "6e1cca4c4664890f3ad787ed41193f159d883bb119fca04857e13b9ec07e1fc4",
-    "multi": "dda1697eeebb31d2d0ffcf36695667677c68d7c9734103dbf20bf8f7a128589d",
+    "default": "2353c6257cef50d39ebacf735afcdc50669414a5e9ff9ae2c2a4655285de380f",
+    "multi": "61d1c5357983b2bef40b05bb62ea0f9dae527ffa73cd370a9ceb1315eae5c3bc",
 }
 
 
@@ -95,7 +96,7 @@ def test_trace2sft_outputs(tmp_path, capsys):
     # comes early and a few when it comes last; a repeated FIN has no trigger.
     records = []
     for k, t in enumerate(golden_sessions()):
-        recs = transcript_to_trace_records(t, t0=k * 10.0)
+        recs = shifted(t.trace_records(), k * 10.0)
         data = [i for i, r in enumerate(recs) if r.segment.payload_len > 0]
         if k == 0:
             recs = duplicated(recs, data[0])
@@ -105,7 +106,7 @@ def test_trace2sft_outputs(tmp_path, capsys):
             recs = duplicated(recs, data[-1])
         records += recs
     trace = tmp_path / "trace.jsonl"
-    write_trace(records, trace)
+    write_records(records, trace)
     for fmt, digest in TRACE_GOLDEN.items():
         out = tmp_path / f"{fmt}.jsonl"
         code = main([

@@ -1,8 +1,10 @@
-"""Properties over drawn scenarios: the labeler reproduces what the
-runtime's oracle decided, `inject` judges recorded streams as the oracle
-would, and sessions with a planted wrong decision grade as exactly those
-sessions failed."""
+"""Properties over drawn scenarios: a session file is a one-flow trace, the
+labeler reproduces what the runtime's oracle decided, `inject` judges
+recorded streams as the oracle would, and sessions with a planted wrong
+decision grade as exactly those sessions failed."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from smart_tcp.agent_runtime import Scenario, run_session, run_trials
 from smart_tcp.cli import EXIT_OK, main
 from smart_tcp.cognitive_core import OracleCore, Verdict, serialize_decision, serialize_input
-from smart_tcp.dataset_pipeline import extract_flows, reconstruct_labels, transcript_to_trace_records
+from smart_tcp.dataset_pipeline import Completeness, extract_flows, ingest_trace, reconstruct_labels
 from smart_tcp.tcp_core import Role
 
 from planted import PlantedCore, isses
@@ -23,6 +25,32 @@ scenarios = st.builds(
     st.sampled_from(Role),
 )
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(scenarios, seeds)
+def test_session_file_is_a_one_flow_trace(scenario, seed):
+    t = run_session(OracleCore(), OracleCore(), scenario, seed)
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.jsonl"
+        t.write(path)
+        ingest = ingest_trace(path)
+        with contextlib.redirect_stdout(stdout):
+            assert main(["inject", "--in", str(path), "--fault", "none"]) == EXIT_OK
+    # The trailer is the one line that is not a trace record.
+    assert ingest.rejects == [(len(t.entries) + 1, "non-tcp protocol: ''")]
+    [flow] = extract_flows(ingest.records)
+    assert flow.completeness is Completeness.COMPLETE
+    deliveries = [
+        (Role.CLIENT if r.five_tuple == flow.initiator else Role.SERVER, r.segment)
+        for r in flow.records
+    ]
+    assert deliveries == [(e.direction, e.segment) for e in t.entries]
+    syn = next(s for _, s in deliveries if s.flags.syn and not s.flags.ack)
+    synack = next(s for _, s in deliveries if s.flags.syn and s.flags.ack)
+    assert (syn.seq, synack.seq) == (t.client_iss, t.server_iss)
+    assert stdout.getvalue() == f"{len(t.entries)} deliveries, anomalies: none\n"
 
 
 class RecordingOracle(OracleCore):
@@ -44,7 +72,7 @@ def test_labels_are_the_runtime_oracles_decisions(scenario, seed):
     core = RecordingOracle()
     t = run_session(core, core, scenario, seed)
     assert t.all_passed()
-    [flow] = extract_flows(transcript_to_trace_records(t))
+    [flow] = extract_flows(t.trace_records())
     samples = reconstruct_labels(flow)
     assert [(serialize_input(s.input), serialize_decision(s.label)) for s in samples] == core.emitting
 

@@ -5,9 +5,11 @@ import json
 import re
 import socket
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -47,15 +49,16 @@ def oracle_run(n, seed, planted=frozenset()):
     return report, client.decisions + server.decisions
 
 
-def transcript_wire(report):
-    return [
-        (
-            [json.dumps(e.to_wire()) for e in t.entries],
-            t.halt_reason,
-            {k: v.to_wire() for k, v in t.phase_results.items()},
-        )
-        for t in report.transcripts
-    ]
+def session_files(report):
+    """The bytes of each session file the report's transcripts write:
+    deliveries, decisions, halt reason and grades."""
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.jsonl"
+        for t in report.transcripts:
+            t.write(path)
+            files.append(path.read_bytes())
+    return files
 
 
 class SleepyRemote(RemoteCore):
@@ -92,7 +95,7 @@ class TestConcurrentTrials:
             report = run_trials(client, server, 30, 7)
         finally:
             sys.setswitchinterval(interval)
-        assert transcript_wire(report) == transcript_wire(expected)
+        assert session_files(report) == session_files(expected)
         assert report.to_wire() == expected.to_wire()
         assert report.trial_accuracy < 1.0
         assert client.request_count + server.request_count == decisions
@@ -225,7 +228,7 @@ class TestRemoteTransport:
                 client.close()
                 server.close()
             assert model.wait_all_closed()
-        assert transcript_wire(report) == transcript_wire(expected)
+        assert session_files(report) == session_files(expected)
         assert client.request_count + server.request_count == decisions
         assert model.requests == decisions
         assert model.connections < model.requests
@@ -241,7 +244,7 @@ class TestRemoteTransport:
                 client.close()
                 server.close()
             assert model.wait_all_closed()
-        assert transcript_wire(report) == transcript_wire(expected)
+        assert session_files(report) == session_files(expected)
         assert client.request_count + server.request_count == decisions
         assert model.requests == decisions
         # One connection per core for a serial session, plus the one that

@@ -1,4 +1,4 @@
-"""Properties: trace lines, transcripts, endpoint replies and model output,
+"""Properties: trace lines, session files, endpoint replies and model output,
 whatever their JSON, end as a result or as the reader's own typed error,
 never as another exception."""
 
@@ -338,37 +338,47 @@ def test_remote_decide_returns_or_raises_typed_error(body):
     assert isinstance(decision, CognitiveDecision)
 
 
-segment_objects = st.fixed_dictionaries(
-    {
-        "seq": field(u32),
-        "ack": field(u32),
-        "flags": field(st.sampled_from(["SYN", "ACK", "SYN|ACK", "FIN|ACK", "PSH|ACK", "RST"])),
-        "payload_len": field(st.integers(min_value=0, max_value=64)),
-    }
-)
-transcript_lines = st.one_of(
-    st.fixed_dictionaries(
-        {
-            "step": field(st.integers(min_value=0, max_value=64)),
-            "direction": field(st.sampled_from(["CLIENT", "SERVER"])),
-            "segment": field(segment_objects),
-        }
+ENDPOINTS = ("10.0.0.1:40000", "10.0.0.2:80")
+# Trace lines between two endpoints, as a session file holds them, with
+# any numbers and flags, a trailer, and lines of any JSON.
+session_lines = st.one_of(
+    st.builds(
+        lambda sender, obj: {"src": ENDPOINTS[sender], "dst": ENDPOINTS[1 - sender], **obj},
+        st.integers(min_value=0, max_value=1),
+        st.fixed_dictionaries(
+            {
+                "ts": st.floats(min_value=0, max_value=1),
+                "proto": st.just("tcp"),
+                "seq": st.one_of(st.integers(min_value=0, max_value=3), u32),
+                "ack": st.one_of(st.integers(min_value=0, max_value=3), u32),
+                "flags": st.sampled_from(["SYN", "SYN|ACK", "ACK", "FIN|ACK", "PSH|ACK", "RST"]),
+                "payload_len": st.integers(min_value=0, max_value=64),
+            },
+        ),
     ),
-    st.fixed_dictionaries(
-        {
-            "trailer": field(st.fixed_dictionaries(
-                {"client_iss": field(u32), "server_iss": field(u32)},
-                optional={"seed": field(u32), "phase_results": field(st.just({}))},
-            ))
-        }
-    ),
+    st.just({"trailer": {"client_iss": 1, "server_iss": 2}}),
+    trace_objects,
     json_values,
 )
 
 
+def line(sender, ts, seq, ack, flags):
+    return {"src": ENDPOINTS[sender], "dst": ENDPOINTS[1 - sender], "ts": ts, "proto": "tcp",
+            "seq": seq, "ack": ack, "flags": flags, "payload_len": 0}
+
+
+# Half the files open with a handshake, so that draws reach the replay.
+HANDSHAKE = [line(0, 0.0, 1, 0, "SYN"), line(1, 0.0, 9, 2, "SYN|ACK")]
+session_files = st.builds(
+    lambda opened, rest: (HANDSHAKE if opened else []) + rest,
+    st.booleans(),
+    st.lists(session_lines, max_size=6),
+).filter(len)
+
+
 @settings(deadline=None)
-@given(st.lists(transcript_lines, min_size=1, max_size=6))
-def test_inject_replays_or_exits_2(lines):
+@given(session_files)
+def test_inject_replays_or_exits_1_or_2(lines):
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -380,7 +390,11 @@ def test_inject_replays_or_exits_2(lines):
     finally:
         os.unlink(path)
     if code == EXIT_IO:
-        assert err.getvalue().startswith(f"error: {path}")
+        assert err.getvalue().startswith(f"error: {path} line ")
+        assert ": malformed: " in err.getvalue()
+    elif code == EXIT_USAGE:
+        # No flow, more than one, or no SYN and SYN|ACK to take the ISSs from.
+        assert err.getvalue().startswith(f"error: {path} ")
     else:
         assert code == EXIT_OK
         assert "deliveries, anomalies:" in out.getvalue()
@@ -406,7 +420,7 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize(
-    "reader", ["ingest_trace", "load_prediction_records", "SessionTranscript.read", "Scenario.load", "parse_decision"]
+    "reader", ["ingest_trace", "load_prediction_records", "Scenario.load", "parse_decision"]
 )
 def test_json_nested_past_the_recursion_limit_is_a_typed_error(reader, tmp_path):
     path = tmp_path / "deep.jsonl"
@@ -421,10 +435,6 @@ def test_json_nested_past_the_recursion_limit_is_a_typed_error(reader, tmp_path)
     elif reader == "load_prediction_records":
         code, err = run_cli(["evaluate", "--pred", str(path), "--out", str(tmp_path / "r")])
         assert (code, err) == (EXIT_IO, f"error: {path} line 1: JSON nests too deeply\n")
-    elif reader == "SessionTranscript.read":
-        code, err = run_cli(["inject", "--in", str(path), "--fault", "none"])
-        assert code == EXIT_IO
-        assert err.startswith(f"error: {path} line 1: bad transcript line: maximum recursion depth")
     elif reader == "Scenario.load":
         code, err = run_cli(["simulate", "--scenario", str(path), "--sessions", "1"])
         assert (code, err) == (EXIT_USAGE, f"error: bad scenario {path}: JSON nests too deeply\n")
