@@ -28,6 +28,7 @@ from .dataset_pipeline import (
     emit_sft,
     extract_flows,
     generate_error_dataset,
+    handshake_isss,
     ingest_trace,
     reconstruct_labels,
 )
@@ -162,41 +163,37 @@ def cmd_inject(args) -> int:
     path = args.infile
     try:
         ingest = ingest_trace(path)
+        # The last non-blank line, read as ingest_trace reads lines.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            last_line = max((n for n, line in enumerate(fh, start=1) if line.strip()), default=0)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TraceFormatError as exc:  # more than 10% malformed
-        rejects, records = exc.rejects, []
+        rejects, records, last_line = exc.rejects, [], 0
     else:
         rejects, records = ingest.rejects, ingest.records
     # Unlike trace2sft, a replay takes every line or none: a dropped
-    # delivery would change what the stream means.
+    # delivery would change what the stream means. The one line passed over
+    # is a session file's trailer, a non-TCP line at the end.
     for lineno, reason in rejects:
-        if reason.startswith("malformed:"):
+        if reason.startswith("malformed:") or lineno != last_line:
             print(f"error: {path} line {lineno}: {reason}", file=sys.stderr)
             return EXIT_IO
-    flows = extract_flows(records)
     i = args.index
     try:
-        if len(flows) != 1:
-            raise ValueError(f"{path} holds {len(flows)} flows; inject replays exactly one")
-        [flow] = flows
+        connections = len({rec.five_tuple.normalized() for rec in records})
+        if connections != 1:
+            raise ValueError(f"{path} holds {connections} connections; inject replays exactly one")
+        # The records in trace order; the first one's sender is the client.
+        client = records[0].five_tuple
         deliveries = [
-            (CLIENT if rec.five_tuple == flow.initiator else SERVER, rec.segment)
-            for rec in flow.records
+            (CLIENT if rec.five_tuple == client else SERVER, rec.segment) for rec in records
         ]
-        # The ISSs, taken as the labeler takes them: the seqs of the
-        # client's pure SYN and of the server's SYN|ACK.
-        client_iss = next(
-            (s.seq for side, s in deliveries if side is CLIENT and s.flags.syn and not s.flags.ack),
-            None,
-        )
-        server_iss = next(
-            (s.seq for side, s in deliveries if side is SERVER and s.flags.syn and s.flags.ack),
-            None,
-        )
-        if client_iss is None or server_iss is None:
+        isss = handshake_isss(records, client)
+        if isss is None:
             raise ValueError(f"{path} has no SYN and SYN|ACK to take the ISSs from")
+        client_iss, server_iss = isss
         # A swap takes the delivery after the target too.
         last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
         if (args.mutation is not None) != (args.fault == "flag_mutate"):

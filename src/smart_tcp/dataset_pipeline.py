@@ -225,6 +225,27 @@ def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     return flows
 
 
+def handshake_isss(
+    records: List[TraceRecord], client: FiveTuple
+) -> Optional[Tuple[int, int]]:
+    """The ISSs a replay starts from: the seqs of the client's first pure SYN
+    and of the server's first SYN|ACK; None when either is missing."""
+    server = client.reversed()
+    syn = synack = None
+    for r in records:
+        flags = r.segment.flags
+        if not flags.syn:
+            continue
+        if flags.ack:
+            if synack is None and r.five_tuple == server:
+                synack = r.segment.seq
+        elif syn is None and r.five_tuple == client:
+            syn = r.segment.seq
+        if syn is not None and synack is not None:
+            return syn, synack
+    return None
+
+
 class LabeledSample(NamedTuple):
     input: CognitiveInput
     label: CognitiveDecision
@@ -242,13 +263,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
         raise ValueError(f"{flow.flow_id} is not COMPLETE")
 
     client_tuple = flow.initiator
-    server_tuple = client_tuple.reversed()
-    synack = next(
-        r
-        for r in flow.records
-        if r.segment.flags.syn and r.segment.flags.ack and r.five_tuple == server_tuple
-    )
-    states = initial_states(flow.records[0].segment.seq, synack.segment.seq)
+    states = initial_states(*handshake_isss(flow.records, client_tuple))
     last_received: Dict[Role, Optional[Segment]] = {CLIENT: None, SERVER: None}
     undelivered: Dict[Role, Deque[Segment]] = {CLIENT: deque(), SERVER: deque()}
     samples: List[LabeledSample] = []

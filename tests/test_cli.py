@@ -11,6 +11,7 @@ import pytest
 
 import smart_tcp
 from smart_tcp import cli
+from smart_tcp.agent_runtime import Scenario, run_session
 from smart_tcp.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -18,9 +19,11 @@ from smart_tcp.cli import (
     EXIT_USAGE,
     main,
 )
+from smart_tcp.cognitive_core import OracleCore
 from smart_tcp.dataset_pipeline import ingest_trace
 from smart_tcp.tcp_core import FiveTuple
 
+from planted import PlantedCore
 from traces import shifted, write_records
 
 
@@ -606,8 +609,8 @@ class TestInject:
 
     def test_mostly_malformed_file_names_its_first_bad_line(self, tmp_path, capsys):
         # Past trace2sft's 10% threshold, the same line is reported.
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"proto":"udp"}\nnot json\n[1]\n')
+        path = self.session_path(tmp_path, capsys)
+        path.write_text(path.read_text().splitlines()[0] + "\nnot json\n[1]\n")
         code, _, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
         assert code == EXIT_IO
         assert stderr.startswith(f"error: {path} line 2: malformed: Expecting value")
@@ -655,16 +658,64 @@ class TestInject:
         assert outputs[0] == outputs[1]
         assert "ORDER_ERROR" in outputs[0][0]
 
-    @pytest.mark.parametrize("sessions, flows", [(0, 0), (2, 2)])
-    def test_not_exactly_one_flow_is_usage(self, tmp_path, capsys, sessions, flows):
-        if sessions:
-            path = make_trace(tmp_path, capsys, sessions=sessions)
+    @pytest.mark.parametrize("connections", [0, 2])
+    def test_not_exactly_one_connection_is_usage(self, tmp_path, capsys, connections):
+        session = self.session_path(tmp_path, capsys)
+        path = tmp_path / "trace.jsonl"
+        if connections:  # the same session again, a second later, from another client
+            records = ingest_trace(session).records
+            moved = [
+                r._replace(
+                    five_tuple=FiveTuple(
+                        *(a.replace("10.0.0.1:", "10.0.0.3:") for a in r.five_tuple[:2])
+                    )
+                )
+                for r in records
+            ]
+            write_records(records + shifted(moved, 1.0), path)
         else:  # a session that halted before its first delivery
-            path = tmp_path / "trailer.jsonl"
-            path.write_text(self.session_path(tmp_path, capsys).read_text().splitlines()[-1] + "\n")
+            path.write_text(session.read_text().splitlines()[-1] + "\n")
         code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
         assert code == EXIT_USAGE and stdout == ""
-        assert stderr == f"error: {path} holds {flows} flows; inject replays exactly one\n"
+        assert stderr == f"error: {path} holds {connections} connections; inject replays exactly one\n"
+
+    def test_connections_one_after_another_on_one_tuple_replay_as_one_stream(self, tmp_path, capsys):
+        # The second session's SYN comes after the first closed: out of order.
+        path = make_trace(tmp_path, capsys, sessions=2)
+        code, stdout, _ = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_OK
+        assert stdout == "22 deliveries, anomalies: [(11, 'ORDER_ERROR')]\n"
+
+    def test_failed_session_replays(self, tmp_path, capsys):
+        # The server answers the client's FIN with SYN|FIN and the client
+        # halts; the replay flags that last delivery as the session did.
+        clean = run_session(OracleCore(), OracleCore(), Scenario(), seed=1)
+        core = PlantedCore({clean.server_iss})
+        path = tmp_path / "failed.jsonl"
+        run_session(core, core, Scenario(), seed=1).write(path)
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert (code, stderr) == (EXIT_OK, "")
+        assert stdout == "9 deliveries, anomalies: [(8, 'FLAG_ERROR')]\n"
+
+    @pytest.mark.parametrize(
+        "edit, lineno, reason",
+        [
+            (lambda objs: objs[2].pop("proto"), 3, "''"),
+            (lambda objs: objs[2].update(proto="udp"), 3, "'udp'"),
+            (lambda objs: objs.insert(0, objs[-1]), 1, "''"),
+            (lambda objs: objs.append(objs[-1]), 12, "''"),
+        ],
+        ids=["proto missing", "udp", "trailer first", "two trailers"],
+    )
+    def test_non_tcp_line_before_the_last_is_io_error(self, tmp_path, capsys, edit, lineno, reason):
+        # Only the trailer, on the last line, is passed over.
+        path = self.session_path(tmp_path, capsys)
+        objs = [json.loads(l) for l in path.read_text().splitlines()]
+        edit(objs)
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs) + "\n")
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert code == EXIT_IO and stdout == ""
+        assert stderr == f"error: {path} line {lineno}: non-tcp protocol: {reason}\n"
 
     @pytest.mark.parametrize(
         "keep",
