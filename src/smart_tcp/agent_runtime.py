@@ -4,10 +4,11 @@ One agent step aggregates context, asks the cognitive core for a decision,
 runs the arithmetic tool when the decision names a task, assembles the
 outbound segment and updates protocol memory. Sessions run two agents over a
 lossless, ordered in-memory duplex channel and are graded per phase from the
-transcript alone. `SessionTranscript.write` records a session as a trace
-(`trace_records`, written through `tcp_core.TraceRecord.to_wire`) with a
-trailer line, so `trace2sft` and `inject` read a session file as they read
-any other trace.
+transcript alone. A session halts at the first step that fails or whose
+decision is not NORMAL, whether a delivery or a scripted action began it.
+`SessionTranscript.write` records a session as a trace (`trace_records`,
+written through `tcp_core.TraceRecord.to_wire`) with a trailer line, so
+`trace2sft` and `inject` read a session file as they read any other trace.
 
 Two replays walk a recorded stream through a pair of oracle endpoints, and
 they keep different contracts. The labeler (`reconstruct_labels` in
@@ -424,39 +425,34 @@ def run_session(
     step = 0
 
     while step < scenario.steps_budget:
+        # The trigger: the oldest delivery in flight, which the sender's peer
+        # receives, or else the next scripted action.
         if in_flight:
             entry = in_flight.popleft()
-            receiver = SERVER if entry.direction is CLIENT else CLIENT
-            step += 1
             entries.append(entry)
-            try:
-                outcome = agents[receiver].step(entry.segment, None)
-            except (MalformedDecision, StepFailure) as exc:
-                transcript.halt_reason = f"{receiver.value} step failure: {exc}"
-                break
-            if outcome.decision.verdict is not NORMAL:
+            role = SERVER if entry.direction is CLIENT else CLIENT
+            segment, action = entry.segment, None
+        elif actions:
+            role, action = actions[0]
+            state = agents[role].state.state
+            if state not in ACTION_STATES[action.kind]:
                 transcript.halt_reason = (
-                    f"{receiver.value} verdict {outcome.decision.verdict.value}"
+                    f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
                 )
                 break
-            if outcome.emitted is not None:
-                in_flight.append(TranscriptEntry(step, receiver, outcome.emitted, outcome))
-            continue
-        if not actions:
+            actions.popleft()
+            segment = None
+        else:
             break  # quiescent: session complete
-        role, action = actions[0]
-        state = agents[role].state.state
-        if state not in ACTION_STATES[action.kind]:
-            transcript.halt_reason = (
-                f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
-            )
-            break
-        actions.popleft()
         step += 1
         try:
-            outcome = agents[role].step(None, action)
+            outcome = agents[role].step(segment, action)
         except (MalformedDecision, StepFailure) as exc:
             transcript.halt_reason = f"{role.value} step failure: {exc}"
+            break
+        verdict = outcome.decision.verdict
+        if verdict is not NORMAL:
+            transcript.halt_reason = f"{role.value} verdict {verdict.value}"
             break
         if outcome.emitted is not None:
             in_flight.append(TranscriptEntry(step, role, outcome.emitted, outcome))

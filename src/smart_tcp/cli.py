@@ -1,6 +1,12 @@
 """Command-line entry point: simulate, trace2sft, evaluate, inject.
 
-Exit codes: 0 completed, 1 usage, 2 I/O, 3 remote transport.
+Commands raise and never print to stderr. `main` is the one error exit: it
+prints `error: <message>` once and maps what a command raised to an exit
+code, 0 completed, 1 usage (`UsageError`), 2 I/O (`OSError`,
+`TraceFormatError`, `InputError`) and 3 remote transport (`TransportError`).
+A command turns a library ValueError into `UsageError` or `InputError`,
+since only the command knows which it is; anything else is a bug and ends
+in a traceback.
 """
 
 from __future__ import annotations
@@ -47,6 +53,14 @@ EXIT_IO = 2
 EXIT_TRANSPORT = 3
 
 
+class UsageError(Exception):
+    """A bad option value, or options that do not fit the input: exit 1."""
+
+
+class InputError(Exception):
+    """An input file whose content cannot be used: exit 2."""
+
+
 def _make_core(args):
     if args.core == "oracle":
         return OracleCore()
@@ -57,27 +71,17 @@ def _make_core(args):
     return RemoteCore(RemoteConfig(endpoint=endpoint, api_key=os.environ.get(KEY_ENV)))
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     if args.sessions < 1:
-        print("error: --sessions must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--sessions must be >= 1")
     try:
         scenario = Scenario.load(args.scenario) if args.scenario else Scenario()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except ValueError as exc:  # bad JSON and undecodable bytes included
-        print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad scenario {args.scenario}: {exc}") from exc
     outdir = Path(args.out) if args.out else None
     if outdir is not None:
         # Made before the trial runs, so that a bad path costs no sessions.
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    # A TransportError from here on is main's to report.
+        outdir.mkdir(parents=True, exist_ok=True)
     client = _make_core(args)
     server = _make_core(args)
     try:
@@ -86,25 +90,16 @@ def cmd_simulate(args) -> int:
         client.close()
         server.close()
     if outdir is not None:
-        try:
-            for i, t in enumerate(report.transcripts):
-                t.write(outdir / f"session-{i:03d}.jsonl")
-            with open(outdir / "trial_report.json", "w", encoding="utf-8") as fh:
-                json.dump(report.to_wire(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        for i, t in enumerate(report.transcripts):
+            t.write(outdir / f"session-{i:03d}.jsonl")
+        with open(outdir / "trial_report.json", "w", encoding="utf-8") as fh:
+            json.dump(report.to_wire(), fh, indent=2)
+            fh.write("\n")
     print(report.summary())
-    return EXIT_OK
 
 
-def cmd_trace2sft(args) -> int:
-    try:
-        ingest = ingest_trace(args.infile)
-    except (OSError, TraceFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_trace2sft(args) -> None:
+    ingest = ingest_trace(args.infile)
     flows = extract_flows(ingest.records)
     complete = [f for f in flows if f.completeness is COMPLETE]
     samples = []
@@ -112,120 +107,81 @@ def cmd_trace2sft(args) -> int:
         samples.extend(reconstruct_labels(flow))
     if args.errors:
         try:
-            samples.extend(
-                generate_error_dataset(
-                    samples, count=args.errors, ratio=args.error_ratio, seed=args.seed
-                )
-            )
+            errors = generate_error_dataset(samples, args.errors, args.error_ratio, args.seed)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    fmt = SftFormat(args.format.upper())
-    try:
-        emit_sft(samples, args.out, fmt)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+            raise UsageError(str(exc)) from exc
+        samples.extend(errors)
+    emit_sft(samples, args.out, SftFormat(args.format.upper()))
     packets = sum(len(f.records) for f in complete)
     print(
         f"{len(complete)} flows, {packets} packets "
         f"({len(flows) - len(complete)} incomplete discarded, "
         f"{len(ingest.rejects)} rejected lines); {len(samples)} samples -> {args.out}"
     )
-    return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     # The records are read while the report is counted, so a bad line ends
     # the run when it is reached.
     try:
         report = compute_report(load_prediction_records(args.pred))
     except EmptyRecordSet:
-        print("error: empty prediction file", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    fmt = ReportFormat(args.format.upper())
-    try:
-        emit_report(report, args.out, fmt)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise InputError("empty prediction file") from None
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    emit_report(report, args.out, ReportFormat(args.format.upper()))
     print(
         f"records={report.record_count} malformed={report.malformed_count} "
         f"atomic={report.atomic_accuracy * 100:.2f}% -> {args.out}"
     )
-    return EXIT_OK
 
 
-def cmd_inject(args) -> int:
+def cmd_inject(args) -> None:
     path = args.infile
     try:
-        ingest = ingest_trace(path)
-        # The last non-blank line, read as ingest_trace reads lines.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            last_line = max((n for n, line in enumerate(fh, start=1) if line.strip()), default=0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        records, rejects, last_line = ingest_trace(path)
     except TraceFormatError as exc:  # more than 10% malformed
-        rejects, records, last_line = exc.rejects, [], 0
-    else:
-        rejects, records = ingest.rejects, ingest.records
+        records, rejects, last_line = [], exc.rejects, 0
     # Unlike trace2sft, a replay takes every line or none: a dropped
     # delivery would change what the stream means. The one line passed over
     # is a session file's trailer, a non-TCP line at the end.
     for lineno, reason in rejects:
         if reason.startswith("malformed:") or lineno != last_line:
-            print(f"error: {path} line {lineno}: {reason}", file=sys.stderr)
-            return EXIT_IO
+            raise InputError(f"{path} line {lineno}: {reason}")
+    connections = len({rec.five_tuple.normalized() for rec in records})
+    if connections != 1:
+        raise UsageError(f"{path} holds {connections} connections; inject replays exactly one")
+    # The records in trace order; the first one's sender is the client.
+    client = records[0].five_tuple
+    deliveries = [(CLIENT if rec.five_tuple == client else SERVER, rec.segment) for rec in records]
+    isss = handshake_isss(records, client)
+    if isss is None:
+        raise UsageError(f"{path} has no SYN and SYN|ACK to take the ISSs from")
     i = args.index
-    try:
-        connections = len({rec.five_tuple.normalized() for rec in records})
-        if connections != 1:
-            raise ValueError(f"{path} holds {connections} connections; inject replays exactly one")
-        # The records in trace order; the first one's sender is the client.
-        client = records[0].five_tuple
-        deliveries = [
-            (CLIENT if rec.five_tuple == client else SERVER, rec.segment) for rec in records
-        ]
-        isss = handshake_isss(records, client)
-        if isss is None:
-            raise ValueError(f"{path} has no SYN and SYN|ACK to take the ISSs from")
-        client_iss, server_iss = isss
-        # A swap takes the delivery after the target too.
-        last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
-        if (args.mutation is not None) != (args.fault == "flag_mutate"):
-            raise ValueError("--mutation goes with --fault flag_mutate, and only with it")
-        if args.fault != "none" and not 0 <= i <= last:
-            raise ValueError(f"fault target index out of range: {i}")
-        if args.fault == "reorder_swap":
-            deliveries[i], deliveries[i + 1] = deliveries[i + 1], deliveries[i]
-        elif args.fault == "flag_mutate":
-            # Numbers and payload stay as recorded; only the flag set changes.
-            sender, seg = deliveries[i]
-            deliveries[i] = (sender, Segment(seg.seq, seg.ack, flags_parse(args.mutation), seg.payload))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    verdicts = replay_deliveries(deliveries, client_iss, server_iss)
-    if args.out:
+    # A swap takes the delivery after the target too.
+    last = len(deliveries) - (2 if args.fault == "reorder_swap" else 1)
+    if (args.mutation is not None) != (args.fault == "flag_mutate"):
+        raise UsageError("--mutation goes with --fault flag_mutate, and only with it")
+    if args.fault != "none" and not 0 <= i <= last:
+        raise UsageError(f"fault target index out of range: {i}")
+    if args.fault == "reorder_swap":
+        deliveries[i], deliveries[i + 1] = deliveries[i + 1], deliveries[i]
+    elif args.fault == "flag_mutate":
+        # Numbers and payload stay as recorded; only the flag set changes.
+        sender, seg = deliveries[i]
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for (sender, seg), verdict in zip(deliveries, verdicts):
-                    obj = {
-                        "direction": sender.value,
-                        "segment": seg.to_wire(),
-                        "replay_verdict": verdict.value,
-                    }
-                    fh.write(encode_compact(obj) + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            deliveries[i] = (sender, Segment(seg.seq, seg.ack, flags_parse(args.mutation), seg.payload))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    verdicts = replay_deliveries(deliveries, *isss)
+    if args.out:
+        objs = (
+            {"direction": sender.value, "segment": seg.to_wire(), "replay_verdict": verdict.value}
+            for (sender, seg), verdict in zip(deliveries, verdicts)
+        )
+        Path(args.out).write_text("".join(encode_compact(o) + "\n" for o in objs), encoding="utf-8")
     flagged = [(i, v.value) for i, v in enumerate(verdicts) if v.value != "NORMAL"]
     print(f"{len(deliveries)} deliveries, anomalies: {flagged or 'none'}")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,10 +231,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
-    except TransportError as exc:
+        args.func(args)
+    except (UsageError, InputError, OSError, TraceFormatError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+        if isinstance(exc, UsageError):
+            return EXIT_USAGE
+        return EXIT_TRANSPORT if isinstance(exc, TransportError) else EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -195,6 +195,16 @@ _raw_decode = json.JSONDecoder().raw_decode
 _skip_whitespace = json.decoder.WHITESPACE.match
 
 
+def check_utf8(line: str) -> None:
+    """Raise ValueError for a line read with errors="surrogateescape" whose
+    bytes were not UTF-8, which come through as lone surrogates."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("line is not valid UTF-8") from None
+
+
 def decode_stripped(line: str):
     """`json.loads(line)` for a str that `str.strip()` has already trimmed:
     the same value, or the same JSONDecodeError message ("Unexpected UTF-8

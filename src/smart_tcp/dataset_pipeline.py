@@ -27,6 +27,7 @@ from .cognitive_core import (
     CognitiveInput,
     NORMAL,
     PERSONA,
+    check_utf8,
     decode_stripped,
     encode_compact,
     oracle_transition,
@@ -122,6 +123,7 @@ class Flow:
 class IngestResult(NamedTuple):
     records: List[TraceRecord]
     rejects: List[Tuple[int, str]]  # (line number, reason)
+    last_line: int  # number of the last non-blank line, 0 for none
 
 
 class TraceFormatError(Exception):
@@ -141,8 +143,7 @@ def ingest_trace(path) -> IngestResult:
     """
     records: List[TraceRecord] = []
     rejects: List[Tuple[int, str]] = []
-    malformed = 0
-    total = 0
+    malformed = total = last_line = 0
     # Undecodable bytes come through as lone surrogates, so a bad line is
     # rejected on its own instead of ending the read.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -151,12 +152,9 @@ def ingest_trace(path) -> IngestResult:
             if not line:
                 continue
             total += 1
+            last_line = lineno
             try:
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ValueError("line is not valid UTF-8") from None
+                check_utf8(line)
                 obj = decode_stripped(line)
                 if not isinstance(obj, dict):
                     raise ValueError(f"not a JSON object: {type(obj).__name__}")
@@ -186,7 +184,7 @@ def ingest_trace(path) -> IngestResult:
             f"{malformed}/{total} malformed lines exceeds the 10% threshold", rejects
         )
     records.sort(key=itemgetter(0))  # by ts
-    return IngestResult(records=records, rejects=rejects)
+    return IngestResult(records, rejects, last_line)
 
 
 def extract_flows(records: List[TraceRecord]) -> List[Flow]:

@@ -18,7 +18,13 @@ import json
 from enum import Enum
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .cognitive_core import CognitiveDecision, MalformedDecision, Verdict, decode_stripped
+from .cognitive_core import (
+    CognitiveDecision,
+    MalformedDecision,
+    Verdict,
+    check_utf8,
+    decode_stripped,
+)
 from .tcp_core import SEQ_MOD
 
 FIELD_NAMES = ("NewState", "Flags", "PayloadLen", "Seq", "Ack")
@@ -350,7 +356,8 @@ def load_prediction_records(path) -> Iterator[PredictionRecord]:
     predicted side is null or schema-invalid scores as malformed; a
     predicted side with bad numbers scores as wrong numbers. A bad truth
     side raises ValueError, naming its line, when that line is reached."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # Read as ingest_trace reads, so that undecodable bytes name their line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -358,6 +365,7 @@ def load_prediction_records(path) -> Iterator[PredictionRecord]:
             # RecursionError: JSON nested past the interpreter's recursion
             # limit, met by the decoder or by the repr in an error message.
             try:
+                check_utf8(line)
                 record = _load_record(line)
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None

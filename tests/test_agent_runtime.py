@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smart_tcp.agent_runtime import (
     Agent,
@@ -40,6 +41,7 @@ from smart_tcp.tcp_core import (
     Role,
     SEQ_MOD,
     Segment,
+    TcpFlags,
     TcpState,
     flags_parse,
     segment_consumes,
@@ -207,6 +209,17 @@ class TestStepFunctions:
             assert action.data == payload
 
 
+# Any decision that CognitiveDecision.from_wire accepts.
+schema_valid_decisions = st.builds(
+    CognitiveDecision,
+    next_state=st.sampled_from(list(TcpState)),
+    flags=st.none() | st.builds(TcpFlags, *[st.booleans()] * 6).filter(TcpFlags.any),
+    payload_len=st.integers(0, MAX_PAYLOAD_LEN),
+    t_task=st.none() | st.sampled_from(list(AluTask)),
+    verdict=st.sampled_from(list(Verdict)),
+)
+
+
 class TestRunSession:
     def test_oracle_session_all_phases_pass(self):
         t = run_session(OracleCore(), OracleCore(), Scenario(), seed=1)
@@ -308,6 +321,32 @@ class TestRunSession:
         assert t.phase_results["handshake"].passed
         assert t.phase_results["data_transfer"].passed
         assert not t.phase_results["termination"].passed
+        # A verdict on a scripted action halts the session too: the client
+        # answers its own CLOSE with ORDER_ERROR and never sends its FIN.
+        t = run_session(CloseErrorCore(), OracleCore(), Scenario(), seed=1)
+        assert t.halt_reason == "CLIENT verdict ORDER_ERROR"
+        assert t.phase_results["handshake"].passed
+        assert t.phase_results["data_transfer"].reason == "halted: CLIENT verdict ORDER_ERROR"
+        assert t.phase_results["termination"].reason == "closer never sent FIN"
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.tuples(st.sampled_from(list(Role)), st.integers(1, MAX_PAYLOAD_LEN)), max_size=4),
+        st.sampled_from(list(Role)),
+        st.integers(0, 2**32 - 1),
+        st.dictionaries(st.integers(0, 24), schema_valid_decisions, max_size=3),
+    )
+    def test_an_adversarial_core_ends_every_session_graded(self, script, closer, seed, swaps):
+        core = AdversarialCore(swaps)
+        scenario = Scenario(data_script=tuple(script), closer=closer)
+        t = run_session(core, core, scenario, seed)
+        assert set(t.phase_results) == {"handshake", "data_transfer", "termination"}
+        first = next((k for k, (_, d) in enumerate(core.made) if d.verdict is not Verdict.NORMAL), None)
+        if first is not None:
+            # The first decision that is not NORMAL is the session's last.
+            role, decision = core.made[first]
+            assert first == len(core.made) - 1
+            assert t.halt_reason == f"{role.value} verdict {decision.verdict.value}"
 
     def test_action_invalid_in_the_agents_state_is_a_deadlock(self):
         t = run_session(StayClosedCore(), OracleCore(), Scenario(), seed=1)
@@ -339,6 +378,34 @@ class StayClosedCore(CognitiveCore):
         if input.a.kind is ActionKind.OPEN_ACTIVE:
             return CognitiveDecision(TcpState.CLOSED, None, 0, None)
         return oracle_transition(input.s, input.r, input.a)
+
+
+class CloseErrorCore(CognitiveCore):
+    """Answers CLOSE with ORDER_ERROR; otherwise the oracle."""
+
+    name = "close-error"
+
+    def decide(self, input):
+        if input.a.kind is ActionKind.CLOSE:
+            return CognitiveDecision(input.s.state, None, 0, None, Verdict.ORDER_ERROR)
+        return oracle_transition(input.s, input.r, input.a)
+
+
+class AdversarialCore(CognitiveCore):
+    """The oracle, except that the session's i-th decision is swaps[i] where
+    swaps has one; keeps each decision it makes, with the deciding role.
+    Serve both endpoints of one session with one instance."""
+
+    name = "adversarial"
+
+    def __init__(self, swaps):
+        self.swaps = swaps
+        self.made = []
+
+    def decide(self, input):
+        decision = self.swaps.get(len(self.made)) or oracle_transition(input.s, input.r, input.a)
+        self.made.append((input.s.role, decision))
+        return decision
 
 
 class AckBeforeReceiveCore(CognitiveCore):

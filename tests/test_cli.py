@@ -19,8 +19,8 @@ from smart_tcp.cli import (
     EXIT_USAGE,
     main,
 )
-from smart_tcp.cognitive_core import OracleCore
-from smart_tcp.dataset_pipeline import ingest_trace
+from smart_tcp.cognitive_core import OracleCore, TransportError
+from smart_tcp.dataset_pipeline import TraceFormatError, ingest_trace
 from smart_tcp.tcp_core import FiveTuple
 
 from planted import PlantedCore
@@ -444,6 +444,16 @@ class TestEvaluate:
             EXIT_IO, f"error: {pred} line 2: bad truth record: {exc.value}\n"
         )
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path, capsys):
+        # Past the first read chunk, so the line is not the chunk's first.
+        pred = self.write_predictions(tmp_path, n_correct=2002, n_wrong=0)
+        lines = pred.read_bytes().splitlines(keepends=True)
+        lines[2000] = lines[2000].replace(b'"ESTABLISHED"', b'"ESTABLISHED\xff"', 1)
+        pred.write_bytes(b"".join(lines))
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, f"error: {pred} line 2001: line is not valid UTF-8\n"
+        )
+
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"
         pred.write_text("")
@@ -736,6 +746,38 @@ class TestInject:
             "--mutation", "SYN|BOGUS",
         )
         assert code == EXIT_USAGE and "unknown flag token" in stderr
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (cli.UsageError("--sessions must be >= 1"), EXIT_USAGE),
+        (cli.InputError("empty prediction file"), EXIT_IO),
+        (FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "x.jsonl"), EXIT_IO),
+        (TraceFormatError("3/4 malformed lines exceeds the 10% threshold", []), EXIT_IO),
+        (TransportError("remote core selected but no endpoint configured"), EXIT_TRANSPORT),
+    ],
+    ids=["usage", "input", "os", "trace format", "transport"],
+)
+def test_main_maps_what_a_command_raises_to_an_exit_code(monkeypatch, capsys, exc, code):
+    def command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_evaluate", command)
+    assert run(capsys, "evaluate", "--pred", "p", "--out", "r") == (code, "", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("a bug"), ValueError("a bug")], ids=repr)
+def test_main_lets_any_other_exception_through(monkeypatch, capsys, exc):
+    # A bug ends in a traceback, never in a quiet exit code.
+    def command(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_evaluate", command)
+    with pytest.raises(type(exc)) as raised:
+        main(["evaluate", "--pred", "p", "--out", "r"])
+    assert raised.value is exc
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(
