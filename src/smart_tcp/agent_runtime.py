@@ -5,7 +5,8 @@ runs the arithmetic tool when the decision names a task, assembles the
 outbound segment and updates protocol memory. Sessions run two agents over a
 lossless, ordered in-memory duplex channel and are graded per phase from the
 transcript alone. A session halts at the first step that fails or whose
-decision is not NORMAL, whether a delivery or a scripted action began it.
+decision is not NORMAL, whether a delivery or a scripted action began it; one
+that goes quiet before both endpoints are CLOSED gets a `quiescent` reason.
 `SessionTranscript.write` records a session as a trace (`trace_records`,
 written through `tcp_core.TraceRecord.to_wire`) with a trailer line, so
 `trace2sft` and `inject` read a session file as they read any other trace.
@@ -81,10 +82,26 @@ class StepFailure(Exception):
     """Cognitive core produced an unusable decision for this step."""
 
 
+# The halt reason's prefix for a session that goes quiet, with nothing in
+# flight and every scripted action issued, before both endpoints are CLOSED.
+QUIESCENT = "quiescent"
+
+
 # ---------------------------------------------------------------------------
 # The step: sessions and the labeler advance an endpoint's memory through
 # `advance`; fault replay calls `oracle_transition` and `remember` directly.
 # ---------------------------------------------------------------------------
+
+# The step builds the values it derives (the emitted Segment, the memory after
+# the step and a segment-triggered CognitiveInput) with `tuple.__new__`,
+# skipping their types' checks: each field comes from values that are checked
+# already. Memory's sequence numbers are reduced % SEQ_MOD, irs is a checked
+# segment's seq, the ALU's numbers come from checked memory and seq_add, the
+# payload is a checked action's data, and a received segment is all that
+# CognitiveInput checks for. So `_assemble(T, fields)` must equal
+# `T(*fields)`; the checks that a decision can fail are StepFailures in
+# `advance`, and values built from outside input take the checked constructors.
+_assemble = tuple.__new__
 
 
 def remember(
@@ -97,8 +114,8 @@ def remember(
     `received`: snd_nxt follows the segment sent, irs is learned from the
     first SYN received and rcv_nxt follows the segment consumed."""
     snd_nxt, irs, rcv_nxt = s.snd_nxt, s.irs, s.rcv_nxt
-    # Segment has checked seq and a footprint is never negative, so the sums
-    # need seq_add's wrap but not its checks; AgentState checks the results.
+    # A segment's seq is in range and a footprint is never negative, so the
+    # sums need seq_add's wrap but not its checks.
     if sent is not None:
         snd_nxt = (sent.seq + segment_consumes(sent)) % SEQ_MOD
     if received is not None:
@@ -108,7 +125,7 @@ def remember(
     # No 2MSL timer in a lossless ordered simulation.
     if next_state is TIME_WAIT:
         next_state = CLOSED
-    return AgentState(s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt)
+    return _assemble(AgentState, (s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt))
 
 
 def advance(
@@ -117,16 +134,23 @@ def advance(
     """Apply a decision: run the ALU task it names, assemble the segment it
     emits and update memory; a non-NORMAL verdict changes nothing. A segment
     trigger is consumed, an action's segment is ALU context only. Raises
-    StepFailure for a task without flags or one the input cannot feed."""
+    StepFailure for a task without flags or with empty ones, flags without a
+    task, a task the input cannot feed, and a payload_len other than the
+    length of the payload sent (the action's data for a SEND's segment, and
+    0 for any other segment or none)."""
     s = cinput.s
     if decision.verdict is not NORMAL:
         return s, None, None
     emitted: Optional[Segment] = None
     alu_result: Optional[AluResult] = None
     action = cinput.a
+    flags = decision.flags
+    sent_len = 0
     if decision.t_task is not None:
-        if decision.flags is None:
+        if flags is None:
             raise StepFailure("decision names a task but no flags to emit")
+        if not any(flags):
+            raise StepFailure("decision names a task but its flags are empty")
         alu_r = None if decision.t_task is INIT_SYN else cinput.r
         try:
             alu_result = alu_execute(decision.t_task, s, alu_r)
@@ -134,11 +158,17 @@ def advance(
             # A schema-valid decision can still name a task the inputs
             # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
             raise StepFailure(str(exc)) from exc
-        emitted = Segment(
-            alu_result.seq,
-            alu_result.ack,
-            decision.flags,
-            action.data if action.kind is KIND_SEND else b"",
+        payload = action.data if action.kind is KIND_SEND else b""
+        sent_len = len(payload)
+        # Segment's own rule: a segment without ACK carries ack 0.
+        emitted = _assemble(
+            Segment, (alu_result.seq, alu_result.ack if flags.ack else 0, flags, payload)
+        )
+    elif flags is not None:
+        raise StepFailure("decision names flags but no task to run")
+    if decision.payload_len != sent_len:
+        raise StepFailure(
+            f"decision payload_len {decision.payload_len} but the step sends {sent_len} bytes"
         )
     received = cinput.r if action.kind is KIND_NONE else None
     return remember(s, decision.next_state, emitted, received), emitted, alu_result
@@ -149,7 +179,7 @@ def oracle_step(
 ) -> Tuple[CognitiveInput, CognitiveDecision, AgentState, Optional[Segment]]:
     """One step with the reference oracle as the decision core: the input,
     the oracle's decision, the memory after it and the segment emitted."""
-    cinput = CognitiveInput(s, r, a)
+    cinput = CognitiveInput(s, r, a) if r is None else _assemble(CognitiveInput, (s, r, a))
     decision = oracle_transition(s, r, a)
     new_state, emitted, _ = advance(cinput, decision)
     return cinput, decision, new_state, emitted
@@ -196,7 +226,7 @@ class Agent:
         if (segment is None) == (action is None):
             raise ValueError("a step takes exactly one of a segment or an action")
         if segment is not None:
-            cinput = CognitiveInput(self.state, segment, ACTION_NONE)
+            cinput = _assemble(CognitiveInput, (self.state, segment, ACTION_NONE))
         else:
             cinput = CognitiveInput(self.state, self.last_received, action)
         decision = self.core.decide(cinput)
@@ -461,7 +491,13 @@ def run_session(
         if in_flight or actions:
             transcript.halt_reason = "step budget exhausted"
 
-    both_closed = all(a.state.state is CLOSED for a in agents.values())
+    client, server = agents[CLIENT].state.state, agents[SERVER].state.state
+    both_closed = client is CLOSED and server is CLOSED
+    if not both_closed and not transcript.halt_reason:
+        # Nothing in flight and every action issued, but not both closed.
+        transcript.halt_reason = (
+            f"{QUIESCENT}: CLIENT in {client.value}, SERVER in {server.value}"
+        )
     transcript.phase_results = grade_session(transcript, scenario, both_closed)
     return transcript
 
@@ -546,11 +582,18 @@ def grade_session(
 
     if script_left:
         data_fail = data_fail or "scripted data never transferred"
-    if transcript.halt_reason and data_fail is None and term_fail is None:
+    halt_reason = transcript.halt_reason
+    if (
+        halt_reason
+        and not halt_reason.startswith(QUIESCENT)
+        and data_fail is None
+        and term_fail is None
+    ):
         # Session halted abnormally; blame the earliest incomplete phase. All
-        # scripted data went through, or data_fail would say so.
+        # scripted data went through, or data_fail would say so. A quiescent
+        # session issued every action, so only termination can fail there.
         if fin_seen[scenario.closer] is None:
-            data_fail = f"halted: {transcript.halt_reason}"
+            data_fail = f"halted: {halt_reason}"
     results["data_transfer"] = PhaseResult(data_fail is None, data_fail or "")
 
     if term_fail is None:
@@ -564,7 +607,7 @@ def grade_session(
             term_fail = "FIN not acknowledged"
         elif not both_closed:
             term_fail = "agents did not both reach CLOSED"
-    if transcript.halt_reason == "step budget exhausted" and term_fail is None:
+    if halt_reason == "step budget exhausted" and term_fail is None:
         term_fail = "timeout"
     results["termination"] = PhaseResult(term_fail is None, term_fail or "")
     return results

@@ -25,7 +25,10 @@ tuples has consequences that code using them must keep in mind:
   `cognitive_core.serialize_input` is `CognitiveInput`'s encoder (its state
   and action have no other);
 - a checked type overrides `_make` to call the class, so `_make` and
-  `_replace` run the same checks as a call.
+  `_replace` run the same checks as a call;
+- values are checked where they enter (the wire decoders and public
+  construction); the agent step builds the values it derives from checked
+  ones with `tuple.__new__` (`agent_runtime._assemble`), which runs no check.
 The same rule holds everywhere: immutable values (configuration,
 scenarios, grades and reports too) are NamedTuples, and the mutable
 per-session or per-flow containers, `agent_runtime.SessionTranscript` and

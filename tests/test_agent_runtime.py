@@ -1,10 +1,14 @@
 """Agent step loop, dual-agent sessions, grading and fault injection."""
 
 import json
+import re
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from smart_tcp import agent_runtime
 from smart_tcp.agent_runtime import (
     Agent,
     PhaseResult,
@@ -22,6 +26,7 @@ from smart_tcp.agent_runtime import (
     run_trials,
 )
 from smart_tcp.alu import AluTask
+from smart_tcp.dataset_pipeline import COMPLETE, extract_flows, reconstruct_labels
 from smart_tcp.cognitive_core import (
     ACTION_STATES,
     CognitiveCore,
@@ -32,6 +37,7 @@ from smart_tcp.cognitive_core import (
     oracle_transition,
 )
 from smart_tcp.tcp_core import (
+    ACTION_NONE,
     ActionKind,
     AgentState,
     ISN_MAX,
@@ -159,6 +165,43 @@ class TestStepFunctions:
         with pytest.raises(StepFailure, match="no flags"):
             advance(cinput, decision)
 
+    @pytest.mark.parametrize(
+        "flags, task, match",
+        [
+            (TcpFlags(), AluTask.CALCULATE_SEQ_ACK, "names a task but its flags are empty"),
+            (flags_parse("FIN|ACK"), None, "names flags but no task to run"),
+        ],
+    )
+    def test_flags_that_the_task_cannot_send_are_a_step_failure(self, flags, task, match):
+        cinput = CognitiveInput(ESTABLISHED, a=LocalAction(ActionKind.CLOSE))
+        decision = CognitiveDecision(TcpState.FIN_WAIT_1, flags, 0, task)
+        with pytest.raises(StepFailure, match=match):
+            advance(cinput, decision)
+
+    @pytest.mark.parametrize(
+        "action, flags, task, payload_len, sent",
+        [
+            # A SEND's segment carries the action's data, 5 bytes.
+            (LocalAction(ActionKind.SEND, b"hello"), "PSH|ACK", AluTask.CALCULATE_SEQ_ACK, 12, 5),
+            (LocalAction(ActionKind.SEND, b"hello"), "PSH|ACK", AluTask.CALCULATE_SEQ_ACK, 0, 5),
+            # A SEND answered with nothing sends no bytes.
+            (LocalAction(ActionKind.SEND, b"hello"), None, None, 5, 0),
+            (LocalAction(ActionKind.CLOSE), "FIN|ACK", AluTask.CALCULATE_SEQ_ACK, 7, 0),
+            (ACTION_NONE, "ACK", AluTask.CALCULATE_ACK, 1, 0),
+            (ACTION_NONE, None, None, 7, 0),
+        ],
+    )
+    def test_payload_len_other_than_the_bytes_sent_is_a_step_failure(
+        self, action, flags, task, payload_len, sent
+    ):
+        last = Segment(seq=501, ack=101, flags=flags_parse("PSH|ACK"), payload=b"x")
+        decision = CognitiveDecision(
+            TcpState.ESTABLISHED, flags and flags_parse(flags), payload_len, task
+        )
+        match = f"payload_len {payload_len} but the step sends {sent} bytes"
+        with pytest.raises(StepFailure, match=match):
+            advance(CognitiveInput(ESTABLISHED, last, action), decision)
+
     def test_oracle_step_matches_agent_step(self):
         client, _ = handshake_pair()
         s, r = client.state, client.last_received
@@ -217,6 +260,18 @@ schema_valid_decisions = st.builds(
     payload_len=st.integers(0, MAX_PAYLOAD_LEN),
     t_task=st.none() | st.sampled_from(list(AluTask)),
     verdict=st.sampled_from(list(Verdict)),
+)
+
+
+# The halt reasons of a session that ends early without a non-NORMAL verdict.
+EARLY_END = re.compile(
+    r"(CLIENT|SERVER) step failure: (decision names a task but no flags to emit"
+    r"|decision names flags but no task to run"
+    r"|decision payload_len \d+ but the step sends \d+ bytes"
+    r"|INIT_SYN takes no received segment|CALCULATE_(SEQ_)?ACK requires a received segment)$"
+    r"|deadlock: (CLIENT|SERVER) cannot \w+ in \w+$"
+    r"|step budget exhausted$"
+    r"|quiescent: CLIENT in \w+, SERVER in \w+$"
 )
 
 
@@ -323,7 +378,7 @@ class TestRunSession:
         assert not t.phase_results["termination"].passed
         # A verdict on a scripted action halts the session too: the client
         # answers its own CLOSE with ORDER_ERROR and never sends its FIN.
-        t = run_session(CloseErrorCore(), OracleCore(), Scenario(), seed=1)
+        t = run_session(CLOSE_ERROR, OracleCore(), Scenario(), seed=1)
         assert t.halt_reason == "CLIENT verdict ORDER_ERROR"
         assert t.phase_results["handshake"].passed
         assert t.phase_results["data_transfer"].reason == "halted: CLIENT verdict ORDER_ERROR"
@@ -347,13 +402,125 @@ class TestRunSession:
             role, decision = core.made[first]
             assert first == len(core.made) - 1
             assert t.halt_reason == f"{role.value} verdict {decision.verdict.value}"
+        elif t.halt_reason:
+            assert EARLY_END.match(t.halt_reason), t.halt_reason
+        else:
+            # A session without a halt reason ended with both endpoints CLOSED.
+            assert t.phase_results["termination"].reason != "agents did not both reach CLOSED"
+
+    def test_a_payload_len_the_step_does_not_send_halts_the_session(self):
+        plus_7 = EditedOracleCore(lambda d: d._replace(payload_len=d.payload_len + 7))
+        report = run_trials(plus_7, OracleCore(), 5, base_seed=1)
+        assert report.trial_accuracy == 0.0
+        for t in report.transcripts:
+            # The client's first decision, OPEN_ACTIVE, sends the bare SYN.
+            assert t.halt_reason == (
+                "CLIENT step failure: decision payload_len 7 but the step sends 0 bytes"
+            )
+            assert not t.phase_results["handshake"].passed
+
+    def test_flags_without_a_task_halt_the_session(self):
+        # ACK flags and no task on every silent decision.
+        ack_silent = EditedOracleCore(
+            lambda d: d if d.flags else d._replace(flags=flags_parse("ACK"))
+        )
+        report = run_trials(OracleCore(), ack_silent, 5, base_seed=1)
+        assert report.trial_accuracy == 0.0
+        for t in report.transcripts:
+            # The server's first decision, OPEN_PASSIVE, is silent.
+            assert t.halt_reason == "SERVER step failure: decision names flags but no task to run"
+            assert t.entries == []
+
+    def test_a_task_with_empty_flags_halts_the_session(self):
+        t = run_session(EMPTY_FLAGS_SYN, OracleCore(), Scenario(), seed=1)
+        assert t.halt_reason == (
+            "CLIENT step failure: decision names a task but its flags are empty"
+        )
+        assert t.entries == []
+        assert t.phase_results["handshake"] == PhaseResult(False, "fewer than three segments")
+
+    def test_a_session_that_goes_quiet_before_closed_says_so(self):
+        # The server takes the client's FIN in ESTABLISHED without a word,
+        # then closes itself: the client ends CLOSED, the server FIN_WAIT_2.
+        t = run_session(OracleCore(), SwallowFinCore(), Scenario(), seed=1)
+        assert t.halt_reason == "quiescent: CLIENT in CLOSED, SERVER in FIN_WAIT_2"
+        assert t.phase_results == {
+            "handshake": PhaseResult(True),
+            "data_transfer": PhaseResult(True),
+            "termination": PhaseResult(False, "agents did not both reach CLOSED"),
+        }
+
+    def test_a_quiet_end_before_the_closers_fin_blames_only_termination(self):
+        # The client answers its own CLOSE with nothing and stays
+        # ESTABLISHED. Every action was issued and all data went through, so
+        # the quiet end is not a halt that data_transfer answers for.
+        t = run_session(SILENT_CLOSE, OracleCore(), Scenario(), seed=1)
+        assert t.halt_reason == "quiescent: CLIENT in CLOSE_WAIT, SERVER in FIN_WAIT_2"
+        assert t.phase_results == {
+            "handshake": PhaseResult(True),
+            "data_transfer": PhaseResult(True),
+            "termination": PhaseResult(False, "closer never sent FIN"),
+        }
 
     def test_action_invalid_in_the_agents_state_is_a_deadlock(self):
-        t = run_session(StayClosedCore(), OracleCore(), Scenario(), seed=1)
+        t = run_session(STAY_CLOSED, OracleCore(), Scenario(), seed=1)
         assert t.entries == []
         assert t.halt_reason == "deadlock: CLIENT cannot SEND in CLOSED"
         assert not t.phase_results["handshake"].passed
 
+
+
+# Seeds whose ISS lies close enough below 2^32 for a session's sequence
+# numbers to wrap: seed 625 gives the client an ISS 35,667 below it, and seed
+# 62824 the server one 13,299 below.
+CLIENT_WRAP_SEED, SERVER_WRAP_SEED = 625, 62824
+
+
+@contextmanager
+def checked_assembly():
+    """Wrap agent_runtime's `_assemble`, which builds the step's values
+    without their types' checks: each value must equal its type's checked
+    constructor on the same fields, which must not raise. Yields the list of
+    the types built."""
+    built = []
+
+    def assemble(cls, fields):
+        value = tuple.__new__(cls, fields)
+        assert cls(*fields) == value, (cls.__name__, fields)
+        built.append(cls)
+        return value
+
+    with mock.patch.object(agent_runtime, "_assemble", assemble):
+        yield built
+
+
+class TestAssembledValues:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(st.tuples(st.sampled_from(list(Role)), st.integers(1, MAX_PAYLOAD_LEN)), max_size=4),
+        st.sampled_from(list(Role)),
+        st.sampled_from([CLIENT_WRAP_SEED, SERVER_WRAP_SEED]) | st.integers(0, 2**32 - 1),
+        st.dictionaries(st.integers(0, 24), schema_valid_decisions, max_size=3),
+    )
+    @example([(Role.CLIENT, 40_000)], Role.CLIENT, CLIENT_WRAP_SEED, {})
+    @example([(Role.SERVER, 20_000)], Role.SERVER, SERVER_WRAP_SEED, {})
+    # The client answers the SYN|ACK with a FIN (no ACK) whose ALU ack is the
+    # server's ISN+1: the assembled segment must carry ack 0.
+    @example([], Role.CLIENT, 1, {3: CognitiveDecision(
+        TcpState.ESTABLISHED, flags_parse("FIN"), 0, AluTask.CALCULATE_ACK)})
+    def test_the_step_assembles_what_the_checked_constructors_build(
+        self, script, closer, seed, swaps
+    ):
+        # With no swaps the adversarial core is the oracle.
+        core = AdversarialCore(swaps)
+        with checked_assembly() as built:
+            t = run_session(core, core, Scenario(data_script=tuple(script), closer=closer), seed)
+            assert built.count(Segment) >= len(t.entries)
+            # The labeler's replay of the session's complete flows, as
+            # trace2sft runs it.
+            for flow in extract_flows(t.trace_records()):
+                if flow.completeness is COMPLETE:
+                    reconstruct_labels(flow)
 
 
 class AlwaysAckCore(CognitiveCore):
@@ -368,27 +535,65 @@ class AlwaysAckCore(CognitiveCore):
         )
 
 
-class StayClosedCore(CognitiveCore):
-    """Answers OPEN_ACTIVE by staying CLOSED and sending nothing;
-    otherwise the oracle."""
+class ActionAnswerCore(CognitiveCore):
+    """Answers each action of `kind` with `decision`; otherwise the oracle."""
 
-    name = "stay-closed"
+    name = "action-answer"
+
+    def __init__(self, kind, decision):
+        self.kind = kind
+        self.decision = decision
 
     def decide(self, input):
-        if input.a.kind is ActionKind.OPEN_ACTIVE:
-            return CognitiveDecision(TcpState.CLOSED, None, 0, None)
+        if input.a.kind is self.kind:
+            return self.decision
         return oracle_transition(input.s, input.r, input.a)
 
 
-class CloseErrorCore(CognitiveCore):
-    """Answers CLOSE with ORDER_ERROR; otherwise the oracle."""
+class EditedOracleCore(CognitiveCore):
+    """The oracle, with `edit` applied to each of its decisions."""
 
-    name = "close-error"
+    name = "edited-oracle"
+
+    def __init__(self, edit):
+        self.edit = edit
 
     def decide(self, input):
-        if input.a.kind is ActionKind.CLOSE:
-            return CognitiveDecision(input.s.state, None, 0, None, Verdict.ORDER_ERROR)
-        return oracle_transition(input.s, input.r, input.a)
+        return self.edit(oracle_transition(input.s, input.r, input.a))
+
+
+OPEN_ACTIVE, CLOSE = ActionKind.OPEN_ACTIVE, ActionKind.CLOSE
+# Answers OPEN_ACTIVE by staying CLOSED and sending nothing.
+STAY_CLOSED = ActionAnswerCore(OPEN_ACTIVE, CognitiveDecision(TcpState.CLOSED, None, 0, None))
+# Schema-valid but unfeedable: names CALCULATE_ACK on OPEN_ACTIVE, before any
+# segment has arrived.
+ACK_BEFORE_RECEIVE = ActionAnswerCore(
+    OPEN_ACTIVE, CognitiveDecision(TcpState.SYN_SENT, flags_parse("SYN"), 0, AluTask.CALCULATE_ACK)
+)
+# Names INIT_SYN on OPEN_ACTIVE with an empty flag set: no wire decision has
+# empty flags, but a Python core can.
+EMPTY_FLAGS_SYN = ActionAnswerCore(
+    OPEN_ACTIVE, CognitiveDecision(TcpState.SYN_SENT, TcpFlags(), 0, AluTask.INIT_SYN)
+)
+# Answer CLOSE, which comes in ESTABLISHED in these sessions, with
+# ORDER_ERROR, or with nothing and no change of state.
+CLOSE_ERROR = ActionAnswerCore(
+    CLOSE, CognitiveDecision(TcpState.ESTABLISHED, None, 0, None, Verdict.ORDER_ERROR)
+)
+SILENT_CLOSE = ActionAnswerCore(CLOSE, CognitiveDecision(TcpState.ESTABLISHED, None, 0, None))
+
+
+class SwallowFinCore(CognitiveCore):
+    """Takes a FIN in ESTABLISHED with a silent NORMAL decision that stays
+    ESTABLISHED; otherwise the oracle."""
+
+    name = "swallow-fin"
+
+    def decide(self, input):
+        s, r, a = input
+        if a.kind is ActionKind.NONE and r.flags.fin and s.state is TcpState.ESTABLISHED:
+            return CognitiveDecision(TcpState.ESTABLISHED, None, 0, None)
+        return oracle_transition(s, r, a)
 
 
 class AdversarialCore(CognitiveCore):
@@ -406,20 +611,6 @@ class AdversarialCore(CognitiveCore):
         decision = self.swaps.get(len(self.made)) or oracle_transition(input.s, input.r, input.a)
         self.made.append((input.s.role, decision))
         return decision
-
-
-class AckBeforeReceiveCore(CognitiveCore):
-    """Schema-valid but unfeedable: names CALCULATE_ACK on OPEN_ACTIVE,
-    before any segment has arrived; otherwise the oracle."""
-
-    name = "ack-before-receive"
-
-    def decide(self, input):
-        if input.a.kind is ActionKind.OPEN_ACTIVE:
-            return CognitiveDecision(
-                TcpState.SYN_SENT, flags_parse("SYN"), 0, AluTask.CALCULATE_ACK
-            )
-        return oracle_transition(input.s, input.r, input.a)
 
 
 class TestRunTrials:
@@ -441,7 +632,7 @@ class TestRunTrials:
         assert not t.phase_results["termination"].passed
 
     def test_alu_error_halts_and_grades_the_session(self):
-        report = run_trials(AckBeforeReceiveCore(), OracleCore(), 3, base_seed=1)
+        report = run_trials(ACK_BEFORE_RECEIVE, OracleCore(), 3, base_seed=1)
         assert report.handshake == 0.0
         for t in report.transcripts:
             assert t.halt_reason == (
@@ -527,6 +718,11 @@ class TestGradeSession:
                 ("", "halted: CLIENT verdict ORDER_ERROR", "closer never sent FIN"),
             ),
             (dict(keep=7, both_closed=False), ("", "", "closer never sent FIN")),
+            (
+                dict(keep=7, halt_reason="quiescent: CLIENT in CLOSE_WAIT, SERVER in FIN_WAIT_2",
+                     both_closed=False),
+                ("", "", "closer never sent FIN"),
+            ),
             (dict(keep=9, both_closed=False), ("", "", "peer never sent FIN")),
             (dict(keep=10, both_closed=False), ("", "", "FIN not acknowledged")),
             (dict(both_closed=False), ("", "", "agents did not both reach CLOSED")),

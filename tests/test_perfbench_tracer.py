@@ -41,7 +41,29 @@ def test_plan_layers_traces_simulate(capsys):
         "agent_runtime.Agent.step",
         "cognitive_core.oracle_transition",
         "alu.alu_execute",
-        "tcp_core.Segment",
         "tcp_core.seq_add",
     ):
+        assert calls[name] > 0, name
+
+
+def test_plan_layers_traces_trace2sft(tmp_path, capsys):
+    # The session step assembles its segments without calling the class;
+    # Segment.from_wire still calls it for each trace line it reads.
+    simulate = ["simulate", "--sessions", "1", "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(simulate) == EXIT_OK
+    module = load_tracer()
+    tracer = module.Tracer()
+    module.plan_layers(tracer)
+    init = vars(Segment)["__init__"]
+    tracer.install()
+    try:
+        trace, sft = str(tmp_path / "session-000.jsonl"), str(tmp_path / "sft.jsonl")
+        assert cli.main(["trace2sft", "--in", trace, "--out", sft]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert vars(Segment)["__init__"] is init
+    capsys.readouterr()
+    calls = {name: s.calls for name, s in tracer.stats.items()}
+    assert calls["dataset_pipeline.reconstruct_labels"] == 1
+    for name in ("tcp_core.Segment.from_wire", "tcp_core.Segment"):
         assert calls[name] > 0, name
