@@ -82,25 +82,22 @@ class StepFailure(Exception):
     """Cognitive core produced an unusable decision for this step."""
 
 
-# The halt reason's prefix for a session that goes quiet, with nothing in
-# flight and every scripted action issued, before both endpoints are CLOSED.
-QUIESCENT = "quiescent"
-
-
 # ---------------------------------------------------------------------------
 # The step: sessions and the labeler advance an endpoint's memory through
 # `advance`; fault replay calls `oracle_transition` and `remember` directly.
 # ---------------------------------------------------------------------------
 
 # The step builds the values it derives (the emitted Segment, the memory after
-# the step and a segment-triggered CognitiveInput) with `tuple.__new__`,
-# skipping their types' checks: each field comes from values that are checked
-# already. Memory's sequence numbers are reduced % SEQ_MOD, irs is a checked
-# segment's seq, the ALU's numbers come from checked memory and seq_add, the
-# payload is a checked action's data, and a received segment is all that
-# CognitiveInput checks for. So `_assemble(T, fields)` must equal
-# `T(*fields)`; the checks that a decision can fail are StepFailures in
-# `advance`, and values built from outside input take the checked constructors.
+# the step, Agent.step's segment-triggered CognitiveInput and oracle_step's
+# input) with `tuple.__new__`, skipping their types' checks: each field comes
+# from values that are checked already. Memory's sequence numbers are reduced
+# % SEQ_MOD, irs is a checked segment's seq, the ALU's numbers come from
+# checked memory and seq_add, and the payload is a checked action's data.
+# CognitiveInput checks only that a step has a trigger: a segment trigger is
+# one, and oracle_transition rejects an oracle_step without either. So
+# `_assemble(T, fields)` must equal `T(*fields)`; the checks that a decision
+# can fail are StepFailures in `advance`, and values built from outside input
+# take the checked constructors.
 _assemble = tuple.__new__
 
 
@@ -149,7 +146,7 @@ def advance(
     if decision.t_task is not None:
         if flags is None:
             raise StepFailure("decision names a task but no flags to emit")
-        if not any(flags):
+        if not flags.any():
             raise StepFailure("decision names a task but its flags are empty")
         alu_r = None if decision.t_task is INIT_SYN else cinput.r
         try:
@@ -179,7 +176,7 @@ def oracle_step(
 ) -> Tuple[CognitiveInput, CognitiveDecision, AgentState, Optional[Segment]]:
     """One step with the reference oracle as the decision core: the input,
     the oracle's decision, the memory after it and the segment emitted."""
-    cinput = CognitiveInput(s, r, a) if r is None else _assemble(CognitiveInput, (s, r, a))
+    cinput = _assemble(CognitiveInput, (s, r, a))
     decision = oracle_transition(s, r, a)
     new_state, emitted, _ = advance(cinput, decision)
     return cinput, decision, new_state, emitted
@@ -493,12 +490,11 @@ def run_session(
 
     client, server = agents[CLIENT].state.state, agents[SERVER].state.state
     both_closed = client is CLOSED and server is CLOSED
-    if not both_closed and not transcript.halt_reason:
-        # Nothing in flight and every action issued, but not both closed.
-        transcript.halt_reason = (
-            f"{QUIESCENT}: CLIENT in {client.value}, SERVER in {server.value}"
-        )
     transcript.phase_results = grade_session(transcript, scenario, both_closed)
+    if not both_closed and not transcript.halt_reason:
+        # Nothing in flight and every action issued, but not both closed. Set
+        # after grading: every action was issued, so no `halted:` blame.
+        transcript.halt_reason = f"quiescent: CLIENT in {client.value}, SERVER in {server.value}"
     return transcript
 
 
@@ -582,18 +578,11 @@ def grade_session(
 
     if script_left:
         data_fail = data_fail or "scripted data never transferred"
-    halt_reason = transcript.halt_reason
-    if (
-        halt_reason
-        and not halt_reason.startswith(QUIESCENT)
-        and data_fail is None
-        and term_fail is None
-    ):
+    if transcript.halt_reason and data_fail is None and term_fail is None:
         # Session halted abnormally; blame the earliest incomplete phase. All
-        # scripted data went through, or data_fail would say so. A quiescent
-        # session issued every action, so only termination can fail there.
+        # scripted data went through, or data_fail would say so.
         if fin_seen[scenario.closer] is None:
-            data_fail = f"halted: {halt_reason}"
+            data_fail = f"halted: {transcript.halt_reason}"
     results["data_transfer"] = PhaseResult(data_fail is None, data_fail or "")
 
     if term_fail is None:
@@ -607,7 +596,7 @@ def grade_session(
             term_fail = "FIN not acknowledged"
         elif not both_closed:
             term_fail = "agents did not both reach CLOSED"
-    if halt_reason == "step budget exhausted" and term_fail is None:
+    if transcript.halt_reason == "step budget exhausted" and term_fail is None:
         term_fail = "timeout"
     results["termination"] = PhaseResult(term_fail is None, term_fail or "")
     return results

@@ -718,11 +718,6 @@ class TestGradeSession:
                 ("", "halted: CLIENT verdict ORDER_ERROR", "closer never sent FIN"),
             ),
             (dict(keep=7, both_closed=False), ("", "", "closer never sent FIN")),
-            (
-                dict(keep=7, halt_reason="quiescent: CLIENT in CLOSE_WAIT, SERVER in FIN_WAIT_2",
-                     both_closed=False),
-                ("", "", "closer never sent FIN"),
-            ),
             (dict(keep=9, both_closed=False), ("", "", "peer never sent FIN")),
             (dict(keep=10, both_closed=False), ("", "", "FIN not acknowledged")),
             (dict(both_closed=False), ("", "", "agents did not both reach CLOSED")),
