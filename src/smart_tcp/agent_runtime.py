@@ -4,9 +4,12 @@ One agent step aggregates context, asks the cognitive core for a decision,
 runs the arithmetic tool when the decision names a task, assembles the
 outbound segment and updates protocol memory. Sessions run two agents over a
 lossless, ordered in-memory duplex channel and are graded per phase from the
-transcript alone. A session halts at the first step that fails or whose
+deliveries alone. A session halts at the first step that fails or whose
 decision is not NORMAL, whether a delivery or a scripted action began it; one
 that goes quiet before both endpoints are CLOSED gets a `quiescent` reason.
+A NORMAL decision may move only to a state that the oracle's tables reach
+from the current one. `run_session` builds its `SessionTranscript` once the
+deliveries and the halt reason are graded.
 `SessionTranscript.write` records a session as a trace (`trace_records`,
 written through `tcp_core.TraceRecord.to_wire`) with a trailer line, so
 `trace2sft` and `inject` read a session file as they read any other trace.
@@ -35,6 +38,7 @@ from .cognitive_core import (
     CognitiveInput,
     MalformedDecision,
     NORMAL,
+    REACHABLE,
     Verdict,
     encode_compact,
     oracle_transition,
@@ -131,13 +135,18 @@ def advance(
     """Apply a decision: run the ALU task it names, assemble the segment it
     emits and update memory; a non-NORMAL verdict changes nothing. A segment
     trigger is consumed, an action's segment is ALU context only. Raises
-    StepFailure for a task without flags or with empty ones, flags without a
-    task, a task the input cannot feed, and a payload_len other than the
-    length of the payload sent (the action's data for a SEND's segment, and
-    0 for any other segment or none)."""
+    StepFailure for a next_state that no transition reaches from the current
+    state, a task without flags or with empty ones, flags without a task, a
+    task the input cannot feed, and a payload_len other than the length of
+    the payload sent (the action's data for a SEND's segment, and 0 for any
+    other segment or none)."""
     s = cinput.s
     if decision.verdict is not NORMAL:
         return s, None, None
+    if decision.next_state not in REACHABLE[s.state]:
+        raise StepFailure(
+            f"next_state {decision.next_state.value} is not reachable from {s.state.value}"
+        )
     emitted: Optional[Segment] = None
     alu_result: Optional[AluResult] = None
     action = cinput.a
@@ -302,38 +311,26 @@ class PhaseResult(NamedTuple):
 
 
 class TranscriptEntry(NamedTuple):
+    """A segment that its sender emitted at `step`, with the decision and ALU result."""
+
     step: int
     direction: Role  # sender
     segment: Segment
-    outcome: Optional[StepOutcome] = None  # sender's step outcome
+    decision: CognitiveDecision
+    alu_result: AluResult
 
 
-class SessionTranscript:
-    """One session's deliveries, grades and halt reason; the session driver
-    fills it in as the session runs."""
+class SessionTranscript(NamedTuple):
+    """One session's deliveries, grades and halt reason, as `run_session`
+    returns them once the session has ended."""
 
-    __slots__ = (
-        "scenario_id", "rng_seed", "entries", "phase_results",
-        "halt_reason", "client_iss", "server_iss",
-    )
-
-    def __init__(
-        self,
-        scenario_id: str,
-        rng_seed: int,
-        entries: Optional[List[TranscriptEntry]] = None,
-        phase_results: Optional[Dict[str, PhaseResult]] = None,
-        halt_reason: str = "",
-        client_iss: int = 0,
-        server_iss: int = 0,
-    ):
-        self.scenario_id = scenario_id
-        self.rng_seed = rng_seed
-        self.entries = [] if entries is None else entries
-        self.phase_results = {} if phase_results is None else phase_results
-        self.halt_reason = halt_reason
-        self.client_iss = client_iss
-        self.server_iss = server_iss
+    scenario_id: str
+    rng_seed: int
+    entries: List[TranscriptEntry]
+    phase_results: Dict[str, PhaseResult]
+    halt_reason: str
+    client_iss: int
+    server_iss: int
 
     def all_passed(self) -> bool:
         return all(p.passed for p in self.phase_results.values())
@@ -357,11 +354,8 @@ class SessionTranscript:
             for e, rec in zip(self.entries, self.trace_records()):
                 obj = rec.to_wire()
                 obj["step"] = e.step
-                if e.outcome is not None:
-                    obj["decision"] = e.outcome.decision.to_wire()
-                    alu_result = e.outcome.alu_result
-                    if alu_result is not None:
-                        obj["alu_result"] = {"seq": alu_result.seq, "ack": alu_result.ack}
+                obj["decision"] = e.decision.to_wire()
+                obj["alu_result"] = {"seq": e.alu_result.seq, "ack": e.alu_result.ack}
                 fh.write(encode_compact(obj) + "\n")
             trailer = {
                 "trailer": {
@@ -427,13 +421,6 @@ def run_session(
         SERVER: Agent(SERVER, server_core, server_iss),
     }
 
-    transcript = SessionTranscript(
-        scenario_id=scenario.scenario_id,
-        rng_seed=seed,
-        client_iss=client_iss,
-        server_iss=server_iss,
-    )
-
     # Scripted local actions in lifecycle order; each is issued once its
     # agent reaches a state where it is valid.
     actions: deque = deque()
@@ -448,7 +435,8 @@ def run_session(
     actions.append((other, LocalAction(KIND_CLOSE)))
 
     in_flight: deque = deque()  # TranscriptEntry; the sender's peer receives it
-    entries = transcript.entries
+    entries: List[TranscriptEntry] = []
+    halt_reason = ""
     step = 0
 
     while step < scenario.steps_budget:
@@ -463,9 +451,7 @@ def run_session(
             role, action = actions[0]
             state = agents[role].state.state
             if state not in ACTION_STATES[action.kind]:
-                transcript.halt_reason = (
-                    f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
-                )
+                halt_reason = f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
                 break
             actions.popleft()
             segment = None
@@ -473,38 +459,40 @@ def run_session(
             break  # quiescent: session complete
         step += 1
         try:
-            outcome = agents[role].step(segment, action)
+            emitted, decision, alu_result = agents[role].step(segment, action)
         except (MalformedDecision, StepFailure) as exc:
-            transcript.halt_reason = f"{role.value} step failure: {exc}"
+            halt_reason = f"{role.value} step failure: {exc}"
             break
-        verdict = outcome.decision.verdict
+        verdict = decision.verdict
         if verdict is not NORMAL:
-            transcript.halt_reason = f"{role.value} verdict {verdict.value}"
+            halt_reason = f"{role.value} verdict {verdict.value}"
             break
-        if outcome.emitted is not None:
-            in_flight.append(TranscriptEntry(step, role, outcome.emitted, outcome))
+        if emitted is not None:
+            in_flight.append(TranscriptEntry(step, role, emitted, decision, alu_result))
     else:
         # The budget ran out; a session whose last step used it up is done.
         if in_flight or actions:
-            transcript.halt_reason = "step budget exhausted"
+            halt_reason = "step budget exhausted"
 
     client, server = agents[CLIENT].state.state, agents[SERVER].state.state
     both_closed = client is CLOSED and server is CLOSED
-    transcript.phase_results = grade_session(transcript, scenario, both_closed)
-    if not both_closed and not transcript.halt_reason:
+    phase_results = grade_session(entries, halt_reason, scenario, both_closed)
+    if not both_closed and not halt_reason:
         # Nothing in flight and every action issued, but not both closed. Set
         # after grading: every action was issued, so no `halted:` blame.
-        transcript.halt_reason = f"quiescent: CLIENT in {client.value}, SERVER in {server.value}"
-    return transcript
+        halt_reason = f"quiescent: CLIENT in {client.value}, SERVER in {server.value}"
+    return SessionTranscript(
+        scenario.scenario_id, seed, entries, phase_results, halt_reason, client_iss, server_iss
+    )
 
 
 def grade_session(
-    transcript: SessionTranscript, scenario: Scenario, both_closed: bool
+    entries: List[TranscriptEntry], halt_reason: str, scenario: Scenario, both_closed: bool
 ) -> Dict[str, PhaseResult]:
     """Phase grading from the delivered-segment stream with independent
     counters; never reads agent internals beyond the final-closure flag,
     which itself is cross-checked against the segment stream."""
-    segs = [(e.direction, e.segment) for e in transcript.entries]
+    segs = [(e.direction, e.segment) for e in entries]
     results: Dict[str, PhaseResult] = {}
 
     # Handshake: SYN / SYN|ACK / ACK with exact ISN+1 acknowledgments.
@@ -578,11 +566,11 @@ def grade_session(
 
     if script_left:
         data_fail = data_fail or "scripted data never transferred"
-    if transcript.halt_reason and data_fail is None and term_fail is None:
+    if halt_reason and data_fail is None and term_fail is None:
         # Session halted abnormally; blame the earliest incomplete phase. All
         # scripted data went through, or data_fail would say so.
         if fin_seen[scenario.closer] is None:
-            data_fail = f"halted: {transcript.halt_reason}"
+            data_fail = f"halted: {halt_reason}"
     results["data_transfer"] = PhaseResult(data_fail is None, data_fail or "")
 
     if term_fail is None:
@@ -596,7 +584,7 @@ def grade_session(
             term_fail = "FIN not acknowledged"
         elif not both_closed:
             term_fail = "agents did not both reach CLOSED"
-    if transcript.halt_reason == "step budget exhausted" and term_fail is None:
+    if halt_reason == "step budget exhausted" and term_fail is None:
         term_fail = "timeout"
     results["termination"] = PhaseResult(term_fail is None, term_fail or "")
     return results

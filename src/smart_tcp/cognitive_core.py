@@ -424,6 +424,16 @@ TRANSITIONS = _cells({
     (_S.LAST_ACK, "ACK", True): _reply(_S.CLOSED),
 })
 
+# The states that a NORMAL decision may move to from each state: the next
+# states of that state's cells in the two tables.
+REACHABLE = {
+    state: frozenset(
+        [reply.next_state for (st, _), reply in ACTION_TRANSITIONS.items() if st is state]
+        + [reply.next_state for (st, _, _), reply in TRANSITIONS.items() if st is state]
+    )
+    for state in TcpState
+}
+
 # States whose segments must arrive at rcv_nxt, once it is known.
 _SEQ_CHECKED_STATES = SYNCHRONIZED_STATES | {_S.SYN_RCVD}
 

@@ -48,6 +48,7 @@ from .tcp_core import (
     flags_parse,
     seq_add,
     segment_consumes,
+    wire_str,
 )
 
 log = logging.getLogger(__name__)
@@ -63,61 +64,50 @@ COMPLETE = Completeness.COMPLETE
 INCOMPLETE = Completeness.INCOMPLETE
 
 
-class Flow:
-    """One connection's records; `extract_flows` fills it in and finalizes it."""
+class Flow(NamedTuple):
+    """One connection's records, in trace order, as `extract_flows` cuts
+    them out of a trace."""
 
-    __slots__ = ("flow_id", "initiator", "records", "completeness")
+    flow_id: str
+    initiator: FiveTuple  # 5-tuple as seen from the client (first SYN sender)
+    records: List[TraceRecord]
+    completeness: Completeness
 
-    def __init__(
-        self,
-        flow_id: str,
-        initiator: FiveTuple,  # 5-tuple as seen from the client (first SYN sender)
-        records: Optional[List[TraceRecord]] = None,
-        completeness: Completeness = Completeness.INCOMPLETE,
-    ):
-        self.flow_id = flow_id
-        self.initiator = initiator
-        self.records = [] if records is None else records
-        self.completeness = completeness
 
-    def finalize(self) -> None:
-        self.completeness = COMPLETE if self._is_complete() else INCOMPLETE
-
-    def _is_complete(self) -> bool:
-        records = self.records
-        client = self.initiator
-        server = client.reversed()
-        first = records[0]
-        f0 = first.segment.flags
-        if not (f0.syn and not f0.ack) or first.five_tuple != client:
+def _is_complete(records: List[TraceRecord], client: FiveTuple) -> bool:
+    """Opened by the client's pure SYN, answered by a SYN|ACK, both FINs acknowledged."""
+    server = client.reversed()
+    first = records[0]
+    f0 = first.segment.flags
+    if not (f0.syn and not f0.ack) or first.five_tuple != client:
+        return False
+    # One pass finds the SYN|ACK and each direction's first FIN.
+    saw_synack = False
+    fins: Dict[FiveTuple, TraceRecord] = {}
+    for r in records:
+        f = r.segment.flags
+        if f.syn and f.ack and r.five_tuple == server:
+            saw_synack = True
+        if f.fin:
+            fins.setdefault(r.five_tuple, r)
+    if not saw_synack:
+        return False
+    # FIN-based closure from both directions, each FIN acknowledged.
+    for direction, peer in ((client, server), (server, client)):
+        fin = fins.get(direction)
+        if fin is None:
             return False
-        # One pass finds the SYN|ACK and each direction's first FIN.
-        saw_synack = False
-        fins: Dict[FiveTuple, TraceRecord] = {}
-        for r in records:
-            f = r.segment.flags
-            if f.syn and f.ack and r.five_tuple == server:
-                saw_synack = True
-            if f.fin:
-                fins.setdefault(r.five_tuple, r)
-        if not saw_synack:
+        fin_end = seq_add(fin.segment.seq, segment_consumes(fin.segment))
+        acked = any(
+            r.ts >= fin.ts
+            and r.five_tuple == peer
+            and r.segment.flags.ack
+            and r.segment.ack == fin_end
+            for r in records
+        )
+        if not acked:
             return False
-        # FIN-based closure from both directions, each FIN acknowledged.
-        for direction, peer in ((client, server), (server, client)):
-            fin = fins.get(direction)
-            if fin is None:
-                return False
-            fin_end = seq_add(fin.segment.seq, segment_consumes(fin.segment))
-            acked = any(
-                r.ts >= fin.ts
-                and r.five_tuple == peer
-                and r.segment.flags.ack
-                and r.segment.ack == fin_end
-                for r in records
-            )
-            if not acked:
-                return False
-        return True
+    return True
 
 
 class IngestResult(NamedTuple):
@@ -170,9 +160,8 @@ def ingest_trace(path) -> IngestResult:
                 ts = float(ts)
                 if not math.isfinite(ts):
                     raise ValueError(f"non-finite ts: {ts}")
-                rec = TraceRecord(
-                    ts, FiveTuple(str(obj["src"]), str(obj["dst"])), Segment.from_wire(obj)
-                )
+                five_tuple = FiveTuple(wire_str("src", obj["src"]), wire_str("dst", obj["dst"]))
+                rec = TraceRecord(ts, five_tuple, Segment.from_wire(obj))
             # RecursionError: JSON nested past the interpreter's recursion limit.
             except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
                 malformed += 1
@@ -199,28 +188,30 @@ def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     collected as its own (incomplete) flow so it is reported, then
     discarded downstream.
     """
-    flows: List[Flow] = []
-    # Per normalized tuple: its current flow, the seq of the pure SYN that
-    # opened it (None if another record did), and the directions it has seen
-    # a FIN from.
-    current: Dict[Tuple[str, str, str], Tuple[Flow, Optional[int], Set[FiveTuple]]] = {}
+    # Each flow's initiator and records, in order of its first record.
+    groups: List[Tuple[FiveTuple, List[TraceRecord]]] = []
+    # Per normalized tuple: its current flow's records, the seq of the pure
+    # SYN that opened it (None if another record did), and the directions it
+    # has seen a FIN from.
+    current: Dict[Tuple[str, str, str], Tuple[List[TraceRecord], Optional[int], Set[FiveTuple]]] = {}
     for rec in records:
         key = rec.five_tuple.normalized()
         seg = rec.segment
         flags = seg.flags
         pure_syn = flags.syn and not flags.ack
-        flow, syn_seq, fin_directions = current.get(key, (None, None, None))
-        if flow is None or (pure_syn and (seg.seq != syn_seq or len(fin_directions) >= 2)):
-            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
+        group, syn_seq, fin_directions = current.get(key, (None, None, None))
+        if group is None or (pure_syn and (seg.seq != syn_seq or len(fin_directions) >= 2)):
+            group = []
             fin_directions = set()
-            current[key] = (flow, seg.seq if pure_syn else None, fin_directions)
-            flows.append(flow)
+            current[key] = (group, seg.seq if pure_syn else None, fin_directions)
+            groups.append((rec.five_tuple, group))
         if flags.fin:
             fin_directions.add(rec.five_tuple)
-        flow.records.append(rec)
-    for flow in flows:
-        flow.finalize()
-    return flows
+        group.append(rec)
+    return [
+        Flow(f"flow-{i:04d}", client, group, COMPLETE if _is_complete(group, client) else INCOMPLETE)
+        for i, (client, group) in enumerate(groups)
+    ]
 
 
 def handshake_isss(

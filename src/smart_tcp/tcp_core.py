@@ -29,12 +29,11 @@ tuples has consequences that code using them must keep in mind:
 - values are checked where they enter (the wire decoders and public
   construction); the agent step builds the values it derives from checked
   ones with `tuple.__new__` (`agent_runtime._assemble`), which runs no check.
-The same rule holds everywhere: immutable values (configuration,
-scenarios, grades and reports too) are NamedTuples, and the mutable
-per-session or per-flow containers, `agent_runtime.SessionTranscript` and
-`dataset_pipeline.Flow`, are `__slots__` classes. No module imports
-`dataclasses`, which would pull `inspect`, `ast`, `dis` and `tokenize` into
-every command's start-up.
+The same rule holds for every record type, containers too: configuration,
+scenarios, grades, reports, `agent_runtime.SessionTranscript` and its
+entries, and `dataset_pipeline.Flow` are NamedTuples, built once by the code
+that has every field. No module imports `dataclasses`, which would pull
+`inspect`, `ast`, `dis` and `tokenize` into every command's start-up.
 
 Hot code reads enum members from module constants bound once beside each
 Enum (`CLIENT`, `CLOSED`, `KIND_SEND`, `alu.INIT_SYN`,
@@ -216,6 +215,14 @@ def wire_int(key: str, value) -> int:
     true/false load as bools, and int() would read 1.9 as 1 and " 7 " as 7."""
     if type(value) is not int:
         raise ValueError(f"{key} must be an integer: {value!r}")
+    return value
+
+
+def wire_str(key: str, value) -> str:
+    """value, read from key of a wire object, if it is a string. Raises
+    ValueError for anything else, which str() would spell as one."""
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string: {value!r}")
     return value
 
 

@@ -142,8 +142,8 @@ def test_criterion_3_retrospective_round_trip():
         assert len(samples) == len(t.entries)
         for sample in samples:
             idx = sample.provenance["record_index"]
-            live = t.entries[idx].outcome
-            observed = t.entries[idx].segment
+            live = t.entries[idx]
+            observed = live.segment
             total += 1
             if sample.label == live.decision:
                 atomic_hits += 1

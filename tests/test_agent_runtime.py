@@ -13,7 +13,6 @@ from smart_tcp.agent_runtime import (
     Agent,
     PhaseResult,
     Scenario,
-    SessionTranscript,
     StepFailure,
     advance,
     grade_session,
@@ -159,6 +158,23 @@ class TestStepFunctions:
         assert emitted == Segment(seq=101, ack=500, flags=flags_parse("PSH|ACK"), payload=b"hello")
         assert (s.snd_nxt, s.rcv_nxt) == (106, 501)
 
+    @pytest.mark.parametrize(
+        "state, next_state",
+        [
+            (TcpState.ESTABLISHED, TcpState.CLOSED),
+            (TcpState.ESTABLISHED, TcpState.TIME_WAIT),
+            (TcpState.FIN_WAIT_2, TcpState.CLOSED),
+            (TcpState.CLOSED, TcpState.CLOSED),
+        ],
+    )
+    def test_a_next_state_that_no_transition_reaches_is_a_step_failure(self, state, next_state):
+        s = ESTABLISHED._replace(state=state)
+        decision = CognitiveDecision(next_state, None, 0, None)
+        with pytest.raises(
+            StepFailure, match=f"next_state {next_state.value} is not reachable from {state.value}"
+        ):
+            advance(CognitiveInput(s, a=LocalAction(ActionKind.CLOSE)), decision)
+
     def test_task_without_flags_is_a_step_failure(self):
         cinput = CognitiveInput(ESTABLISHED, a=LocalAction(ActionKind.CLOSE))
         decision = CognitiveDecision(TcpState.FIN_WAIT_1, None, 0, AluTask.CALCULATE_SEQ_ACK)
@@ -265,7 +281,8 @@ schema_valid_decisions = st.builds(
 
 # The halt reasons of a session that ends early without a non-NORMAL verdict.
 EARLY_END = re.compile(
-    r"(CLIENT|SERVER) step failure: (decision names a task but no flags to emit"
+    r"(CLIENT|SERVER) step failure: (next_state \w+ is not reachable from \w+"
+    r"|decision names a task but no flags to emit"
     r"|decision names flags but no task to run"
     r"|decision payload_len \d+ but the step sends \d+ bytes"
     r"|INIT_SYN takes no received segment|CALCULATE_(SEQ_)?ACK requires a received segment)$"
@@ -303,9 +320,11 @@ class TestRunSession:
         *lines, trailer = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) == len(t.entries) == len(t.trace_records())
         for obj, e, rec in zip(lines, t.entries, t.trace_records()):
-            extra = {"step": e.step, "decision": e.outcome.decision.to_wire()}
-            if e.outcome.alu_result is not None:
-                extra["alu_result"] = {"seq": e.outcome.alu_result.seq, "ack": e.outcome.alu_result.ack}
+            extra = {
+                "step": e.step,
+                "decision": e.decision.to_wire(),
+                "alu_result": {"seq": e.alu_result.seq, "ack": e.alu_result.ack},
+            }
             assert obj == {**rec.to_wire(), **extra}
         assert trailer["trailer"]["seed"] == t.rng_seed
         assert (trailer["trailer"]["client_iss"], trailer["trailer"]["server_iss"]) == (
@@ -463,10 +482,32 @@ class TestRunSession:
         }
 
     def test_action_invalid_in_the_agents_state_is_a_deadlock(self):
+        t = run_session(OPEN_TO_LISTEN, OracleCore(), Scenario(), seed=1)
+        assert t.entries == []
+        assert t.halt_reason == "deadlock: CLIENT cannot SEND in LISTEN"
+        assert not t.phase_results["handshake"].passed
+
+    def test_a_next_state_that_no_transition_reaches_halts_the_session(self):
         t = run_session(STAY_CLOSED, OracleCore(), Scenario(), seed=1)
         assert t.entries == []
-        assert t.halt_reason == "deadlock: CLIENT cannot SEND in CLOSED"
+        assert t.halt_reason == "CLIENT step failure: next_state CLOSED is not reachable from CLOSED"
         assert not t.phase_results["handshake"].passed
+
+    @pytest.mark.parametrize("closer", list(Role))
+    def test_a_core_that_skips_time_wait_halts_the_session(self, closer):
+        # The oracle, except that it claims CLOSED where it says TIME_WAIT.
+        # The closer's memory would end CLOSED either way.
+        skip = EditedOracleCore(
+            lambda d: d._replace(next_state=TcpState.CLOSED) if d.next_state is TcpState.TIME_WAIT else d
+        )
+        cores = (skip, OracleCore()) if closer is Role.CLIENT else (OracleCore(), skip)
+        report = run_trials(*cores, 10, base_seed=1, scenario=Scenario(closer=closer))
+        assert report.trial_accuracy == 0.0
+        for t in report.transcripts:
+            assert t.halt_reason == (
+                f"{closer.value} step failure: next_state CLOSED is not reachable from FIN_WAIT_2"
+            )
+            assert t.phase_results["termination"] == PhaseResult(False, "FIN not acknowledged")
 
 
 
@@ -563,8 +604,11 @@ class EditedOracleCore(CognitiveCore):
 
 
 OPEN_ACTIVE, CLOSE = ActionKind.OPEN_ACTIVE, ActionKind.CLOSE
-# Answers OPEN_ACTIVE by staying CLOSED and sending nothing.
+# Answers OPEN_ACTIVE by staying CLOSED, which no transition reaches from
+# CLOSED, or by moving to LISTEN, which OPEN_PASSIVE reaches; either way it
+# sends nothing.
 STAY_CLOSED = ActionAnswerCore(OPEN_ACTIVE, CognitiveDecision(TcpState.CLOSED, None, 0, None))
+OPEN_TO_LISTEN = ActionAnswerCore(OPEN_ACTIVE, CognitiveDecision(TcpState.LISTEN, None, 0, None))
 # Schema-valid but unfeedable: names CALCULATE_ACK on OPEN_ACTIVE, before any
 # segment has arrived.
 ACK_BEFORE_RECEIVE = ActionAnswerCore(
@@ -676,8 +720,7 @@ def grade_doctored(
             seg.payload if payload is None else payload,
         )
         entries[index] = entries[index]._replace(segment=seg)
-    t = SessionTranscript("doctored", 1, entries, halt_reason=halt_reason)
-    return grade_session(t, Scenario(data_script=script), both_closed)
+    return grade_session(entries, halt_reason, Scenario(data_script=script), both_closed)
 
 
 HS_FAILED = ("handshake failed", "handshake failed")

@@ -247,6 +247,20 @@ class TestTrace2Sft:
         assert code == EXIT_OK
         assert "53 samples" in stdout
 
+    def test_errors_without_a_complete_flow_is_usage(self, tmp_path, capsys):
+        # The handshake and some data, but no FINs: nothing to mutate.
+        trace = make_trace(tmp_path, capsys, sessions=1)
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:5]))
+        out = tmp_path / "sft.jsonl"
+        code, _, stderr = run(
+            capsys, "trace2sft", "--in", str(trace), "--out", str(out), "--errors", "10"
+        )
+        assert (code, stderr) == (
+            EXIT_USAGE, "error: no synchronized-state contexts available for mutation\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["1.5", "-0.5", "inf", "nan"])
     def test_error_ratio_outside_unit_interval_is_usage(self, tmp_path, capsys, ratio):
         trace = make_trace(tmp_path, capsys, sessions=1)

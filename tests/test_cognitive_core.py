@@ -504,3 +504,19 @@ class TestRemoteCore:
         with pytest.raises(MalformedDecision):
             core.decide(self.make_input())
         assert core.malformed_count == 1
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda text: {"choices": [{"message": {"role": "assistant", "content": text}}]},
+            lambda text: {"choices": [{"text": text}]},
+            lambda text: {"content": text},
+            lambda text: {"text": text},
+        ],
+        ids=["choices-message", "choices-text", "content", "text"],
+    )
+    def test_each_reply_shape_carries_the_decision(self, shape):
+        decision = CognitiveDecision(TcpState.SYN_SENT, flags_parse("SYN"), 0, AluTask.INIT_SYN)
+        core = RemoteCore(RemoteConfig(endpoint="http://example.invalid"))
+        core._post = lambda payload: json.dumps(shape(serialize_decision(decision))).encode()
+        assert core.decide(self.make_input()) == decision

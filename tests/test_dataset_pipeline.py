@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from smart_tcp import dataset_pipeline, tcp_core
 from smart_tcp.agent_runtime import Scenario, run_session
+from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
     CognitiveDecision,
     OracleCore,
@@ -239,6 +240,18 @@ class TestReconstruct:
     def test_normal_verdicts_only(self):
         for sample in reconstruct_labels(self.make_flow()):
             assert sample.label.verdict is Verdict.NORMAL
+
+    def test_alu_consistency_without_a_task_or_a_segment_to_feed_it(self):
+        flow = self.make_flow()
+        first = reconstruct_labels(flow)[0]
+        observed = flow.records[0].segment
+        # A label without a task has no numbers to regenerate.
+        silent = first._replace(label=first.label._replace(t_task=None, flags=None))
+        assert check_alu_consistency(silent, observed)
+        # A task that reads a received segment cannot run without one.
+        unfed = first._replace(label=first.label._replace(t_task=AluTask.CALCULATE_ACK))
+        assert unfed.input.r is None
+        assert not check_alu_consistency(unfed, observed)
 
     def test_incomplete_flow_rejected(self):
         flows = extract_flows(session_records()[:5])

@@ -45,24 +45,24 @@ from traces import shifted
 # ---------------------------------------------------------------------------
 
 
-def reference_is_complete(flow: Flow) -> bool:
-    if not flow.records:
+def reference_is_complete(records, initiator) -> bool:
+    if not records:
         return False
-    first = flow.records[0]
+    first = records[0]
     f0 = first.segment.flags
-    if not (f0.syn and not f0.ack) or first.five_tuple != flow.initiator:
+    if not (f0.syn and not f0.ack) or first.five_tuple != initiator:
         return False
     saw_synack = any(
         r.segment.flags.syn and r.segment.flags.ack
-        and r.five_tuple == flow.initiator.reversed()
-        for r in flow.records
+        and r.five_tuple == initiator.reversed()
+        for r in records
     )
     if not saw_synack:
         return False
     # FIN-based closure from both directions, each FIN acknowledged.
-    for direction in (flow.initiator, flow.initiator.reversed()):
+    for direction in (initiator, initiator.reversed()):
         fin = next(
-            (r for r in flow.records if r.five_tuple == direction and r.segment.flags.fin),
+            (r for r in records if r.five_tuple == direction and r.segment.flags.fin),
             None,
         )
         if fin is None:
@@ -73,7 +73,7 @@ def reference_is_complete(flow: Flow) -> bool:
             and r.five_tuple == direction.reversed()
             and r.segment.flags.ack
             and r.segment.ack == fin_end
-            for r in flow.records
+            for r in records
         )
         if not acked:
             return False
@@ -83,19 +83,19 @@ def reference_is_complete(flow: Flow) -> bool:
 def reference_extract_flows(records, stray_rule: bool, syn_rule: bool):
     """The earlier splitter, plus the stray-record and stale-SYN rules where
     set. Returns the flows and how many of them each rule alone started."""
-    flows = []
-    current = {}
+    flows = []  # (initiator, records) per flow
+    current = {}  # normalized tuple -> its current flow's records
     stray_splits = syn_splits = 0
 
-    def fin_closed(flow):
+    def fin_closed(records):
         seen = set()
-        for r in flow.records:
+        for r in records:
             if r.segment.flags.fin:
                 seen.add(r.five_tuple)
         return len(seen) >= 2
 
-    def opened_with_pure_syn(flow):
-        f = flow.records[0].segment.flags
+    def opened_with_pure_syn(records):
+        f = records[0].segment.flags
         return f.syn and not f.ack
 
     for rec in records:
@@ -107,23 +107,25 @@ def reference_extract_flows(records, stray_rule: bool, syn_rule: bool):
         stray_split = stray_rule and syn_on_open_flow and not opened_with_pure_syn(flow)
         syn_split = (
             syn_rule and syn_on_open_flow and opened_with_pure_syn(flow)
-            and flow.records[0].segment.seq != rec.segment.seq
+            and flow[0].segment.seq != rec.segment.seq
         )
         if (pure_syn and (flow is None or fin_closed(flow))) or stray_split or syn_split:
             stray_splits += stray_split
             syn_splits += syn_split
-            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
-            flows.append(flow)
-            current[key] = flow
+            flow = None
         if flow is None:
-            flow = Flow(flow_id=f"flow-{len(flows):04d}", initiator=rec.five_tuple)
-            flows.append(flow)
+            flow = []
+            flows.append((rec.five_tuple, flow))
             current[key] = flow
-        flow.records.append(rec)
-    for flow in flows:
-        flow.completeness = (
-            Completeness.COMPLETE if reference_is_complete(flow) else Completeness.INCOMPLETE
+        flow.append(rec)
+    flows = [
+        Flow(
+            f"flow-{i:04d}", initiator, records,
+            Completeness.COMPLETE if reference_is_complete(records, initiator)
+            else Completeness.INCOMPLETE,
         )
+        for i, (initiator, records) in enumerate(flows)
+    ]
     return flows, stray_splits, syn_splits
 
 

@@ -42,7 +42,8 @@ HOT_FUNCTIONS = (
     "dataset_pipeline.generate_error_dataset",
     "dataset_pipeline._mutate",
     "dataset_pipeline.emit_sft",
-    "dataset_pipeline.Flow.finalize",
+    "dataset_pipeline.extract_flows",
+    "dataset_pipeline._is_complete",
     # Its flow filter is a comprehension: a nested code object before 3.12.
     "cli.cmd_trace2sft",
 )

@@ -119,4 +119,4 @@ def test_planted_sessions_are_exactly_the_failed_ones(scenario, base_seed, data)
     for i in failing:
         assert report.transcripts[i].halt_reason == f"{scenario.closer.value} verdict FLAG_ERROR"
     for t in clean.transcripts + report.transcripts:
-        assert all(e.segment.flags == e.outcome.decision.flags for e in t.entries)
+        assert all(e.segment.flags == e.decision.flags for e in t.entries)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from smart_tcp import cli, cognitive_core
+from smart_tcp import cli, cognitive_core, http11
 from smart_tcp.agent_runtime import run_trials
 from smart_tcp.cognitive_core import (
     CognitiveInput,
@@ -508,6 +508,13 @@ class TestReplyFraming:
         # The client closed the first socket itself unless the server did.
         assert server.client_closed == (1 if close else 2)
 
+    def test_read_to_close_body_spans_several_recv_calls(self):
+        # Three recv sizes of body: the reader must gather them all.
+        body = bytes(range(256)) * (3 * http11.RECV_SIZE // 256)
+        got, server = self.post_twice((reply(b"HTTP/1.0 200 OK", body=body), True))
+        assert got == body
+        assert server.connections == 2 and server.client_closed == 1
+
     @pytest.mark.parametrize(
         "first, reason",
         [
@@ -522,13 +529,17 @@ class TestReplyFraming:
             (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"zz\r\n"), "bad chunk size b'zz'"),
             (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"0x4\r\nWiki\r\n0\r\n\r\n"), "bad chunk size"),
             (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"2\r\nokay\r\n0\r\n\r\n"), "chunk longer than its size"),
+            (
+                reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=b"0\r\n" + b"X-T: 1\r\n" * 101 + b"\r\n"),
+                "more than 100 trailer lines",
+            ),
             (reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: gzip", b"Content-Length: 2", body=b"ok"), "unsupported transfer coding b'gzip'"),
             (reply(b"HTTP/1.1 503 Busy", b"Content-Length: 2", body=b"no"), "HTTP 503 Busy"),
         ],
         ids=[
             "short-body", "eof-in-head", "garbage-status", "http2", "two-digit-status", "no-colon",
             "101-header-lines", "long-line", "bad-chunk-size", "0x-chunk-size", "long-chunk",
-            "gzip", "non-2xx",
+            "101-trailer-lines", "gzip", "non-2xx",
         ],
     )
     def test_broken_reply_is_a_transport_error(self, first, reason):

@@ -227,6 +227,9 @@ def test_input_data_len_must_be_a_json_integer(value):
         ("ack", 0.0, "ack must be an integer: 0.0"),
         ("ts", True, "ts must be a number: True"),
         ("ts", "1.0", "ts must be a number: '1.0'"),
+        # str() would spell these as the addresses 'None' and '5'.
+        ("src", None, "src must be a string: None"),
+        ("dst", 5, "dst must be a string: 5"),
     ],
 )
 def test_trace_line_with_a_non_integer_number_is_a_malformed_reject(key, value, reason, tmp_path):
@@ -341,21 +344,29 @@ def test_remote_decide_returns_or_raises_typed_error(body):
 
 ENDPOINTS = ("10.0.0.1:40000", "10.0.0.2:80")
 # Trace lines between two endpoints, as a session file holds them, with
-# any numbers and flags, a trailer, and lines of any JSON.
+# any numbers and flags; the same with an address that is not a string; a
+# trailer, and lines of any JSON.
+tcp_lines = st.builds(
+    lambda sender, obj: {"src": ENDPOINTS[sender], "dst": ENDPOINTS[1 - sender], **obj},
+    st.integers(min_value=0, max_value=1),
+    st.fixed_dictionaries(
+        {
+            "ts": st.floats(min_value=0, max_value=1),
+            "proto": st.just("tcp"),
+            "seq": st.one_of(st.integers(min_value=0, max_value=3), u32),
+            "ack": st.one_of(st.integers(min_value=0, max_value=3), u32),
+            "flags": st.sampled_from(["SYN", "SYN|ACK", "ACK", "FIN|ACK", "PSH|ACK", "RST"]),
+            "payload_len": st.integers(min_value=0, max_value=64),
+        },
+    ),
+)
 session_lines = st.one_of(
+    tcp_lines,
     st.builds(
-        lambda sender, obj: {"src": ENDPOINTS[sender], "dst": ENDPOINTS[1 - sender], **obj},
-        st.integers(min_value=0, max_value=1),
-        st.fixed_dictionaries(
-            {
-                "ts": st.floats(min_value=0, max_value=1),
-                "proto": st.just("tcp"),
-                "seq": st.one_of(st.integers(min_value=0, max_value=3), u32),
-                "ack": st.one_of(st.integers(min_value=0, max_value=3), u32),
-                "flags": st.sampled_from(["SYN", "SYN|ACK", "ACK", "FIN|ACK", "PSH|ACK", "RST"]),
-                "payload_len": st.integers(min_value=0, max_value=64),
-            },
-        ),
+        lambda obj, key, value: {**obj, key: value},
+        tcp_lines,
+        st.sampled_from(["src", "dst"]),
+        json_values.filter(lambda v: not isinstance(v, str)),
     ),
     st.just({"trailer": {"client_iss": 1, "server_iss": 2}}),
     trace_objects,
@@ -390,6 +401,13 @@ def test_inject_replays_or_exits_1_or_2(lines):
             code = main(["inject", "--in", path, "--fault", "none"])
     finally:
         os.unlink(path)
+    # A TCP line whose address is not a string is malformed wherever it is.
+    bad_address = any(
+        isinstance(obj, dict) and str(obj.get("proto", "")).lower() == "tcp"
+        and not (type(obj.get("src")) is str and type(obj.get("dst")) is str)
+        for obj in lines
+    )
+    assert code == EXIT_IO or not bad_address
     if code == EXIT_IO:
         # A malformed line, or a non-TCP one before the last.
         assert re.fullmatch(
