@@ -73,6 +73,7 @@ from .tcp_core import (
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
     segment_consumes,
+    wire_str,
 )
 
 
@@ -268,11 +269,15 @@ class Scenario(NamedTuple):
         """Raises ValueError for anything but a valid scenario object."""
         if not isinstance(obj, dict):
             raise ValueError("a scenario must be a JSON object")
+        if unknown := obj.keys() - cls._fields:
+            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         entries = obj.get("data_script", [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("data_script must be a list of objects")
         data_script = []
         for e in entries:
+            if unknown := e.keys() - {"side", "payload_len"}:
+                raise ValueError(f"unknown data_script keys: {sorted(unknown)}")
             n = e.get("payload_len")
             # Each scripted send goes out as one segment, which
             # Segment.from_wire must be able to read back from the transcript;
@@ -289,7 +294,7 @@ class Scenario(NamedTuple):
             data_script=tuple(data_script),
             closer=Role(obj.get("closer", "CLIENT")),
             steps_budget=steps_budget,
-            scenario_id=str(obj.get("scenario_id", "unnamed")),
+            scenario_id=wire_str("scenario_id", obj.get("scenario_id", "unnamed")),
         )
 
     @classmethod

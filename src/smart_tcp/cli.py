@@ -2,8 +2,8 @@
 
 Commands raise and never print to stderr. `main` is the one error exit: it
 prints `error: <message>` once and maps what a command raised to an exit
-code, 0 completed, 1 usage (`UsageError`), 2 I/O (`OSError`,
-`TraceFormatError`, `InputError`) and 3 remote transport (`TransportError`).
+code, 0 completed, 1 usage (`UsageError`), 2 I/O (`OSError`, `InputError`)
+and 3 remote transport (`TransportError`).
 A command turns a library ValueError into `UsageError` or `InputError`,
 since only the command knows which it is; anything else is a bug and ends
 in a traceback.
@@ -30,7 +30,6 @@ from .cognitive_core import (
 from .dataset_pipeline import (
     COMPLETE,
     SftFormat,
-    TraceFormatError,
     emit_sft,
     extract_flows,
     generate_error_dataset,
@@ -45,7 +44,7 @@ from .evaluation import (
     emit_report,
     load_prediction_records,
 )
-from .tcp_core import CLIENT, SERVER, Segment, flags_parse
+from .tcp_core import CLIENT, SERVER, flags_parse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,13 +81,11 @@ def cmd_simulate(args) -> None:
     if outdir is not None:
         # Made before the trial runs, so that a bad path costs no sessions.
         outdir.mkdir(parents=True, exist_ok=True)
-    client = _make_core(args)
-    server = _make_core(args)
+    core = _make_core(args)
     try:
-        report = run_trials(client, server, args.sessions, args.seed, scenario)
+        report = run_trials(core, core, args.sessions, args.seed, scenario)
     finally:
-        client.close()
-        server.close()
+        core.close()
     if outdir is not None:
         for i, t in enumerate(report.transcripts):
             t.write(outdir / f"session-{i:03d}.jsonl")
@@ -100,6 +97,10 @@ def cmd_simulate(args) -> None:
 
 def cmd_trace2sft(args) -> None:
     ingest = ingest_trace(args.infile)
+    total = len(ingest.records) + len(ingest.rejects)
+    malformed = sum(reason.startswith("malformed:") for _, reason in ingest.rejects)
+    if total and malformed / total > 0.10:
+        raise InputError(f"{malformed}/{total} malformed lines exceeds the 10% threshold")
     flows = extract_flows(ingest.records)
     complete = [f for f in flows if f.completeness is COMPLETE]
     samples = []
@@ -138,10 +139,7 @@ def cmd_evaluate(args) -> None:
 
 def cmd_inject(args) -> None:
     path = args.infile
-    try:
-        records, rejects, last_line = ingest_trace(path)
-    except TraceFormatError as exc:  # more than 10% malformed
-        records, rejects, last_line = [], exc.rejects, 0
+    records, rejects, last_line = ingest_trace(path)
     # Unlike trace2sft, a replay takes every line or none: a dropped
     # delivery would change what the stream means. The one line passed over
     # is a session file's trailer, a non-TCP line at the end.
@@ -170,7 +168,7 @@ def cmd_inject(args) -> None:
         # Numbers and payload stay as recorded; only the flag set changes.
         sender, seg = deliveries[i]
         try:
-            deliveries[i] = (sender, Segment(seg.seq, seg.ack, flags_parse(args.mutation), seg.payload))
+            deliveries[i] = (sender, seg._replace(flags=flags_parse(args.mutation)))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     verdicts = replay_deliveries(deliveries, *isss)
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         args.func(args)
-    except (UsageError, InputError, OSError, TraceFormatError, TransportError) as exc:
+    except (UsageError, InputError, OSError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             return EXIT_USAGE

@@ -116,24 +116,13 @@ class IngestResult(NamedTuple):
     last_line: int  # number of the last non-blank line, 0 for none
 
 
-class TraceFormatError(Exception):
-    """More than 10% of a trace's lines are malformed; `rejects` holds the
-    rejects that `IngestResult` would have."""
-
-    def __init__(self, message: str, rejects: List[Tuple[int, str]]):
-        super().__init__(message)
-        self.rejects = rejects
-
-
 def ingest_trace(path) -> IngestResult:
-    """Parse a trace file into timestamp-sorted records.
-
-    Malformed lines go to the rejects report; more than 10% malformed is a
-    hard failure. Non-TCP records are filtered (rejected, not malformed).
-    """
+    """Read a trace file: every non-blank line becomes a record (sorted by
+    ts) or a reject, `malformed: …` or non-TCP (a line without `proto`
+    included). Each command applies its own rule to the rejects."""
     records: List[TraceRecord] = []
     rejects: List[Tuple[int, str]] = []
-    malformed = total = last_line = 0
+    last_line = 0
     # Undecodable bytes come through as lone surrogates, so a bad line is
     # rejected on its own instead of ending the read.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -141,14 +130,13 @@ def ingest_trace(path) -> IngestResult:
             line = line.strip()
             if not line:
                 continue
-            total += 1
             last_line = lineno
             try:
                 check_utf8(line)
                 obj = decode_stripped(line)
                 if not isinstance(obj, dict):
                     raise ValueError(f"not a JSON object: {type(obj).__name__}")
-                proto = str(obj.get("proto", "")).lower()
+                proto = wire_str("proto", obj["proto"]).lower() if "proto" in obj else ""
                 if proto != TCP_PROTO:
                     rejects.append((lineno, f"non-tcp protocol: {proto!r}"))
                     continue
@@ -164,14 +152,9 @@ def ingest_trace(path) -> IngestResult:
                 rec = TraceRecord(ts, five_tuple, Segment.from_wire(obj))
             # RecursionError: JSON nested past the interpreter's recursion limit.
             except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
-                malformed += 1
                 rejects.append((lineno, f"malformed: {exc}"))
                 continue
             records.append(rec)
-    if total and malformed / total > 0.10:
-        raise TraceFormatError(
-            f"{malformed}/{total} malformed lines exceeds the 10% threshold", rejects
-        )
     records.sort(key=itemgetter(0))  # by ts
     return IngestResult(records, rejects, last_line)
 
@@ -193,7 +176,7 @@ def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     # Per normalized tuple: its current flow's records, the seq of the pure
     # SYN that opened it (None if another record did), and the directions it
     # has seen a FIN from.
-    current: Dict[Tuple[str, str, str], Tuple[List[TraceRecord], Optional[int], Set[FiveTuple]]] = {}
+    current: Dict[Tuple[str, str], Tuple[List[TraceRecord], Optional[int], Set[FiveTuple]]] = {}
     for rec in records:
         key = rec.five_tuple.normalized()
         seg = rec.segment
@@ -323,28 +306,21 @@ FLAG_WRONG_STATE = MutationKind.FLAG_WRONG_STATE
 
 
 SEQ_JUMP_MAX = 4096
+# The flag sets of the FLAG_* mutations; neither has ACK, so Segment zeroes the ack.
+ILLEGAL_COMBO_FLAGS = flags_parse("SYN|FIN")
+WRONG_STATE_FLAGS = flags_parse("SYN")
 
 
 def _mutate(r: Segment, kind: MutationKind, rng: random.Random) -> Segment:
     if kind is ORDER_SWAP:
         # The following segment arrives first: seq jumps by this segment's
         # own footprint.
-        return Segment(
-            seq=seq_add(r.seq, segment_consumes(r)),
-            ack=r.ack,
-            flags=r.flags,
-            payload=r.payload,
-        )
+        return r._replace(seq=seq_add(r.seq, segment_consumes(r)))
     if kind is ORDER_SEQ_JUMP:
-        return Segment(
-            seq=seq_add(r.seq, rng.randint(1, SEQ_JUMP_MAX)),
-            ack=r.ack,
-            flags=r.flags,
-            payload=r.payload,
-        )
+        return r._replace(seq=seq_add(r.seq, rng.randint(1, SEQ_JUMP_MAX)))
     if kind is FLAG_ILLEGAL_COMBO:
-        return Segment(seq=r.seq, ack=0, flags=flags_parse("SYN|FIN"), payload=r.payload)
-    return Segment(seq=r.seq, ack=0, flags=flags_parse("SYN"), payload=r.payload)
+        return r._replace(flags=ILLEGAL_COMBO_FLAGS)
+    return r._replace(flags=WRONG_STATE_FLAGS)
 
 
 def generate_error_dataset(

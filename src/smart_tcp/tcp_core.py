@@ -303,16 +303,16 @@ TCP_PROTO = "tcp"
 
 
 class FiveTuple(NamedTuple):
-    src: str  # "addr:port"
+    """A direction as "addr:port" strings; traces hold TCP alone, so no proto."""
+
+    src: str
     dst: str
-    proto: str = TCP_PROTO
 
     def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.dst, self.src, self.proto)
+        return FiveTuple(self.dst, self.src)
 
-    def normalized(self) -> Tuple[str, str, str]:
-        a, b = sorted((self.src, self.dst))
-        return (a, b, self.proto)
+    def normalized(self) -> Tuple[str, str]:
+        return tuple(sorted(self))
 
 
 class TraceRecord(NamedTuple):
@@ -328,7 +328,7 @@ class TraceRecord(NamedTuple):
             "ts": self.ts,
             "src": self.five_tuple.src,
             "dst": self.five_tuple.dst,
-            "proto": self.five_tuple.proto,
+            "proto": TCP_PROTO,
         }
         obj.update(self.segment.to_wire())
         return obj

@@ -20,7 +20,7 @@ from smart_tcp.cli import (
     main,
 )
 from smart_tcp.cognitive_core import OracleCore, TransportError
-from smart_tcp.dataset_pipeline import TraceFormatError, ingest_trace
+from smart_tcp.dataset_pipeline import ingest_trace
 from smart_tcp.tcp_core import FiveTuple
 
 from planted import PlantedCore
@@ -144,6 +144,10 @@ class TestSimulate:
             '{"data_script":5}',
             '{"closer":"NOBODY"}',
             '{"steps_budget":"many"}',
+            '{"steps_budgte": 5, "closer": "SERVER"}',
+            '{"data_script":[{"side":"CLIENT","payload_len":3,"sied":"SERVER"}]}',
+            '{"scenario_id": ["x", 1]}',
+            '{"scenario_id": null}',
             '[1, 2]',
             '{"data_script": [',
             b"\xff\xfe",
@@ -337,6 +341,26 @@ class TestTrace2Sft:
         code, stdout, _ = run(capsys, "trace2sft", "--in", str(trace), "--out", str(out))
         assert code == EXIT_OK
         assert "1 rejected lines" in stdout and "33 samples" in stdout
+
+    @pytest.mark.parametrize("bad", [b"this is not json", b"\xff\xfe"], ids=["json", "utf-8"])
+    @pytest.mark.parametrize("malformed", [1, 2])
+    def test_more_than_a_tenth_malformed_is_io_error(self, tmp_path, capsys, bad, malformed):
+        # Ten lines: one malformed line is at the 10% threshold and passes,
+        # two exceed it.
+        good = make_trace(tmp_path, capsys, sessions=1).read_bytes().splitlines(keepends=True)
+        trace = tmp_path / "mixed.jsonl"
+        trace.write_bytes(b"".join(good[: 10 - malformed]) + (bad + b"\n") * malformed)
+        out = tmp_path / "sft.jsonl"
+        code, stdout, stderr = run(capsys, "trace2sft", "--in", str(trace), "--out", str(out))
+        if malformed == 1:
+            assert (code, stderr) == (EXIT_OK, "")
+            assert stdout == (
+                f"0 flows, 0 packets (1 incomplete discarded, 1 rejected lines); 0 samples -> {out}\n"
+            )
+        else:
+            assert (code, stdout) == (EXIT_IO, "")
+            assert stderr == "error: 2/10 malformed lines exceeds the 10% threshold\n"
+            assert not out.exists()
 
     def test_blank_lines_are_skipped(self, tmp_path, capsys):
         trace = make_trace(tmp_path, capsys)
@@ -768,10 +792,9 @@ class TestInject:
         (cli.UsageError("--sessions must be >= 1"), EXIT_USAGE),
         (cli.InputError("empty prediction file"), EXIT_IO),
         (FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "x.jsonl"), EXIT_IO),
-        (TraceFormatError("3/4 malformed lines exceeds the 10% threshold", []), EXIT_IO),
         (TransportError("remote core selected but no endpoint configured"), EXIT_TRANSPORT),
     ],
-    ids=["usage", "input", "os", "trace format", "transport"],
+    ids=["usage", "input", "os", "transport"],
 )
 def test_main_maps_what_a_command_raises_to_an_exit_code(monkeypatch, capsys, exc, code):
     def command(args):

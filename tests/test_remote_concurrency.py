@@ -365,7 +365,19 @@ class TestRemoteTransport:
             ])
             assert code == 0
             assert capsys.readouterr().out == oracle_out
-            assert len(made) == 2 and model.connections > 0
+            assert len(made) == 1 and model.connections > 0
+            assert model.wait_all_closed()
+
+    def test_simulate_opens_no_more_connections_than_sessions_in_flight(self, capsys):
+        # Both agents share one core and its socket pool: four sessions keep
+        # at most four decisions, so four connections, in flight.
+        with LoopbackModel() as model:
+            code = cli.main([
+                "simulate", "--core", "remote", "--endpoint", model.url,
+                "--sessions", "4", "--seed", "2",
+            ])
+            assert code == 0 and "trial=100.00%" in capsys.readouterr().out
+            assert 0 < model.connections <= 4
             assert model.wait_all_closed()
 
 

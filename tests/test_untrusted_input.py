@@ -28,7 +28,7 @@ from smart_tcp.cognitive_core import (
     _decode_decision,
     parse_decision,
 )
-from smart_tcp.dataset_pipeline import IngestResult, TraceFormatError, ingest_trace
+from smart_tcp.dataset_pipeline import IngestResult, ingest_trace
 from smart_tcp.tcp_core import (
     ActionKind,
     AgentState,
@@ -81,16 +81,14 @@ decision_objects = st.fixed_dictionaries(
 
 @settings(deadline=None)
 @given(st.lists(st.one_of(trace_objects, json_values), min_size=1, max_size=6))
-def test_ingest_returns_or_raises_trace_format_error(lines):
+def test_ingest_turns_every_line_into_a_record_or_a_reject(lines):
+    # However many lines are malformed: the 10% rule is trace2sft's.
     fd, path = tempfile.mkstemp(suffix=".jsonl")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for obj in lines:
                 fh.write(json.dumps(obj) + "\n")
-        try:
-            result = ingest_trace(path)
-        except TraceFormatError:
-            return
+        result = ingest_trace(path)
     finally:
         os.unlink(path)
     assert isinstance(result, IngestResult)
@@ -230,16 +228,28 @@ def test_input_data_len_must_be_a_json_integer(value):
         # str() would spell these as the addresses 'None' and '5'.
         ("src", None, "src must be a string: None"),
         ("dst", 5, "dst must be a string: 5"),
+        # A proto that is there but not a string is no protocol name.
+        ("proto", 6, "proto must be a string: 6"),
+        ("proto", None, "proto must be a string: None"),
+        ("proto", ["tcp"], "proto must be a string: ['tcp']"),
     ],
 )
 def test_trace_line_with_a_non_integer_number_is_a_malformed_reject(key, value, reason, tmp_path):
     path = tmp_path / "trace.jsonl"
     bad = json.dumps(dict(json.loads(SYN_LINE), **{key: value}))
-    # Ten good lines keep the one malformed line under the 10% threshold.
     path.write_text((SYN_LINE + "\n") * 5 + bad + "\n" + (SYN_LINE + "\n") * 5)
     result = ingest_trace(path)
     assert result.rejects == [(6, f"malformed: {reason}")]
     assert len(result.records) == 10
+
+
+def test_trace_of_non_string_protos_fails_trace2sft(tmp_path):
+    # Each line is malformed, not a non-TCP line that trace2sft passes over.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(dict(json.loads(SYN_LINE), proto=6)) + "\n")
+    code, err = run_cli(["trace2sft", "--in", str(path), "--out", str(tmp_path / "sft.jsonl")])
+    assert (code, err) == (EXIT_IO, "error: 1/1 malformed lines exceeds the 10% threshold\n")
+    assert not (tmp_path / "sft.jsonl").exists()
 
 
 def test_trace_ts_may_be_a_json_integer(tmp_path):
@@ -453,7 +463,6 @@ def test_json_nested_past_the_recursion_limit_is_a_typed_error(reader, tmp_path)
     path = tmp_path / "deep.jsonl"
     path.write_text(DEEP + "\n")
     if reader == "ingest_trace":
-        # Ten good lines keep the one malformed line under the 10% threshold.
         path.write_text((SYN_LINE + "\n") * 10 + DEEP + "\n")
         result = ingest_trace(path)
         [(lineno, reason)] = result.rejects
