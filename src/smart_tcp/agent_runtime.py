@@ -30,7 +30,7 @@ import random
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .alu import AluError, AluResult, INIT_SYN, alu_execute
+from .alu import AluError, INIT_SYN, alu_execute
 from .cognitive_core import (
     ACTION_STATES,
     CognitiveCore,
@@ -80,7 +80,6 @@ from .tcp_core import (
 class StepOutcome(NamedTuple):
     emitted: Optional[Segment]
     decision: CognitiveDecision
-    alu_result: Optional[AluResult]
 
 
 class StepFailure(Exception):
@@ -132,24 +131,23 @@ def remember(
 
 def advance(
     cinput: CognitiveInput, decision: CognitiveDecision
-) -> Tuple[AgentState, Optional[Segment], Optional[AluResult]]:
-    """Apply a decision: run the ALU task it names, assemble the segment it
-    emits and update memory; a non-NORMAL verdict changes nothing. A segment
-    trigger is consumed, an action's segment is ALU context only. Raises
-    StepFailure for a next_state that no transition reaches from the current
-    state, a task without flags or with empty ones, flags without a task, a
-    task the input cannot feed, and a payload_len other than the length of
-    the payload sent (the action's data for a SEND's segment, and 0 for any
-    other segment or none)."""
+) -> Tuple[AgentState, Optional[Segment]]:
+    """Apply a decision: return the memory after it and the segment it emits,
+    whose seq (and ack, under ACK) the ALU task it names computes; a non-NORMAL
+    verdict changes nothing. A segment trigger is consumed, an action's segment
+    is ALU context only. Raises StepFailure for a next_state that no transition
+    reaches from the current state, a task without flags or with empty ones,
+    flags without a task, a task the input cannot feed, and a payload_len other
+    than the length of the payload sent (the action's data for a SEND's
+    segment, and 0 for any other segment or none)."""
     s = cinput.s
     if decision.verdict is not NORMAL:
-        return s, None, None
+        return s, None
     if decision.next_state not in REACHABLE[s.state]:
         raise StepFailure(
             f"next_state {decision.next_state.value} is not reachable from {s.state.value}"
         )
     emitted: Optional[Segment] = None
-    alu_result: Optional[AluResult] = None
     action = cinput.a
     flags = decision.flags
     sent_len = 0
@@ -160,7 +158,7 @@ def advance(
             raise StepFailure("decision names a task but its flags are empty")
         alu_r = None if decision.t_task is INIT_SYN else cinput.r
         try:
-            alu_result = alu_execute(decision.t_task, s, alu_r)
+            alu = alu_execute(decision.t_task, s, alu_r)
         except AluError as exc:
             # A schema-valid decision can still name a task the inputs
             # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
@@ -168,9 +166,7 @@ def advance(
         payload = action.data if action.kind is KIND_SEND else b""
         sent_len = len(payload)
         # Segment's own rule: a segment without ACK carries ack 0.
-        emitted = _assemble(
-            Segment, (alu_result.seq, alu_result.ack if flags.ack else 0, flags, payload)
-        )
+        emitted = _assemble(Segment, (alu.seq, alu.ack if flags.ack else 0, flags, payload))
     elif flags is not None:
         raise StepFailure("decision names flags but no task to run")
     if decision.payload_len != sent_len:
@@ -178,7 +174,7 @@ def advance(
             f"decision payload_len {decision.payload_len} but the step sends {sent_len} bytes"
         )
     received = cinput.r if action.kind is KIND_NONE else None
-    return remember(s, decision.next_state, emitted, received), emitted, alu_result
+    return remember(s, decision.next_state, emitted, received), emitted
 
 
 def oracle_step(
@@ -188,7 +184,7 @@ def oracle_step(
     the oracle's decision, the memory after it and the segment emitted."""
     cinput = _assemble(CognitiveInput, (s, r, a))
     decision = oracle_transition(s, r, a)
-    new_state, emitted, _ = advance(cinput, decision)
+    new_state, emitted = advance(cinput, decision)
     return cinput, decision, new_state, emitted
 
 
@@ -237,10 +233,10 @@ class Agent:
         else:
             cinput = CognitiveInput(self.state, self.last_received, action)
         decision = self.core.decide(cinput)
-        self.state, emitted, alu_result = advance(cinput, decision)
+        self.state, emitted = advance(cinput, decision)
         if segment is not None and decision.verdict is NORMAL:
             self.last_received = segment
-        return StepOutcome(emitted, decision, alu_result)
+        return StepOutcome(emitted, decision)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +262,14 @@ class Scenario(NamedTuple):
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Scenario":
-        """Raises ValueError for anything but a valid scenario object."""
+        """Raises ValueError for anything but a valid scenario object. A
+        missing key takes its value from `Scenario()`."""
         if not isinstance(obj, dict):
             raise ValueError("a scenario must be a JSON object")
         if unknown := obj.keys() - cls._fields:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        entries = obj.get("data_script", [])
+        obj = {**cls().to_wire(), **obj}
+        entries = obj["data_script"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("data_script must be a list of objects")
         data_script = []
@@ -287,14 +285,14 @@ class Scenario(NamedTuple):
                     f"scripted payload_len must be an integer in [1, {MAX_PAYLOAD_LEN}]: {n!r}"
                 )
             data_script.append((Role(e.get("side")), n))
-        steps_budget = obj.get("steps_budget", 64)
+        steps_budget = obj["steps_budget"]
         if type(steps_budget) is not int or steps_budget < 0:
             raise ValueError(f"steps_budget must be a non-negative integer: {steps_budget!r}")
         return cls(
             data_script=tuple(data_script),
-            closer=Role(obj.get("closer", "CLIENT")),
+            closer=Role(obj["closer"]),
             steps_budget=steps_budget,
-            scenario_id=wire_str("scenario_id", obj.get("scenario_id", "unnamed")),
+            scenario_id=wire_str("scenario_id", obj["scenario_id"]),
         )
 
     @classmethod
@@ -316,13 +314,12 @@ class PhaseResult(NamedTuple):
 
 
 class TranscriptEntry(NamedTuple):
-    """A segment that its sender emitted at `step`, with the decision and ALU result."""
+    """A segment that its sender emitted at `step`, with the decision that emitted it."""
 
     step: int
     direction: Role  # sender
     segment: Segment
     decision: CognitiveDecision
-    alu_result: AluResult
 
 
 class SessionTranscript(NamedTuple):
@@ -351,23 +348,19 @@ class SessionTranscript(NamedTuple):
         ]
 
     def write(self, path) -> None:
-        """A session file: one trace line per delivery, with the step, the
-        sender's decision and its ALU result as extra keys that
-        `ingest_trace` ignores, then a trailer line with the seed, ISSs,
-        halt reason and grades."""
+        """A session file: one trace line per delivery, with the step and
+        the sender's decision as extra keys that `ingest_trace` ignores, then
+        a trailer line with the scenario id, seed, halt reason and grades."""
         with open(path, "w", encoding="utf-8") as fh:
             for e, rec in zip(self.entries, self.trace_records()):
                 obj = rec.to_wire()
                 obj["step"] = e.step
                 obj["decision"] = e.decision.to_wire()
-                obj["alu_result"] = {"seq": e.alu_result.seq, "ack": e.alu_result.ack}
                 fh.write(encode_compact(obj) + "\n")
             trailer = {
                 "trailer": {
                     "scenario_id": self.scenario_id,
                     "seed": self.rng_seed,
-                    "client_iss": self.client_iss,
-                    "server_iss": self.server_iss,
                     "halt_reason": self.halt_reason,
                     "phase_results": {
                         k: v.to_wire() for k, v in self.phase_results.items()
@@ -464,7 +457,7 @@ def run_session(
             break  # quiescent: session complete
         step += 1
         try:
-            emitted, decision, alu_result = agents[role].step(segment, action)
+            emitted, decision = agents[role].step(segment, action)
         except (MalformedDecision, StepFailure) as exc:
             halt_reason = f"{role.value} step failure: {exc}"
             break
@@ -473,7 +466,7 @@ def run_session(
             halt_reason = f"{role.value} verdict {verdict.value}"
             break
         if emitted is not None:
-            in_flight.append(TranscriptEntry(step, role, emitted, decision, alu_result))
+            in_flight.append(TranscriptEntry(step, role, emitted, decision))
     else:
         # The budget ran out; a session whose last step used it up is done.
         if in_flight or actions:
@@ -527,7 +520,7 @@ def grade_session(
         CLIENT: seq_add(segs[0][1].seq, 1),
         SERVER: seq_add(segs[1][1].seq, 1),
     }
-    fin_seen: Dict[Role, Optional[int]] = {CLIENT: None, SERVER: None}
+    fin_seen = set()  # the roles that have sent a FIN
     fin_acked = {CLIENT: False, SERVER: False}
     script_left = list(scenario.data_script)
     data_fail = None
@@ -540,7 +533,7 @@ def grade_session(
             continue
         n = len(seg.payload)
         if n:
-            if fin_seen[sender] is not None:
+            if sender in fin_seen:
                 data_fail = data_fail or "data after FIN"
             if seg.seq != expected[sender]:
                 data_fail = data_fail or "data segment out of sequence"
@@ -550,23 +543,23 @@ def grade_session(
                 data_fail = data_fail or "data segment does not match script"
             expected[sender] = seq_add(expected[sender], n)
         if seg.flags.fin:
-            if fin_seen[sender] is not None:
+            if sender in fin_seen:
                 term_fail = term_fail or "duplicate FIN"
             else:
                 if seg.seq != expected[sender]:
                     term_fail = term_fail or "FIN out of sequence"
-                fin_seen[sender] = seg.seq
+                fin_seen.add(sender)
                 expected[sender] = seq_add(expected[sender], 1)
         if seg.flags.ack:
             # Every ACK must acknowledge exactly what the peer has consumed
             # (expected[] already counts the peer's FIN once seen).
             if seg.ack != expected[peer]:
                 msg = "acknowledgment does not match bytes received"
-                if fin_seen[peer] is not None:
+                if peer in fin_seen:
                     term_fail = term_fail or msg
                 else:
                     data_fail = data_fail or msg
-            elif fin_seen[peer] is not None:
+            elif peer in fin_seen:
                 fin_acked[peer] = True
 
     if script_left:
@@ -574,16 +567,16 @@ def grade_session(
     if halt_reason and data_fail is None and term_fail is None:
         # Session halted abnormally; blame the earliest incomplete phase. All
         # scripted data went through, or data_fail would say so.
-        if fin_seen[scenario.closer] is None:
+        if scenario.closer not in fin_seen:
             data_fail = f"halted: {halt_reason}"
     results["data_transfer"] = PhaseResult(data_fail is None, data_fail or "")
 
     if term_fail is None:
         closer = scenario.closer
         other = SERVER if closer is CLIENT else CLIENT
-        if fin_seen[closer] is None:
+        if closer not in fin_seen:
             term_fail = "closer never sent FIN"
-        elif fin_seen[other] is None:
+        elif other not in fin_seen:
             term_fail = "peer never sent FIN"
         elif not fin_acked[closer] or not fin_acked[other]:
             term_fail = "FIN not acknowledged"

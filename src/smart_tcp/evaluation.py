@@ -38,7 +38,6 @@ class PredictionRecord(NamedTuple):
     predicted: Optional[CognitiveDecision]  # None = malformed model output
     truth_numbers: Optional[Tuple[int, int]] = None  # (seq, ack)
     predicted_numbers: Optional[Tuple[int, int]] = None
-    provenance: Optional[dict] = None
 
 
 class ClassScore(NamedTuple):
@@ -122,7 +121,7 @@ def compute_report(records: Iterable[PredictionRecord]) -> MetricsReport:
     flag_pairs: Dict = {}
     category_totals: Dict[Verdict, int] = {}
     category_hits: Dict[Verdict, int] = {}
-    for n, (t, p, tn, pn, _) in enumerate(records, start=1):
+    for n, (t, p, tn, pn) in enumerate(records, start=1):
         t_state, t_flags, t_plen, _, t_verdict = t
         if tn is not None:
             numbered += 1
@@ -347,7 +346,7 @@ def _load_record(line: str) -> PredictionRecord:
                 predicted_numbers = _load_numbers(predicted_numbers)
             except ValueError:
                 predicted_numbers = None
-    return PredictionRecord(truth, predicted, truth_numbers, predicted_numbers, obj.get("provenance"))
+    return PredictionRecord(truth, predicted, truth_numbers, predicted_numbers)
 
 
 def load_prediction_records(path) -> Iterator[PredictionRecord]:

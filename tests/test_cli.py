@@ -464,6 +464,36 @@ class TestEvaluate:
             outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
         assert outputs[0] == outputs[1]
 
+    def test_keys_it_does_not_score_are_ignored(self, tmp_path, capsys):
+        pred = self.write_predictions(tmp_path)
+        lines = [json.loads(line) for line in pred.read_text().splitlines()]
+        for i, line in enumerate(lines[:10]):
+            line["truth"]["numbers"] = [i, i + 1]
+            line["predicted"]["numbers"] = [i, i + (i % 3 == 0)]
+        lines[-1]["predicted"] = None
+        pred.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        extra = tmp_path / "extra.jsonl"
+        with open(extra, "w") as fh:
+            for i, line in enumerate(lines):
+                line = {
+                    "provenance": {"flow_id": "flow-0", "record_index": i},
+                    "input": '{"state":{}}',
+                    **line,
+                    "raw": "not scored",
+                    "latency_ms": 12.5,
+                }
+                line["truth"]["source"] = "oracle"
+                if line["predicted"] is not None:
+                    line["predicted"].update(raw="{}", latency_ms=None)
+                fh.write(json.dumps(line) + "\n")
+        outputs = []
+        for name, src in (("bare", pred), ("extra", extra)):
+            out = tmp_path / f"{name}.json"
+            code, stdout, _ = run(capsys, "evaluate", "--pred", str(src), "--out", str(out))
+            assert code == EXIT_OK and "records=36 malformed=1 " in stdout
+            outputs.append((out.read_bytes(), stdout.replace(str(out), "OUT")))
+        assert outputs[0] == outputs[1]
+
     def evaluate_error(self, tmp_path, capsys, pred):
         out = tmp_path / "r.json"
         code, stdout, stderr = run(capsys, "evaluate", "--pred", str(pred), "--out", str(out))

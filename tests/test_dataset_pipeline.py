@@ -10,14 +10,17 @@ from smart_tcp.agent_runtime import Scenario, run_session
 from smart_tcp.alu import AluTask
 from smart_tcp.cognitive_core import (
     CognitiveDecision,
+    CognitiveInput,
     OracleCore,
     PERSONA,
     Verdict,
+    oracle_transition,
     parse_decision,
 )
 from smart_tcp.dataset_pipeline import (
     Completeness,
     FiveTuple,
+    LabeledSample,
     SftFormat,
     TraceRecord,
     check_alu_consistency,
@@ -27,7 +30,16 @@ from smart_tcp.dataset_pipeline import (
     ingest_trace,
     reconstruct_labels,
 )
-from smart_tcp.tcp_core import ActionKind, Role
+from smart_tcp.tcp_core import (
+    ACTION_NONE,
+    ActionKind,
+    AgentState,
+    LocalAction,
+    Role,
+    Segment,
+    TcpState,
+    flags_parse,
+)
 
 from traces import shifted, write_records
 from wire_reference import state_to_wire
@@ -303,6 +315,41 @@ class TestErrorDataset:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             generate_error_dataset(self.make_samples(), count=1)
+
+    @pytest.mark.parametrize(
+        "ratio, want",
+        [
+            (1.0, {"ORDER_SEQ_JUMP": 10}),
+            (0.5, {"ORDER_SEQ_JUMP": 5, "FLAG_ILLEGAL_COMBO": 3, "FLAG_WRONG_STATE": 2}),
+        ],
+    )
+    def test_without_a_consuming_context_order_swaps_become_seq_jumps(self, ratio, want):
+        # A SYN in LISTEN and a SEND's last data segment consume sequence
+        # space, but neither is a synchronized, segment-triggered context.
+        # The only one is a pure ACK in ESTABLISHED, which consumes nothing,
+        # so no swap can move its seq: every ORDER_SWAP slot jumps instead.
+        est = AgentState(Role.CLIENT, TcpState.ESTABLISHED, iss=100, snd_nxt=101, irs=500, rcv_nxt=501)
+        listen = AgentState(Role.SERVER, TcpState.LISTEN, iss=700, snd_nxt=700)
+        syn = Segment(seq=99, ack=0, flags=flags_parse("SYN"))
+        data = Segment(seq=499, ack=101, flags=flags_parse("PSH|ACK"), payload=b"xy")
+        ack = Segment(seq=501, ack=101, flags=flags_parse("ACK"))
+        contexts = [
+            (listen, syn, ACTION_NONE),
+            (est, data, LocalAction(ActionKind.SEND, b"hello")),
+            (est, ack, ACTION_NONE),
+        ]
+        samples = [
+            LabeledSample(CognitiveInput(s, r, a), oracle_transition(s, r, a), {"record_index": i})
+            for i, (s, r, a) in enumerate(contexts)
+        ]
+        assert all(x.label.verdict is Verdict.NORMAL for x in samples)
+        errors = generate_error_dataset(samples, count=10, ratio=ratio, seed=0)
+        kinds = [x.provenance["mutation"] for x in errors]
+        assert {k: kinds.count(k) for k in kinds} == want
+        for x, kind in zip(errors, kinds):
+            assert x.provenance["record_index"] == 2
+            want_verdict = Verdict.ORDER_ERROR if kind == "ORDER_SEQ_JUMP" else Verdict.FLAG_ERROR
+            assert x.label.verdict is want_verdict
 
 
 class TestEmitSft:

@@ -35,8 +35,8 @@ MULTI_SEGMENT = Scenario(
 )
 
 GOLDEN = {
-    "default": "2353c6257cef50d39ebacf735afcdc50669414a5e9ff9ae2c2a4655285de380f",
-    "multi": "61d1c5357983b2bef40b05bb62ea0f9dae527ffa73cd370a9ceb1315eae5c3bc",
+    "default": "3730d5c7095a833d743eb2174a5a485576debbb6175f299f365328bb20c3f491",
+    "multi": "e5ece0ab49516ea50e3b93643f42666e032a4a3f7204e1d310b584a7641f6677",
 }
 
 

@@ -597,6 +597,44 @@ class TestReplyFraming:
         assert head.startswith(b"POST /v1 HTTP/1.1\r\nHost: " + host + b"\r\n")
 
 
+class TestNoReply:
+    """`simulate --core remote` against an endpoint that sends no reply byte
+    on a fresh connection: the request is not resent, the socket is closed
+    and the command exits 3."""
+
+    def simulate(self, server, capsys):
+        code = cli.main(["simulate", "--core", "remote", "--endpoint", server.url, "--sessions", "1"])
+        return code, capsys.readouterr().err
+
+    def test_fresh_connection_closed_before_a_reply_is_not_resent(self, capsys, monkeypatch):
+        # A resent request would get no reply either; the short timeout
+        # ends that wait.
+        monkeypatch.setattr(cognitive_core, "TIMEOUT", 1.0)
+        with RawReplyServer((b"", True)) as server:
+            code, err = self.simulate(server, capsys)
+            server.thread.join(timeout=5)
+            # A second connection would wait in the listener's queue.
+            server.listener.setblocking(False)
+            try:
+                conn, _ = server.listener.accept()
+            except BlockingIOError:
+                pass
+            else:
+                conn.close()
+                pytest.fail("the request was resent on a new connection")
+        assert code == cli.EXIT_TRANSPORT
+        assert "model endpoint failure: Remote end closed connection without response" in err
+        assert server.connections == 1
+
+    def test_first_read_that_times_out_closes_the_socket(self, capsys, monkeypatch):
+        monkeypatch.setattr(cognitive_core, "TIMEOUT", 0.2)
+        with RawReplyServer((b"", False)) as server:
+            code, err = self.simulate(server, capsys)
+        assert code == cli.EXIT_TRANSPORT
+        assert "model endpoint failure: timed out" in err
+        assert server.connections == server.client_closed == 1
+
+
 class TestSettings:
     """How `simulate --core remote` finds its endpoint and key: the flag, then
     the environment; an empty variable counts as unset."""

@@ -140,10 +140,10 @@ FACTORIES = {
     "CognitiveDecision": lambda: CognitiveDecision(
         TcpState.CLOSE_WAIT, TcpFlags(ack=True), 0, AluTask.CALCULATE_ACK, Verdict.NORMAL
     ),
-    "StepOutcome": lambda: StepOutcome(SEGMENT, DECISION, AluResult(11, 21)),
+    "StepOutcome": lambda: StepOutcome(SEGMENT, DECISION),
     "FiveTuple": lambda: FiveTuple("10.0.0.1:1", "10.0.0.2:2"),
     "TraceRecord": lambda: TraceRecord(0.5, FiveTuple("a:1", "b:2"), SEGMENT),
-    "PredictionRecord": lambda: PredictionRecord(DECISION, None, (1, 2), None, None),
+    "PredictionRecord": lambda: PredictionRecord(DECISION, None, (1, 2), None),
 }
 TYPES = sorted(FACTORIES)
 
