@@ -45,7 +45,9 @@ from .cognitive_core import (
 )
 from .evaluation import _pct
 from .tcp_core import (
+    ACTION_CLOSE,
     ACTION_NONE,
+    ACTION_OPEN_ACTIVE,
     AgentState,
     CLIENT,
     CLOSED,
@@ -100,8 +102,10 @@ class StepFailure(Exception):
 # CognitiveInput checks only that a step has a trigger: a segment trigger is
 # one, and oracle_transition rejects an oracle_step without either. So
 # `_assemble(T, fields)` must equal `T(*fields)`; the checks that a decision
-# can fail are StepFailures in `advance`, and values built from outside input
-# take the checked constructors.
+# can fail are StepFailures in `advance`. Values built from outside input
+# take the checked constructors, or the checks of the reader that assembles
+# them (`dataset_pipeline.ingest_trace` and `reconstruct_labels` use this
+# name too).
 _assemble = tuple.__new__
 
 
@@ -203,10 +207,10 @@ def implied_action(s: AgentState, seg: Segment) -> Optional[LocalAction]:
     segment is a reply to a received one."""
     f = seg.flags
     if f.syn and not f.ack and s.state in ACTION_STATES[KIND_OPEN_ACTIVE]:
-        return LocalAction(KIND_OPEN_ACTIVE)
+        return ACTION_OPEN_ACTIVE
     if f.fin:
         if s.state in ACTION_STATES[KIND_CLOSE]:
-            return LocalAction(KIND_CLOSE)
+            return ACTION_CLOSE
     elif seg.payload_len and not f.syn and s.state in ACTION_STATES[KIND_SEND]:
         return LocalAction(KIND_SEND, seg.payload)
     return None
@@ -423,14 +427,14 @@ def run_session(
     # agent reaches a state where it is valid.
     actions: deque = deque()
     actions.append((SERVER, LocalAction(KIND_OPEN_PASSIVE)))
-    actions.append((CLIENT, LocalAction(KIND_OPEN_ACTIVE)))
+    actions.append((CLIENT, ACTION_OPEN_ACTIVE))
     # Transcripts, prompts and traces carry payload lengths only, so the
     # data is zeros, as Segment.from_wire fills a payload in.
     for side, n in scenario.data_script:
         actions.append((side, LocalAction(KIND_SEND, bytes(n))))
     other = SERVER if scenario.closer is CLIENT else CLIENT
-    actions.append((scenario.closer, LocalAction(KIND_CLOSE)))
-    actions.append((other, LocalAction(KIND_CLOSE)))
+    actions.append((scenario.closer, ACTION_CLOSE))
+    actions.append((other, ACTION_CLOSE))
 
     in_flight: deque = deque()  # TranscriptEntry; the sender's peer receives it
     entries: List[TranscriptEntry] = []

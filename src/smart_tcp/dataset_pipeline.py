@@ -20,7 +20,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .agent_runtime import implied_action, initial_states, oracle_step
+from .agent_runtime import _assemble, implied_action, initial_states, oracle_step
 from .alu import AluTask, alu_execute
 from .cognitive_core import (
     CognitiveDecision,
@@ -123,6 +123,8 @@ def ingest_trace(path) -> IngestResult:
     records: List[TraceRecord] = []
     rejects: List[Tuple[int, str]] = []
     last_line = 0
+    # One FiveTuple per direction, shared by all of its records.
+    directions: Dict[Tuple[str, str], FiveTuple] = {}
     # Undecodable bytes come through as lone surrogates, so a bad line is
     # rejected on its own instead of ending the read.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -148,13 +150,23 @@ def ingest_trace(path) -> IngestResult:
                 ts = float(ts)
                 if not math.isfinite(ts):
                     raise ValueError(f"non-finite ts: {ts}")
-                five_tuple = FiveTuple(wire_str("src", obj["src"]), wire_str("dst", obj["dst"]))
-                rec = TraceRecord(ts, five_tuple, Segment.from_wire(obj))
+                # Both addresses are checked before the lookup, which would
+                # raise its own TypeError on an unhashable one.
+                src = wire_str("src", obj["src"])
+                dst = wire_str("dst", obj["dst"])
+                five_tuple = directions.get((src, dst))
+                if five_tuple is None:
+                    five_tuple = directions[(src, dst)] = FiveTuple(src, dst)
+                segment = Segment.from_wire(obj)
+            except KeyError as exc:
+                rejects.append((lineno, f"malformed: missing key {exc.args[0]!r}"))
+                continue
             # RecursionError: JSON nested past the interpreter's recursion limit.
-            except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as exc:
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 rejects.append((lineno, f"malformed: {exc}"))
                 continue
-            records.append(rec)
+            # Every field is checked, so the record skips TraceRecord's call.
+            records.append(_assemble(TraceRecord, (ts, five_tuple, segment)))
     records.sort(key=itemgetter(0))  # by ts
     return IngestResult(records, rejects, last_line)
 
@@ -177,8 +189,13 @@ def extract_flows(records: List[TraceRecord]) -> List[Flow]:
     # SYN that opened it (None if another record did), and the directions it
     # has seen a FIN from.
     current: Dict[Tuple[str, str], Tuple[List[TraceRecord], Optional[int], Set[FiveTuple]]] = {}
+    # Each direction's normalized tuple, computed once per distinct direction.
+    keys: Dict[FiveTuple, Tuple[str, str]] = {}
     for rec in records:
-        key = rec.five_tuple.normalized()
+        five_tuple = rec.five_tuple
+        key = keys.get(five_tuple)
+        if key is None:
+            key = keys[five_tuple] = five_tuple.normalized()
         seg = rec.segment
         flags = seg.flags
         pure_syn = flags.syn and not flags.ack
@@ -187,9 +204,9 @@ def extract_flows(records: List[TraceRecord]) -> List[Flow]:
             group = []
             fin_directions = set()
             current[key] = (group, seg.seq if pure_syn else None, fin_directions)
-            groups.append((rec.five_tuple, group))
+            groups.append((five_tuple, group))
         if flags.fin:
-            fin_directions.add(rec.five_tuple)
+            fin_directions.add(five_tuple)
         group.append(rec)
     return [
         Flow(f"flow-{i:04d}", client, group, COMPLETE if _is_complete(group, client) else INCOMPLETE)
@@ -280,7 +297,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
             # and payload length.
             if emitted == seg:
                 provenance = {"flow_id": flow.flow_id, "record_index": idx}
-                samples.append(LabeledSample(cinput, decision, provenance))
+                samples.append(_assemble(LabeledSample, (cinput, decision, provenance)))
             else:
                 log.info("%s: record %d diverges from oracle %s, skipped", flow.flow_id, idx, trigger)
                 skipped += 1

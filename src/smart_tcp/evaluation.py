@@ -330,7 +330,9 @@ def _load_record(line: str) -> PredictionRecord:
         truth_numbers = truth_obj.get("numbers")
         if truth_numbers is not None:
             truth_numbers = _load_numbers(truth_numbers)
-    except (ValueError, KeyError, TypeError, MalformedDecision) as exc:
+    except KeyError as exc:
+        raise ValueError(f"bad truth record: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError, MalformedDecision) as exc:
         raise ValueError(f"bad truth record: {exc}") from None
     # obj is a dict: obj["truth"] raised TypeError for any other JSON value.
     pred_obj = obj.get("predicted")

@@ -15,8 +15,9 @@ generated Python lambda around `tuple.__new__` (cProfile shows it as
 `<string>:1(<lambda>)`), where a dataclass runs an `__init__` that sets
 each field. A type that checks its arguments is a subclass of its
 NamedTuple with `__slots__ = ()` and does the checks in `__new__`
-(`Segment` checks in `__init__` and zeroes `ack` in `__new__`). Being
-tuples has consequences that code using them must keep in mind:
+(`Segment` checks in `__init__`, through `_check_segment`, and zeroes `ack`
+in `__new__`). Being tuples has consequences that code using them must keep
+in mind:
 - a value compares equal to, and hashes like, a plain tuple (or a value of
   another type) with the same fields, so never mix types as keys of one dict
   or set;
@@ -27,8 +28,13 @@ tuples has consequences that code using them must keep in mind:
 - a checked type overrides `_make` to call the class, so `_make` and
   `_replace` run the same checks as a call;
 - values are checked where they enter (the wire decoders and public
-  construction); the agent step builds the values it derives from checked
-  ones with `tuple.__new__` (`agent_runtime._assemble`), which runs no check.
+  construction), each field once. A reader assembles the records whose
+  fields it has checked without running the checks again:
+  `Segment.from_wire` builds its segment with `Segment.__new__` alone, and
+  `dataset_pipeline.ingest_trace` each `TraceRecord` with `tuple.__new__`,
+  one `FiveTuple` shared by the records of a direction. The agent step
+  builds the values it derives from checked ones with `tuple.__new__` too
+  (`agent_runtime._assemble`).
 The same rule holds for every record type, containers too: configuration,
 scenarios, grades, reports, `agent_runtime.SessionTranscript` and its
 entries, and `dataset_pipeline.Flow` are NamedTuples, built once by the code
@@ -239,6 +245,17 @@ class _SegmentFields(NamedTuple):
     payload: bytes = b""
 
 
+def _check_segment(seq: int, ack: int, flags: TcpFlags) -> None:
+    """Segment's range and flag rules. They see the arguments as given, so
+    an out-of-range ack is rejected even on a segment whose ack is zeroed."""
+    if not 0 <= seq < SEQ_MOD:
+        raise ValueError(f"seq out of range: {seq}")
+    if not 0 <= ack < SEQ_MOD:
+        raise ValueError(f"ack out of range: {ack}")
+    if not flags.any():
+        raise ValueError("a segment must carry at least one flag")
+
+
 class Segment(_SegmentFields):
     """A wire-level TCP segment as modeled here: no options, window or checksum."""
 
@@ -248,15 +265,8 @@ class Segment(_SegmentFields):
         # Non-ACK segments carry ack=0 by convention.
         return tuple.__new__(cls, (seq, ack if flags.ack else 0, flags, payload))
 
-    # The checks see the arguments as given, so an out-of-range ack is
-    # rejected even on a segment whose ack __new__ zeroed.
     def __init__(self, seq: int, ack: int, flags: TcpFlags, payload: bytes = b""):
-        if not 0 <= seq < SEQ_MOD:
-            raise ValueError(f"seq out of range: {seq}")
-        if not 0 <= ack < SEQ_MOD:
-            raise ValueError(f"ack out of range: {ack}")
-        if not flags.any():
-            raise ValueError("a segment must carry at least one flag")
+        _check_segment(seq, ack, flags)
 
     @classmethod
     def _make(cls, iterable):
@@ -290,7 +300,11 @@ class Segment(_SegmentFields):
             payload = b"\x00" * declared
         seq = wire_int("seq", obj["seq"])
         ack = wire_int("ack", obj["ack"])
-        return cls(seq, ack, flags_parse(obj["flags"]), payload)
+        flags = flags_parse(obj["flags"])
+        _check_segment(seq, ack, flags)
+        # __new__ without __init__: the class call would check every field
+        # a second time.
+        return cls.__new__(cls, seq, ack, flags, payload)
 
 
 def segment_consumes(seg: Segment) -> int:
@@ -372,7 +386,12 @@ class LocalAction(_LocalActionFields):
         return cls(*iterable)
 
 
+# Built once: every segment-triggered step takes ACTION_NONE, and the
+# session script and the labeler's replay (agent_runtime.implied_action)
+# take the other two.
 ACTION_NONE = LocalAction(ActionKind.NONE)
+ACTION_OPEN_ACTIVE = LocalAction(ActionKind.OPEN_ACTIVE)
+ACTION_CLOSE = LocalAction(ActionKind.CLOSE)
 
 
 class _AgentStateFields(NamedTuple):

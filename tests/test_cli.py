@@ -522,6 +522,15 @@ class TestEvaluate:
             EXIT_IO, f"error: {pred} line 2001: line is not valid UTF-8\n"
         )
 
+    def test_missing_truth_key_is_named(self, tmp_path, capsys):
+        pred = self.write_predictions(tmp_path, n_correct=3, n_wrong=0)
+        lines = [json.loads(line) for line in pred.read_text().splitlines()]
+        del lines[1]["truth"]["decision"]
+        pred.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert self.evaluate_error(tmp_path, capsys, pred) == (
+            EXIT_IO, f"error: {pred} line 2: bad truth record: missing key 'decision'\n"
+        )
+
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         pred = tmp_path / "empty.jsonl"
         pred.write_text("")
@@ -684,6 +693,17 @@ class TestInject:
         assert code == EXIT_IO and stdout == ""
         assert stderr.startswith(f"error: {path} line 3: malformed: ")
         assert reason in stderr
+
+    def test_missing_key_is_named(self, tmp_path, capsys):
+        path = self.session_path(tmp_path, capsys)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        del obj["seq"]
+        lines[2] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(capsys, "inject", "--in", str(path), "--fault", "none")
+        assert (code, stdout) == (EXIT_IO, "")
+        assert stderr == f"error: {path} line 3: malformed: missing key 'seq'\n"
 
     def test_mostly_malformed_file_names_its_first_bad_line(self, tmp_path, capsys):
         # Past trace2sft's 10% threshold, the same line is reported.

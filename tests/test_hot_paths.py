@@ -2,8 +2,9 @@
 `Class.MEMBER`: on Python 3.10 and 3.11 each such read runs
 `EnumMeta.__getattr__` (see `tcp_core`'s docstring). The check reads the
 bytecode of each function that the agent step, the session driver and the
-trace2sft pipeline run per segment, per record or per sample, and the code
-objects nested in it (comprehensions, generator expressions)."""
+trace2sft pipeline run per trace line, per segment, per record or per
+sample, and the code objects nested in it (comprehensions, generator
+expressions)."""
 
 import dis
 import enum
@@ -38,6 +39,9 @@ HOT_FUNCTIONS = (
     "cognitive_core.CognitiveInput.__new__",
     "tcp_core.LocalAction.__new__",
     "alu.alu_execute",
+    "tcp_core.Segment.from_wire",
+    "dataset_pipeline.ingest_trace",
+    "dataset_pipeline.handshake_isss",
     "dataset_pipeline.reconstruct_labels",
     "dataset_pipeline.generate_error_dataset",
     "dataset_pipeline._mutate",

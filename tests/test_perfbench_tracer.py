@@ -47,8 +47,9 @@ def test_plan_layers_traces_simulate(capsys):
 
 
 def test_plan_layers_traces_trace2sft(tmp_path, capsys):
-    # The session step assembles its segments without calling the class;
-    # Segment.from_wire still calls it for each trace line it reads.
+    # Neither the session step nor Segment.from_wire calls the class: each
+    # assembles its segments from checked fields. The error samples'
+    # mutations do, through Segment._replace.
     simulate = ["simulate", "--sessions", "1", "--seed", "3", "--out", str(tmp_path)]
     assert cli.main(simulate) == EXIT_OK
     module = load_tracer()
@@ -58,7 +59,7 @@ def test_plan_layers_traces_trace2sft(tmp_path, capsys):
     tracer.install()
     try:
         trace, sft = str(tmp_path / "session-000.jsonl"), str(tmp_path / "sft.jsonl")
-        assert cli.main(["trace2sft", "--in", trace, "--out", sft]) == EXIT_OK
+        assert cli.main(["trace2sft", "--in", trace, "--out", sft, "--errors", "4"]) == EXIT_OK
     finally:
         tracer.uninstall()
     assert vars(Segment)["__init__"] is init

@@ -2,9 +2,11 @@
 whatever their JSON, end as a result or as the reader's own typed error,
 never as another exception."""
 
+import base64
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -32,12 +34,22 @@ from smart_tcp.dataset_pipeline import IngestResult, ingest_trace
 from smart_tcp.tcp_core import (
     ActionKind,
     AgentState,
+    FiveTuple,
     LocalAction,
     MAX_PAYLOAD_LEN,
     Role,
     Segment,
     TcpState,
+    TraceRecord,
+    flags_parse,
     parse_state,
+    wire_int,
+    wire_str,
+)
+
+SYN_LINE = json.dumps(
+    {"ts": 0.0, "proto": "tcp", "src": "10.0.0.1:40000", "dst": "10.0.0.2:80",
+     "seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
 )
 
 json_values = st.recursive(
@@ -95,6 +107,113 @@ def test_ingest_turns_every_line_into_a_record_or_a_reject(lines):
     assert len(result.records) + len(result.rejects) == len(lines)
     ts = [r.ts for r in result.records]
     assert ts == sorted(ts)
+
+
+def ingest_reference(texts):
+    """`ingest_trace` line by line, for lines of JSON text: the same checks
+    in the same order, each record built by the checked constructors."""
+    records, rejects = [], []
+    for lineno, text in enumerate(texts, start=1):
+        try:
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                raise ValueError(f"not a JSON object: {type(obj).__name__}")
+            proto = wire_str("proto", obj["proto"]).lower() if "proto" in obj else ""
+            if proto != "tcp":
+                rejects.append((lineno, f"non-tcp protocol: {proto!r}"))
+                continue
+            ts = obj["ts"]
+            if type(ts) is not float and type(ts) is not int:
+                raise ValueError(f"ts must be a number: {ts!r}")
+            if not math.isfinite(float(ts)):
+                raise ValueError(f"non-finite ts: {float(ts)}")
+            src = wire_str("src", obj["src"])
+            dst = wire_str("dst", obj["dst"])
+            payload = b""
+            if obj.get("payload_b64"):
+                payload = base64.b64decode(obj["payload_b64"], validate=True)
+            declared = wire_int("payload_len", obj["payload_len"])
+            if not 0 <= declared <= MAX_PAYLOAD_LEN:
+                raise ValueError(f"payload_len out of range: {declared}")
+            if payload and len(payload) != declared:
+                raise ValueError("payload_len does not match payload")
+            seq = wire_int("seq", obj["seq"])
+            ack = wire_int("ack", obj["ack"])
+            segment = Segment(seq, ack, flags_parse(obj["flags"]), payload or bytes(declared))
+            record = TraceRecord(float(ts), FiveTuple(src, dst), segment)
+        except KeyError as exc:
+            rejects.append((lineno, f"malformed: missing key {exc.args[0]!r}"))
+        except (ValueError, TypeError, OverflowError) as exc:
+            rejects.append((lineno, f"malformed: {exc}"))
+        else:
+            records.append(record)
+    records.sort(key=lambda r: r.ts)
+    return records, rejects
+
+
+TRACE_KEYS = sorted(json.loads(SYN_LINE)) + ["payload_b64"]
+ADDRESSES = ["10.0.0.1:40000", "10.0.0.2:80", "10.0.0.3:5"]
+valid_trace_objects = st.fixed_dictionaries(
+    {
+        "ts": st.floats(min_value=0, max_value=10) | st.integers(0, 10),
+        "proto": st.sampled_from(["tcp", "tcp", "TCP", "udp"]),
+        "src": st.sampled_from(ADDRESSES),
+        "dst": st.sampled_from(ADDRESSES),
+        "seq": u32,
+        "ack": u32,
+        "flags": st.sampled_from(["SYN", "ACK", "SYN|ACK", "fin|ack", "FIN", "PSH|ACK"]),
+        "payload_len": st.integers(min_value=0, max_value=4),
+    },
+    optional={"payload_b64": st.just("YWJj")},
+)
+DROP = object()
+# Up to two faults a line: a key dropped, or its value replaced by any JSON.
+trace_faults = st.lists(
+    st.tuples(st.sampled_from(TRACE_KEYS), st.just(DROP) | json_values), max_size=2
+)
+
+
+def with_faults(obj, faults):
+    obj = dict(obj)
+    for key, value in faults:
+        if value is DROP:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return obj
+
+
+trace_lines = st.one_of(
+    valid_trace_objects, st.builds(with_faults, valid_trace_objects, trace_faults), json_values
+)
+# A non-string src and no dst, where the src check comes first; and an
+# unhashable src, which is checked before the direction lookup.
+TWO_FAULTS = with_faults(json.loads(SYN_LINE), [("src", 5), ("dst", DROP)])
+LIST_SRC = with_faults(json.loads(SYN_LINE), [("src", ["10.0.0.1:40000"])])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(trace_lines, min_size=1, max_size=10))
+@example([TWO_FAULTS, json.loads(SYN_LINE), json.loads(SYN_LINE)])
+@example([LIST_SRC])
+def test_ingest_equals_its_per_line_reference(lines):
+    texts = [json.dumps(obj) for obj in lines]
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("".join(text + "\n" for text in texts))
+        result = ingest_trace(path)
+    finally:
+        os.unlink(path)
+    records, rejects = ingest_reference(texts)
+    assert result.rejects == rejects
+    assert result.records == records
+    for r in result.records:
+        assert (type(r), type(r.five_tuple), type(r.segment)) == (TraceRecord, FiveTuple, Segment)
+    # Equal directions are one object.
+    directions = {}
+    for r in result.records:
+        assert directions.setdefault(r.five_tuple, r.five_tuple) is r.five_tuple
 
 
 @settings(deadline=None)
@@ -443,10 +562,6 @@ def test_inject_replays_or_exits_1_or_2(lines):
 # levels raise on 3.10 to 3.13.
 DEPTH = 100_000
 DEEP = "[" * DEPTH
-SYN_LINE = json.dumps(
-    {"ts": 0.0, "proto": "tcp", "src": "10.0.0.1:40000", "dst": "10.0.0.2:80",
-     "seq": 1, "ack": 0, "flags": "SYN", "payload_len": 0}
-)
 
 
 def run_cli(argv):
