@@ -76,6 +76,7 @@ from .tcp_core import (
     seq_add,
     segment_consumes,
     wire_str,
+    zero_payload,
 )
 
 
@@ -281,9 +282,8 @@ class Scenario(NamedTuple):
             if unknown := e.keys() - {"side", "payload_len"}:
                 raise ValueError(f"unknown data_script keys: {sorted(unknown)}")
             n = e.get("payload_len")
-            # Each scripted send goes out as one segment, which
-            # Segment.from_wire must be able to read back from the transcript;
-            # a SEND carries at least one byte.
+            # Each scripted send goes out as one segment, so zero_payload's
+            # bound holds; a SEND carries at least one byte.
             if type(n) is not int or not 1 <= n <= MAX_PAYLOAD_LEN:
                 raise ValueError(
                     f"scripted payload_len must be an integer in [1, {MAX_PAYLOAD_LEN}]: {n!r}"
@@ -428,10 +428,8 @@ def run_session(
     actions: deque = deque()
     actions.append((SERVER, LocalAction(KIND_OPEN_PASSIVE)))
     actions.append((CLIENT, ACTION_OPEN_ACTIVE))
-    # Transcripts, prompts and traces carry payload lengths only, so the
-    # data is zeros, as Segment.from_wire fills a payload in.
     for side, n in scenario.data_script:
-        actions.append((side, LocalAction(KIND_SEND, bytes(n))))
+        actions.append((side, LocalAction(KIND_SEND, zero_payload("payload_len", n))))
     other = SERVER if scenario.closer is CLIENT else CLIENT
     actions.append((scenario.closer, ACTION_CLOSE))
     actions.append((other, ACTION_CLOSE))

@@ -1,6 +1,8 @@
 """Command-line entry point: simulate, trace2sft, evaluate, inject.
 
-Commands raise and never print to stderr. `main` is the one error exit: it
+Commands raise and print nothing to stderr, except `trace2sft`'s `<flow>
+dropped: <k>/<n> records skipped` line for each flow the labeler drops
+(through `logging`'s last-resort handler). `main` is the one error exit: it
 prints `error: <message>` once and maps what a command raised to an exit
 code, 0 completed, 1 usage (`UsageError`), 2 I/O (`OSError`, `InputError`)
 and 3 remote transport (`TransportError`).

@@ -34,7 +34,7 @@ from .tcp_core import (
     flags_parse,
     parse_state,
     seq_lt,
-    wire_int,
+    zero_payload,
 )
 
 
@@ -87,11 +87,7 @@ class CognitiveInput(_CognitiveInputFields):
         kind = ActionKind(action["kind"])
         data = None
         if kind is ActionKind.SEND:
-            # Segment.from_wire's bound, checked before the filler is built.
-            data_len = wire_int("data_len", action.get("data_len", 0))
-            if not 0 <= data_len <= MAX_PAYLOAD_LEN:
-                raise ValueError(f"data_len out of range: {data_len}")
-            data = b"\x00" * data_len
+            data = zero_payload("data_len", action.get("data_len", 0))
         return cls(
             s=AgentState.from_wire(obj["state"]),
             r=Segment.from_wire(obj["received"]) if obj.get("received") else None,

@@ -4,7 +4,9 @@ Everything here is an immutable value type; the rest of the package builds
 on these primitives. The trace types live here too: `FiveTuple` and
 `TraceRecord`, whose `to_wire` is the one trace-line encoder. Session files
 (`agent_runtime.SessionTranscript.write`) and test traces are written with
-it, and `dataset_pipeline.ingest_trace` reads its lines back.
+it, and `dataset_pipeline.ingest_trace` reads its lines back. Every wire
+form carries a payload's length, never its bytes: `zero_payload` is the one
+builder of a payload from a length, for the decoders and the session script.
 
 Value types: the values that every agent step and every trace or prediction
 record builds (here `TcpFlags`, `Segment`, `LocalAction` and `AgentState`;
@@ -55,7 +57,6 @@ messages keep the class-qualified spelling.
 
 from __future__ import annotations
 
-import base64
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -233,9 +234,18 @@ def wire_str(key: str, value) -> str:
 
 
 # The IPv4 total-length field is 16 bits, so no segment carries more. A
-# larger declared length is corrupt input, and from_wire would otherwise
-# allocate a filler of that size.
+# larger declared length is corrupt input, and zero_payload would otherwise
+# allocate a payload of that size.
 MAX_PAYLOAD_LEN = 65535
+
+
+def zero_payload(key: str, value) -> bytes:
+    """The payload whose length is the value under key of a wire object:
+    that many zero bytes."""
+    n = wire_int(key, value)
+    if not 0 <= n <= MAX_PAYLOAD_LEN:
+        raise ValueError(f"{key} out of range: {n}")
+    return bytes(n)
 
 
 class _SegmentFields(NamedTuple):
@@ -286,18 +296,7 @@ class Segment(_SegmentFields):
 
     @classmethod
     def from_wire(cls, obj: dict) -> "Segment":
-        payload = b""
-        if obj.get("payload_b64"):
-            payload = base64.b64decode(obj["payload_b64"], validate=True)
-        declared = wire_int("payload_len", obj["payload_len"])
-        if not 0 <= declared <= MAX_PAYLOAD_LEN:
-            raise ValueError(f"payload_len out of range: {declared}")
-        if payload and len(payload) != declared:
-            raise ValueError("payload_len does not match payload")
-        if not payload and declared:
-            # Payload bytes are carried separately in most files; synthesize
-            # a deterministic filler of the declared length.
-            payload = b"\x00" * declared
+        payload = zero_payload("payload_len", obj["payload_len"])
         seq = wire_int("seq", obj["seq"])
         ack = wire_int("ack", obj["ack"])
         flags = flags_parse(obj["flags"])

@@ -36,8 +36,9 @@ def run(capsys, *argv):
 def test_import_loads_no_transport_or_third_party_module():
     # The remote core imports socket and its transport when it is built;
     # oracle-only commands, which are most runs, must not pay for either.
+    # No wire form carries payload bytes, so nothing loads base64.
     src = str(Path(smart_tcp.__file__).resolve().parents[1])
-    probe = "import sys, smart_tcp.cli; print([m for m in ('socket', 'smart_tcp.http11', 'http.client', 'requests', 'numpy') if m in sys.modules])"
+    probe = "import sys, smart_tcp.cli; print([m for m in ('socket', 'smart_tcp.http11', 'http.client', 'base64', 'requests', 'numpy') if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -239,6 +240,37 @@ class TestTrace2Sft:
         bare_out = tmp_path / "bare-sft.jsonl"
         assert run(capsys, "trace2sft", "--in", str(bare), "--out", str(bare_out))[0] == EXIT_OK
         assert out.read_bytes() == bare_out.read_bytes()
+
+    def test_dropped_flow_is_its_one_stderr_line(self, tmp_path, capsys):
+        # The labeler's WARNING for a dropped flow reaches stderr through
+        # logging's last-resort handler; a clean trace prints nothing there.
+        # Sending each data segment three times drops the session's flow.
+        path = TestInject().session_path(tmp_path, capsys)
+        records = ingest_trace(path).records
+        resent = [
+            r._replace(ts=r.ts + dt)
+            for r in records
+            if r.segment.payload_len
+            for dt in (0.0001, 0.0002)
+        ]
+        retx = tmp_path / "retx.jsonl"
+        write_records(sorted(records + resent, key=lambda r: r.ts), retx)
+        src = str(Path(smart_tcp.__file__).resolve().parents[1])
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "smart_tcp.cli", "trace2sft", "--in", str(trace),
+                 "--out", str(tmp_path / "sft.jsonl")],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            for trace in (path, retx)
+        ]
+        assert [r.returncode for r in results] == [EXIT_OK, EXIT_OK]
+        assert results[0].stderr == ""
+        assert "1 flows, 15 packets" in results[1].stdout and "; 0 samples" in results[1].stdout
+        assert results[1].stderr == "flow-0000 dropped: 9/15 records skipped\n"
 
     def test_with_error_samples(self, tmp_path, capsys):
         trace = make_trace(tmp_path, capsys)

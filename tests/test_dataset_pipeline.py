@@ -131,7 +131,6 @@ class TestIngest:
             ("flags", 5),
             ("flags", ["SYN"]),
             ("payload_len", -3),
-            ("payload_b64", "!!"),
         ],
     )
     def test_bad_line_is_malformed(self, tmp_path, field, value):

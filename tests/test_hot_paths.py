@@ -40,6 +40,7 @@ HOT_FUNCTIONS = (
     "tcp_core.LocalAction.__new__",
     "alu.alu_execute",
     "tcp_core.Segment.from_wire",
+    "tcp_core.zero_payload",
     "dataset_pipeline.ingest_trace",
     "dataset_pipeline.handshake_isss",
     "dataset_pipeline.reconstruct_labels",

@@ -4,6 +4,7 @@ transport failures surface, and connections are reused and closed."""
 import json
 import re
 import socket
+import ssl
 import sys
 import tempfile
 import threading
@@ -379,6 +380,52 @@ class TestRemoteTransport:
             assert code == 0 and "trial=100.00%" in capsys.readouterr().out
             assert 0 < model.connections <= 4
             assert model.wait_all_closed()
+
+
+class FakeTlsContext:
+    """Stands in for `ssl.create_default_context()`: wrap_socket records the
+    socket and the server name it is given, then raises `error` or returns
+    the plain socket, so an https endpoint runs over the loopback model."""
+
+    def __init__(self, error=None):
+        self.error = error
+        self.socks = []
+        self.hostnames = []
+
+    def wrap_socket(self, sock, server_hostname=None):
+        self.socks.append(sock)
+        self.hostnames.append(server_hostname)
+        if self.error is not None:
+            raise self.error
+        return sock
+
+
+class TestTlsConnect:
+    """`simulate --core remote` against an https endpoint: each connection
+    is wrapped for the endpoint's host, and a failed wrap closes its socket
+    and exits 3."""
+
+    def simulate(self, monkeypatch, capsys, context):
+        monkeypatch.setattr(ssl, "create_default_context", lambda: context)
+        with LoopbackModel() as model:
+            url = model.url.replace("http://", "https://", 1)
+            code = cli.main(["simulate", "--core", "remote", "--endpoint", url, "--sessions", "1"])
+            assert model.wait_all_closed()
+        return code, capsys.readouterr(), model
+
+    def test_each_connection_is_wrapped_for_the_endpoint_host(self, monkeypatch, capsys):
+        context = FakeTlsContext()
+        code, out, model = self.simulate(monkeypatch, capsys, context)
+        assert code == cli.EXIT_OK and "trial=100.00%" in out.out
+        assert model.connections > 0
+        assert context.hostnames == ["127.0.0.1"] * model.connections
+
+    def test_failed_wrap_closes_its_socket_and_exits_3(self, monkeypatch, capsys):
+        context = FakeTlsContext(ssl.SSLError("handshake refused"))
+        code, out, _ = self.simulate(monkeypatch, capsys, context)
+        assert code == cli.EXIT_TRANSPORT
+        assert out.err.startswith("error: model endpoint failure:")
+        assert context.socks and all(sock.fileno() == -1 for sock in context.socks)
 
 
 class RawReplyServer:
