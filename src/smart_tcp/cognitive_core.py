@@ -247,74 +247,64 @@ def serialize_input(i: CognitiveInput) -> str:
     )
 
 
-# String states of a scan for _extract_json_object.
-_OUTSIDE, _INSIDE, _ESCAPED = range(3)
-
-
 def _extract_json_object(text: str) -> Optional[str]:
     """Return the first balanced {...} block embedded in prose, if any.
 
     That is the block of the earliest '{' whose own scan, which reads quotes
     and backslash escapes from that '{' on, brings its depth back to zero.
     All scans run in one pass. Scans in the same string state at a position
-    agree from there on, so they share a lane, and at most three lanes (one
-    per state) are open at once. A lane keeps its running depth and, for each
-    depth at which some scan closes, the earliest such scan's start.
+    agree from there on, so they share a lane, which keeps its running depth
+    and, for each depth at which some scan closes, the earliest such scan's
+    start. So at most two lanes are open: one outside a string and one
+    inside. A backslash escapes the next character for every scan inside a
+    string at once, so an escape is a flag on the inside lane, not a third
+    lane. An unescaped quote swaps the two lanes; an escaped one takes the
+    outside lane into the string that the inside lane stays in, and the two
+    merge.
     """
     found = None  # (start, end) of the earliest start that closed so far
-    lanes: dict = {}  # string state -> [depth, {closing depth: start}]
+    outside = inside = None  # each [depth, {closing depth: start}], or None
+    escaped = False  # the inside lane has just read a backslash
     for i, c in enumerate(text):
-        if c not in '{}"\\':
-            if _ESCAPED in lanes:
-                _join(lanes, _INSIDE, lanes.pop(_ESCAPED))
-            continue
-        moved: dict = {}
-        for state, lane in lanes.items():
-            if state == _OUTSIDE:
-                if c == "}":
-                    lane[0] -= 1
-                    start = lane[1].pop(lane[0], None)
-                    if start is not None and (found is None or start < found[0]):
-                        found = (start, i)
-                    if not lane[1]:
-                        continue  # every scan of the lane has closed
-                elif c == '"':
-                    state = _INSIDE
-            elif state == _INSIDE:
-                if c == "\\":
-                    state = _ESCAPED
-                elif c == '"':
-                    state = _OUTSIDE
-            else:
-                state = _INSIDE
-            _join(moved, state, lane)
         if c == "{":
             # A scan starts here, outside any string, and closes when its
             # lane's depth is back where it was before this brace.
-            lane = moved.get(_OUTSIDE)
-            if lane is None:
-                lane = moved[_OUTSIDE] = [0, {}]
-            lane[1].setdefault(lane[0], i)
-            lane[0] += 1
-        lanes = moved
+            if outside is None:
+                outside = [0, {}]
+            outside[1].setdefault(outside[0], i)
+            outside[0] += 1
+        elif c == "}" and outside is not None:
+            outside[0] -= 1
+            start = outside[1].pop(outside[0], None)
+            if start is not None and (found is None or start < found[0]):
+                found = (start, i)
+            if not outside[1]:
+                outside = None  # every scan of the lane has closed
+        elif c == '"':
+            if escaped:
+                inside, outside = _join(outside, inside), None
+            else:
+                outside, inside = inside, outside
+        escaped = c == "\\" and not escaped
     return None if found is None else text[found[0] : found[1] + 1]
 
 
-def _join(lanes: dict, state: int, lane: list) -> None:
-    """Put `lane` into `lanes` under `state`, merging it into the lane already
-    there: the smaller one's closing depths move into the larger's frame."""
-    into = lanes.setdefault(state, lane)
-    if into is lane:
-        return
-    if len(into[1]) < len(lane[1]):
-        into, lane = lane, into
-        lanes[state] = into
-    shift = into[0] - lane[0]
-    closes = into[1]
-    for depth, start in lane[1].items():
+def _join(a: Optional[list], b: Optional[list]) -> Optional[list]:
+    """The one lane of the scans of lanes `a` and `b`, which have reached the
+    same string state; either may be None. The smaller lane's closing depths
+    move into the larger's frame: moving the larger would make text with
+    many merges take quadratic time."""
+    if a is None or b is None:
+        return b if a is None else a
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    shift = a[0] - b[0]
+    closes = a[1]
+    for depth, start in b[1].items():
         depth += shift
         if start < closes.get(depth, start + 1):
             closes[depth] = start
+    return a
 
 
 def parse_decision(raw: str) -> CognitiveDecision:

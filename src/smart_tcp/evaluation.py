@@ -66,19 +66,28 @@ class MetricsReport(NamedTuple):
     malformed_count: int
 
 
-def _class_scores(
-    pairs: Dict[Tuple[str, str], int],
-) -> Tuple[Dict[str, ClassScore], float, float]:
-    """One-vs-rest P/R per true class from (true, predicted) label counts,
-    plus macro averages. Zero-denominator precision reports 0 with a flag."""
+def _label(value) -> str:
+    """The class name of a state, flag set or verdict, or MALFORMED."""
+    if value is None:
+        return "(none)"
+    if value is MALFORMED:
+        return MALFORMED
+    return value.value if isinstance(value, Enum) else value.render()
+
+
+def _class_scores(table: Dict[tuple, int]) -> Tuple[Dict[str, ClassScore], float, float]:
+    """One-vs-rest P/R per true class from a (true, predicted) table of
+    record counts, plus macro averages. Zero-denominator precision reports 0
+    with a flag."""
     support: Dict[str, int] = {}
     predicted: Dict[str, int] = {}
     hits: Dict[str, int] = {}
-    for (t, p), n in pairs.items():
+    for (t, p), n in table.items():
+        t, p = _label(t), _label(p)
         support[t] = support.get(t, 0) + n
         predicted[p] = predicted.get(p, 0) + n
         if t == p:
-            hits[t] = n
+            hits[t] = hits.get(t, 0) + n
     scores: Dict[str, ClassScore] = {}
     for c in sorted(support):
         tp = hits.get(c, 0)
@@ -91,10 +100,9 @@ def _class_scores(
     return scores, macro_p, macro_r
 
 
-def _flags_label(flags) -> str:
-    if flags is MALFORMED:
-        return MALFORMED
-    return flags.render() if flags is not None else "(none)"
+def _hits(table: Dict[tuple, int]) -> int:
+    """The records of a (true, predicted) table that were predicted right."""
+    return sum(n for (t, p), n in table.items() if t == p)
 
 
 class EmptyRecordSet(ValueError):
@@ -112,33 +120,26 @@ def compute_report(records: Iterable[PredictionRecord]) -> MetricsReport:
     when the truth set holds an error sample. Raises EmptyRecordSet, a
     ValueError, when there are no records.
     """
-    normal = Verdict.NORMAL
-    n = state_hits = flags_hits = plen_hits = seq_hits = ack_hits = atomic_hits = 0
-    numbered = malformed = verdict_hits = 0
-    # confusion[true state][predicted state or MALFORMED] and
-    # flag_pairs[(true flags, predicted flags or MALFORMED)]: record counts.
-    confusion: Dict = {}
-    flag_pairs: Dict = {}
-    category_totals: Dict[Verdict, int] = {}
-    category_hits: Dict[Verdict, int] = {}
+    n = plen_hits = seq_hits = ack_hits = atomic_hits = numbered = malformed = 0
+    # One table per categorical field: record counts keyed by (true value,
+    # predicted value or MALFORMED), in order of first appearance. Every
+    # other score of these fields is read off them after the pass.
+    states: Dict[tuple, int] = {}
+    flags: Dict[tuple, int] = {}
+    verdicts: Dict[tuple, int] = {}
     for n, (t, p, tn, pn) in enumerate(records, start=1):
         t_state, t_flags, t_plen, _, t_verdict = t
         if tn is not None:
             numbered += 1
         if p is None:
             malformed += 1
-            p_state = p_flags = MALFORMED
-            verdict_hit = False
+            p_state = p_flags = p_verdict = MALFORMED
         else:
             p_state, p_flags, p_plen, _, p_verdict = p
-            state_ok = p_state is t_state
-            # Decoded flags are memoized, so equal flags are mostly one object.
-            flags_ok = p_flags is t_flags or p_flags == t_flags
             plen_ok = p_plen == t_plen
-            state_hits += state_ok
-            flags_hits += flags_ok
             plen_hits += plen_ok
-            atom = state_ok and flags_ok and plen_ok
+            # Decoded flags are memoized, so equal flags are mostly one object.
+            atom = p_state is t_state and (p_flags is t_flags or p_flags == t_flags) and plen_ok
             if tn is not None:
                 seq_ok = pn is not None and tn[0] == pn[0]
                 ack_ok = pn is not None and tn[1] == pn[1]
@@ -146,52 +147,35 @@ def compute_report(records: Iterable[PredictionRecord]) -> MetricsReport:
                 ack_hits += ack_ok
                 atom = atom and seq_ok and ack_ok
             atomic_hits += atom
-            verdict_hit = p_verdict is t_verdict
-            verdict_hits += verdict_hit
-        row = confusion.get(t_state)
-        if row is None:
-            row = confusion[t_state] = {}
-        row[p_state] = row.get(p_state, 0) + 1
+        key = (t_state, p_state)
+        states[key] = states.get(key, 0) + 1
         key = (t_flags, p_flags)
-        flag_pairs[key] = flag_pairs.get(key, 0) + 1
-        if t_verdict is not normal:
-            category_totals[t_verdict] = category_totals.get(t_verdict, 0) + 1
-            if verdict_hit:
-                category_hits[t_verdict] = category_hits.get(t_verdict, 0) + 1
+        flags[key] = flags.get(key, 0) + 1
+        key = (t_verdict, p_verdict)
+        verdicts[key] = verdicts.get(key, 0) + 1
     if not n:
         raise EmptyRecordSet("cannot build a report from an empty record set")
 
-    state_pairs: Dict[Tuple[str, str], int] = {}
+    ns_scores, ns_p, ns_r = _class_scores(states)
+    fl_scores, fl_p, fl_r = _class_scores(flags)
     matrix: Dict[str, Dict[str, float]] = {}
-    for t_state, row in confusion.items():
-        row_support = sum(row.values())
-        cells = {}
-        for p_state, count in row.items():
-            label = p_state if p_state is MALFORMED else p_state.value
-            state_pairs[(t_state.value, label)] = count
-            cells[label] = round(100.0 * count / row_support, 1)
-        matrix[t_state.value] = cells
-    label_pairs: Dict[Tuple[str, str], int] = {}
-    for (t_flags, p_flags), count in flag_pairs.items():
-        key = (_flags_label(t_flags), _flags_label(p_flags))
-        label_pairs[key] = label_pairs.get(key, 0) + count
-    ns_scores, ns_p, ns_r = _class_scores(state_pairs)
-    fl_scores, fl_p, fl_r = _class_scores(label_pairs)
-
+    for (t_state, p_state), count in states.items():
+        row = matrix.setdefault(t_state.value, {})
+        row[_label(p_state)] = round(100.0 * count / ns_scores[t_state.value].support, 1)
     error_detection = None
-    if category_totals:
+    # The error classes among the true verdicts, in order of first appearance.
+    errors = {t.value: None for t, _ in verdicts if t is not Verdict.NORMAL}
+    if errors:
+        vd_scores = _class_scores(verdicts)[0]
         error_detection = ErrorDetectionMetrics(
-            overall_accuracy=verdict_hits / n,
-            recall_by_category={
-                v.value: category_hits.get(v, 0) / total
-                for v, total in sorted(category_totals.items(), key=lambda kv: kv[0].value)
-            },
-            counts={"records": n, **{v.value: total for v, total in category_totals.items()}},
+            overall_accuracy=_hits(verdicts) / n,
+            recall_by_category={c: s.recall for c, s in vd_scores.items() if c in errors},
+            counts={"records": n, **{c: vd_scores[c].support for c in errors}},
         )
     return MetricsReport(
         field_accuracy={
-            "NewState": state_hits / n,
-            "Flags": flags_hits / n,
+            "NewState": _hits(states) / n,
+            "Flags": _hits(flags) / n,
             "PayloadLen": plen_hits / n,
             "Seq": seq_hits / numbered if numbered else 0.0,
             "Ack": ack_hits / numbered if numbered else 0.0,

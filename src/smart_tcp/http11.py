@@ -31,8 +31,12 @@ def open_endpoint(endpoint: str, api_key: Optional[str], timeout: float):
     every request up to its Content-Length value: the request line, Host,
     Accept-Encoding, Content-Type and, with a key, Authorization.
     TransportError for an endpoint or key that cannot go into a request."""
-    url = urlsplit(endpoint)
+    # urlsplit drops tabs and line breaks, and leading controls and spaces,
+    # so it would read another URL than the one given.
+    if any(c <= " " or c == "\x7f" for c in endpoint):
+        raise TransportError(f"bad model endpoint {endpoint!r}: not a valid request target")
     try:
+        url = urlsplit(endpoint)
         port = url.port
     except ValueError as exc:
         raise TransportError(f"bad model endpoint {endpoint!r}: {exc}") from None

@@ -329,14 +329,32 @@ class TestLenientScan:
     @example('{"a":"}"} {}')
     @example('"{"}{"\\"}"}')
     @example('{\\"{"}')
+    # The one string of length <= 8 over {}"\\ whose answer needs a merge to
+    # keep the smaller lane's starts.
+    @example('{"{{\\""}')
     def test_same_result_as_the_reference(self, text):
         assert _extract_json_object(text) == quadratic_extract_json_object(text)
+
+    def test_every_short_string_matches_the_reference(self):
+        # All 87,381 strings of length <= 8 over the scan's special characters.
+        for size in range(9):
+            for chars in itertools.product('{}"\\', repeat=size):
+                text = "".join(chars)
+                assert _extract_json_object(text) == quadratic_extract_json_object(text), text
 
     def test_many_open_braces_parse_in_linear_time(self):
         # The reference scan takes seconds on this input.
         t0 = time.perf_counter()
         with pytest.raises(MalformedDecision, match="no JSON object found"):
             parse_decision("{" * 20_000)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_many_merges_parse_in_linear_time(self):
+        # Each escaped quote merges the lane inside the string with the one
+        # outside it; merging the larger into the smaller takes seconds.
+        t0 = time.perf_counter()
+        with pytest.raises(MalformedDecision, match="no JSON object found"):
+            parse_decision('{"' + "{" * 20_000 + '\\"' + '{"\\"' * 20_000)
         assert time.perf_counter() - t0 < 0.5
 
 

@@ -335,6 +335,10 @@ class TestRemoteTransport:
             ("http://127.0.0.1:9/v1\x00", "not a valid request target"),
             ("http://127.0.0.1:9/v1/\u00fc", "not a valid request target"),
             ("http://" + "\u00fc" * 70 + "/v1", "bad model endpoint"),
+            ("http://[::1", "bad model endpoint"),
+            ("http://[zz]/v1", "bad model endpoint"),
+            ("http://127.0.0.1:9/a\nb", "not a valid request target"),
+            (" http://127.0.0.1:9/v1", "not a valid request target"),
         ],
     )
     def test_unusable_endpoint_exits_3(self, capsys, endpoint, reason):

@@ -30,6 +30,7 @@ from smart_tcp.cognitive_core import (
     parse_decision,
 )
 from smart_tcp.dataset_pipeline import IngestResult, ingest_trace
+from smart_tcp.http11 import open_endpoint
 from smart_tcp.tcp_core import (
     ActionKind,
     AgentState,
@@ -470,6 +471,27 @@ def test_remote_decide_returns_or_raises_typed_error(body):
     except (TransportError, MalformedDecision):
         return
     assert isinstance(decision, CognitiveDecision)
+
+
+# Endpoint URLs as a user might mistype them: URL punctuation, spaces,
+# controls, DEL and a non-ASCII letter after a scheme, an open IPv6
+# bracket or a port colon.
+endpoint_urls = st.builds(
+    str.__add__,
+    st.sampled_from(["http://", "https://", "http://[", "http://h:"]),
+    st.text(alphabet="[]@:/?#%.-_ \t\r\n\x00\x7f\u00fcaz09", max_size=16),
+)
+
+
+@settings(deadline=None)
+@given(endpoint_urls, st.none() | st.text(max_size=8))
+@example("http://h:@]", None)
+@example("http://[]", None)
+def test_open_endpoint_returns_or_raises_transport_error(endpoint, key):
+    try:
+        open_endpoint(endpoint, key, 1.0)
+    except TransportError:
+        pass
 
 
 ENDPOINTS = ("10.0.0.1:40000", "10.0.0.2:80")
