@@ -43,7 +43,7 @@ from .cognitive_core import (
     encode_compact,
     oracle_transition,
 )
-from .evaluation import _pct
+from .evaluation import pct
 from .tcp_core import (
     ACTION_CLOSE,
     ACTION_NONE,
@@ -72,6 +72,7 @@ from .tcp_core import (
     TIME_WAIT,
     TcpState,
     TraceRecord,
+    assemble,
     flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
     seq_add,
     segment_consumes,
@@ -96,18 +97,17 @@ class StepFailure(Exception):
 
 # The step builds the values it derives (the emitted Segment, the memory after
 # the step, Agent.step's segment-triggered CognitiveInput and oracle_step's
-# input) with `tuple.__new__`, skipping their types' checks: each field comes
-# from values that are checked already. Memory's sequence numbers are reduced
-# % SEQ_MOD, irs is a checked segment's seq, the ALU's numbers come from
-# checked memory and seq_add, and the payload is a checked action's data.
-# CognitiveInput checks only that a step has a trigger: a segment trigger is
-# one, and oracle_transition rejects an oracle_step without either. So
-# `_assemble(T, fields)` must equal `T(*fields)`; the checks that a decision
-# can fail are StepFailures in `advance`. Values built from outside input
-# take the checked constructors, or the checks of the reader that assembles
-# them (`dataset_pipeline.ingest_trace` and `reconstruct_labels` use this
-# name too).
-_assemble = tuple.__new__
+# input) with `tcp_core.assemble`, skipping their types' checks: each field
+# comes from values that are checked already. Memory's sequence numbers are
+# reduced % SEQ_MOD, irs is a checked segment's seq, the ALU's numbers come
+# from checked memory and seq_add, and the payload is a checked action's
+# data. CognitiveInput checks only that a step has a trigger: a segment
+# trigger is one, and oracle_transition rejects an oracle_step without
+# either. So `assemble(T, fields)` equals `T(*fields)` here; the checks that
+# a decision can fail are StepFailures in `advance`. Values built from
+# outside input take the checked constructors, or the checks of the reader
+# that assembles them (`dataset_pipeline.ingest_trace` and
+# `reconstruct_labels`).
 
 
 def remember(
@@ -131,7 +131,7 @@ def remember(
     # No 2MSL timer in a lossless ordered simulation.
     if next_state is TIME_WAIT:
         next_state = CLOSED
-    return _assemble(AgentState, (s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt))
+    return assemble(AgentState, (s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt))
 
 
 def advance(
@@ -171,7 +171,7 @@ def advance(
         payload = action.data if action.kind is KIND_SEND else b""
         sent_len = len(payload)
         # Segment's own rule: a segment without ACK carries ack 0.
-        emitted = _assemble(Segment, (alu.seq, alu.ack if flags.ack else 0, flags, payload))
+        emitted = assemble(Segment, (alu.seq, alu.ack if flags.ack else 0, flags, payload))
     elif flags is not None:
         raise StepFailure("decision names flags but no task to run")
     if decision.payload_len != sent_len:
@@ -187,7 +187,7 @@ def oracle_step(
 ) -> Tuple[CognitiveInput, CognitiveDecision, AgentState, Optional[Segment]]:
     """One step with the reference oracle as the decision core: the input,
     the oracle's decision, the memory after it and the segment emitted."""
-    cinput = _assemble(CognitiveInput, (s, r, a))
+    cinput = assemble(CognitiveInput, (s, r, a))
     decision = oracle_transition(s, r, a)
     new_state, emitted = advance(cinput, decision)
     return cinput, decision, new_state, emitted
@@ -234,7 +234,7 @@ class Agent:
         if (segment is None) == (action is None):
             raise ValueError("a step takes exactly one of a segment or an action")
         if segment is not None:
-            cinput = _assemble(CognitiveInput, (self.state, segment, ACTION_NONE))
+            cinput = assemble(CognitiveInput, (self.state, segment, ACTION_NONE))
         else:
             cinput = CognitiveInput(self.state, self.last_received, action)
         decision = self.core.decide(cinput)
@@ -601,10 +601,10 @@ class TrialReport(NamedTuple):
     def to_wire(self) -> dict:
         return {
             "sessions": self.n,
-            "handshake": _pct(self.handshake),
-            "data_transfer": _pct(self.data_transfer),
-            "termination": _pct(self.termination),
-            "trial_accuracy": _pct(self.trial_accuracy),
+            "handshake": pct(self.handshake),
+            "data_transfer": pct(self.data_transfer),
+            "termination": pct(self.termination),
+            "trial_accuracy": pct(self.trial_accuracy),
         }
 
     def summary(self) -> str:

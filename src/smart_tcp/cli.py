@@ -45,6 +45,7 @@ from .evaluation import (
     compute_report,
     emit_report,
     load_prediction_records,
+    pct,
 )
 from .tcp_core import CLIENT, SERVER, flags_parse
 
@@ -135,7 +136,7 @@ def cmd_evaluate(args) -> None:
     emit_report(report, args.out, ReportFormat(args.format.upper()))
     print(
         f"records={report.record_count} malformed={report.malformed_count} "
-        f"atomic={report.atomic_accuracy * 100:.2f}% -> {args.out}"
+        f"atomic={pct(report.atomic_accuracy)} -> {args.out}"
     )
 
 

@@ -19,6 +19,7 @@ from .tcp_core import (
     ACTION_NONE,
     ActionKind,
     AgentState,
+    CheckedValue,
     FLAGS_ACK,
     FLAGS_FIN_ACK,
     FLAGS_PSH_ACK,
@@ -68,17 +69,13 @@ class _CognitiveInputFields(NamedTuple):
     a: LocalAction = ACTION_NONE
 
 
-class CognitiveInput(_CognitiveInputFields):
+class CognitiveInput(CheckedValue, _CognitiveInputFields):
     __slots__ = ()
 
     def __new__(cls, s: AgentState, r: Optional[Segment] = None, a: LocalAction = ACTION_NONE):
         if r is None and a.kind is KIND_NONE:
             raise ValueError("a cognitive step needs a received segment or an action")
         return tuple.__new__(cls, (s, r, a))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @classmethod
     def from_wire(cls, obj: dict) -> "CognitiveInput":
@@ -533,8 +530,8 @@ class RemoteCore(CognitiveCore):
     """Chat-completion-style client for a trained cognitive model.
 
     Speaks HTTP/1.1 on plain sockets (TLS for an https endpoint) through
-    `http11`: each request goes out in one send, and `http11.ReplyReader`
-    frames its reply. Malformed output is retried once, then surfaces as
+    an `http11.Endpoint`, which keeps its connections alive between
+    requests. Malformed output is retried once, then surfaces as
     MalformedDecision so callers can score it as a wrong prediction rather
     than crash.
     """
@@ -544,67 +541,16 @@ class RemoteCore(CognitiveCore):
     def __init__(self, config: RemoteConfig):
         # Imported here, not at module level: no oracle-only command needs
         # sockets or compiles the transport.
-        from .http11 import ReplyReader, open_endpoint
+        from .http11 import Endpoint
 
         self.malformed_count = 0
         self.request_count = 0
         self._count_lock = threading.Lock()
-        self._connect, self._head = open_endpoint(config.endpoint, config.api_key, TIMEOUT)
-        self._reply_reader = ReplyReader
-        # Idle keep-alive sockets, shared by the threads that call decide.
-        # Each thread pops one (or opens one) and pushes it back when done, so
-        # no more are ever open than decisions in flight.
-        self._idle: List = []
-        self._idle_lock = threading.Lock()
+        self.endpoint = Endpoint(config.endpoint, config.api_key, TIMEOUT)
 
     def close(self) -> None:
-        """Close the idle keep-alive sockets."""
-        with self._idle_lock:
-            idle, self._idle = self._idle, []
-        for sock in idle:
-            sock.close()
-
-    def _post(self, body: bytes) -> bytes:
-        """POST `body` to the endpoint and return the whole reply body.
-
-        A reused socket that gives EOF, ECONNRESET or EPIPE before the first
-        reply byte is one the server closed while it sat idle; the request is
-        resent once on a new socket. Any other failure, and a non-2xx status,
-        closes the socket and raises. After a 2xx reply the socket goes back
-        to the idle list if the reply let it stay open (see `ReplyReader.reply`).
-        """
-        request = self._head + b"%d\r\n\r\n" % len(body) + body
-        with self._idle_lock:
-            sock = self._idle.pop() if self._idle else None
-        resend = sock is not None
-        while True:
-            if sock is None:
-                sock = self._connect()
-            try:
-                sock.sendall(request)
-                reader = self._reply_reader(sock)
-                break
-            except (ConnectionResetError, BrokenPipeError):
-                sock.close()
-                if not resend:
-                    raise
-                resend, sock = False, None
-            except BaseException:
-                sock.close()
-                raise
-        try:
-            status, reason, data, keep = reader.reply()
-            if not 200 <= status < 300:
-                raise TransportError(f"model endpoint failure: HTTP {status} {reason}")
-        except BaseException:
-            sock.close()
-            raise
-        if keep:
-            with self._idle_lock:
-                self._idle.append(sock)
-        else:
-            sock.close()
-        return data
+        """Close the endpoint's idle keep-alive sockets."""
+        self.endpoint.close()
 
     def _complete(self, messages: List[dict]) -> str:
         body = {
@@ -613,7 +559,7 @@ class RemoteCore(CognitiveCore):
             "temperature": TEMPERATURE,
         }
         try:
-            data = json.loads(self._post(json.dumps(body).encode()))
+            data = json.loads(self.endpoint.post(json.dumps(body).encode()))
         except TransportError:
             raise
         except Exception as exc:

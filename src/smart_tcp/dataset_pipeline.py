@@ -20,7 +20,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Deque, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .agent_runtime import _assemble, implied_action, initial_states, oracle_step
+from .agent_runtime import implied_action, initial_states, oracle_step
 from .alu import AluTask, alu_execute
 from .cognitive_core import (
     CognitiveDecision,
@@ -45,6 +45,7 @@ from .tcp_core import (
     Segment,
     TCP_PROTO,
     TraceRecord,
+    assemble,
     flags_parse,
     seq_add,
     segment_consumes,
@@ -166,7 +167,7 @@ def ingest_trace(path) -> IngestResult:
                 rejects.append((lineno, f"malformed: {exc}"))
                 continue
             # Every field is checked, so the record skips TraceRecord's call.
-            records.append(_assemble(TraceRecord, (ts, five_tuple, segment)))
+            records.append(assemble(TraceRecord, (ts, five_tuple, segment)))
     records.sort(key=itemgetter(0))  # by ts
     return IngestResult(records, rejects, last_line)
 
@@ -297,7 +298,7 @@ def reconstruct_labels(flow: Flow) -> List[LabeledSample]:
             # and payload length.
             if emitted == seg:
                 provenance = {"flow_id": flow.flow_id, "record_index": idx}
-                samples.append(_assemble(LabeledSample, (cinput, decision, provenance)))
+                samples.append(assemble(LabeledSample, (cinput, decision, provenance)))
             else:
                 log.info("%s: record %d diverges from oracle %s, skipped", flow.flow_id, idx, trigger)
                 skipped += 1

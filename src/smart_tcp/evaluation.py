@@ -197,18 +197,18 @@ class ReportFormat(Enum):
     MACHINE = "MACHINE"
 
 
-def _pct(rate: float) -> str:
+def pct(rate: float) -> str:
     return f"{rate * 100:.2f}%"
 
 
 def _classes_to_wire(scores: Dict[str, ClassScore], macro: Tuple[float, float]) -> dict:
     return {
-        "macro_precision": _pct(macro[0]),
-        "macro_recall": _pct(macro[1]),
+        "macro_precision": pct(macro[0]),
+        "macro_recall": pct(macro[1]),
         "classes": {
             c: {
-                "precision": _pct(s.precision),
-                "recall": _pct(s.recall),
+                "precision": pct(s.precision),
+                "recall": pct(s.recall),
                 "support": s.support,
                 "undefined_precision": s.undefined_precision,
             }
@@ -221,8 +221,8 @@ def report_to_wire(report: MetricsReport) -> dict:
     obj = {
         "records": report.record_count,
         "malformed": report.malformed_count,
-        "field_accuracy": {k: _pct(v) for k, v in report.field_accuracy.items()},
-        "atomic_accuracy": _pct(report.atomic_accuracy),
+        "field_accuracy": {k: pct(v) for k, v in report.field_accuracy.items()},
+        "atomic_accuracy": pct(report.atomic_accuracy),
         "newstate": _classes_to_wire(report.newstate_scores, report.newstate_macro),
         "flags": _classes_to_wire(report.flags_scores, report.flags_macro),
         "confusion_matrix": report.confusion,
@@ -241,8 +241,8 @@ def _render_text(report: MetricsReport) -> str:
     lines = []
     lines.append("Field-Level Accuracy")
     for f in FIELD_NAMES:
-        lines.append(f"  {f:<11} {_pct(report.field_accuracy[f])}")
-    lines.append(f"Atomic accuracy: {_pct(report.atomic_accuracy)}")
+        lines.append(f"  {f:<11} {pct(report.field_accuracy[f])}")
+    lines.append(f"Atomic accuracy: {pct(report.atomic_accuracy)}")
     lines.append("")
     for title, scores, macro in (
         ("NewState", report.newstate_scores, report.newstate_macro),
@@ -252,10 +252,10 @@ def _render_text(report: MetricsReport) -> str:
         for c, s in scores.items():
             flag = " (no predictions)" if s.undefined_precision else ""
             lines.append(
-                f"  {c:<14} P={_pct(s.precision):>8} R={_pct(s.recall):>8} "
+                f"  {c:<14} P={pct(s.precision):>8} R={pct(s.recall):>8} "
                 f"n={s.support}{flag}"
             )
-        lines.append(f"  macro          P={_pct(macro[0]):>8} R={_pct(macro[1]):>8}")
+        lines.append(f"  macro          P={pct(macro[0]):>8} R={pct(macro[1]):>8}")
         lines.append("")
     lines.append("State confusion matrix (% of row)")
     cols = sorted({p for row in report.confusion.values() for p in row})

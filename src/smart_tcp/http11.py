@@ -1,5 +1,5 @@
-"""The HTTP/1.1 transport of `cognitive_core.RemoteCore`: the endpoint's
-connections, the request head and reply framing.
+"""The HTTP/1.1 transport of `cognitive_core.RemoteCore`: the endpoint, its
+keep-alive connections, the request head and reply framing.
 
 Only a remote core imports this module, so no oracle-only command compiles
 it or imports socket. Replies are read as RFC 9112 frames them, with at
@@ -10,7 +10,8 @@ transfer coding and the choice of body framing. Lines end in CRLF.
 from __future__ import annotations
 
 import socket
-from typing import Optional
+import threading
+from typing import List, Optional
 from urllib.parse import urlsplit
 
 from .cognitive_core import TransportError
@@ -24,66 +25,130 @@ RECV_SIZE = 65536
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
-def open_endpoint(endpoint: str, api_key: Optional[str], timeout: float):
-    """Check an http(s) endpoint and return (connect, head). connect() opens
-    a socket to it, with TCP_NODELAY, `timeout` and, for https, TLS that
-    verifies the server against the system trust store. head is the head of
-    every request up to its Content-Length value: the request line, Host,
-    Accept-Encoding, Content-Type and, with a key, Authorization.
-    TransportError for an endpoint or key that cannot go into a request."""
-    # urlsplit drops tabs and line breaks, and leading controls and spaces,
-    # so it would read another URL than the one given.
-    if any(c <= " " or c == "\x7f" for c in endpoint):
-        raise TransportError(f"bad model endpoint {endpoint!r}: not a valid request target")
-    try:
-        url = urlsplit(endpoint)
-        port = url.port
-    except ValueError as exc:
-        raise TransportError(f"bad model endpoint {endpoint!r}: {exc}") from None
-    if url.scheme not in ("http", "https") or not url.hostname:
-        raise TransportError(f"model endpoint must be an http(s) URL: {endpoint!r}")
-    host = url.hostname
-    default_port = 443 if url.scheme == "https" else 80
-    port = port or default_port
-    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    try:
-        authority = host if host.isascii() else host.encode("idna").decode()
-    except UnicodeError as exc:
-        raise TransportError(f"bad model endpoint {endpoint!r}: {exc}") from None
-    if ":" in authority:
-        authority = f"[{authority}]"
-    if port != default_port:
-        authority += f":{port}"
-    # http.client's checks: the request line and Host are printable ASCII
-    # with no space, and no header value breaks its line.
-    if not all(" " < c < "\x7f" for c in target + authority):
-        raise TransportError(f"bad model endpoint {endpoint!r}: not a valid request target")
-    head = (
-        f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
-        "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
-    )
-    if api_key:
-        if "\r" in api_key or "\n" in api_key or not api_key.isascii():
-            raise TransportError("model key must be one line of ASCII text")
-        head += f"Authorization: Bearer {api_key}\r\n"
-    context = None
-    if url.scheme == "https":
-        import ssl
+class Endpoint:
+    """An http(s) model endpoint and the keep-alive sockets open to it.
 
-        context = ssl.create_default_context()
+    Built from the endpoint's URL, which it checks, and an optional key:
+    TransportError for an endpoint or key that cannot go into a request.
+    `head` is the head of every request up to its Content-Length value: the
+    request line, Host, Accept-Encoding, Content-Type and, with a key,
+    Authorization. Each socket opened to the endpoint has TCP_NODELAY,
+    `timeout` and, for https, TLS that verifies the server against the
+    system trust store. `idle` holds the sockets that wait for a request,
+    shared by the threads that post: each pops one (or opens one) and pushes
+    it back when done, so no more are ever open than requests in flight.
+    """
 
-    def connect():
-        sock = socket.create_connection((host, port), timeout)
+    def __init__(self, endpoint: str, api_key: Optional[str], timeout: float):
+        # urlsplit drops tabs and line breaks, and leading controls and
+        # spaces, so it would read another URL than the one given.
+        if any(c <= " " or c == "\x7f" for c in endpoint):
+            raise TransportError(f"bad model endpoint {endpoint!r}: not a valid request target")
+        try:
+            url = urlsplit(endpoint)
+            port = url.port
+        except ValueError as exc:
+            raise TransportError(f"bad model endpoint {endpoint!r}: {exc}") from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise TransportError(f"model endpoint must be an http(s) URL: {endpoint!r}")
+        if port == 0:
+            raise TransportError(f"bad model endpoint {endpoint!r}: port 0 takes no connection")
+        host = url.hostname
+        default_port = 443 if url.scheme == "https" else 80
+        if port is None:
+            port = default_port
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        try:
+            authority = host if host.isascii() else host.encode("idna").decode()
+        except UnicodeError as exc:
+            raise TransportError(f"bad model endpoint {endpoint!r}: {exc}") from None
+        if ":" in authority:
+            authority = f"[{authority}]"
+        if port != default_port:
+            authority += f":{port}"
+        # http.client's checks: the request line and Host are printable
+        # ASCII with no space, and no header value breaks its line.
+        if not all(" " < c < "\x7f" for c in target + authority):
+            raise TransportError(f"bad model endpoint {endpoint!r}: not a valid request target")
+        head = (
+            f"POST {target} HTTP/1.1\r\nHost: {authority}\r\n"
+            "Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
+        )
+        if api_key:
+            if "\r" in api_key or "\n" in api_key or not api_key.isascii():
+                raise TransportError("model key must be one line of ASCII text")
+            head += f"Authorization: Bearer {api_key}\r\n"
+        self._context = None
+        if url.scheme == "https":
+            import ssl
+
+            self._context = ssl.create_default_context()
+        self._host = host
+        self._port = port
+        self._timeout = timeout
+        self.head = (head + "Content-Length: ").encode()
+        self.idle: List = []
+        self._idle_lock = threading.Lock()
+
+    def _connect(self):
+        sock = socket.create_connection((self._host, self._port), self._timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if context is not None:
-                sock = context.wrap_socket(sock, server_hostname=host)
+            if self._context is not None:
+                sock = self._context.wrap_socket(sock, server_hostname=self._host)
         except BaseException:
             sock.close()
             raise
         return sock
 
-    return connect, (head + "Content-Length: ").encode()
+    def close(self) -> None:
+        """Close the idle keep-alive sockets."""
+        with self._idle_lock:
+            idle, self.idle = self.idle, []
+        for sock in idle:
+            sock.close()
+
+    def post(self, body: bytes) -> bytes:
+        """POST `body` to the endpoint and return the whole reply body.
+
+        A reused socket that gives EOF, ECONNRESET or EPIPE before the first
+        reply byte is one the server closed while it sat idle; the request is
+        resent once on a new socket. Any other failure, and a non-2xx status,
+        closes the socket and raises. After a 2xx reply the socket goes back
+        to the idle list if the reply let it stay open (see `ReplyReader.reply`).
+        """
+        request = self.head + b"%d\r\n\r\n" % len(body) + body
+        with self._idle_lock:
+            sock = self.idle.pop() if self.idle else None
+        resend = sock is not None
+        while True:
+            if sock is None:
+                sock = self._connect()
+            try:
+                sock.sendall(request)
+                reader = ReplyReader(sock)
+                break
+            except (ConnectionResetError, BrokenPipeError):
+                sock.close()
+                if not resend:
+                    raise
+                resend, sock = False, None
+            except BaseException:
+                sock.close()
+                raise
+        try:
+            status, reason, data, keep = reader.reply()
+            if not 200 <= status < 300:
+                raise TransportError(f"model endpoint failure: HTTP {status} {reason}")
+        except BaseException:
+            sock.close()
+            raise
+        if keep:
+            with self._idle_lock:
+                self.idle.append(sock)
+        else:
+            sock.close()
+        return data
 
 
 class ReplyReader:

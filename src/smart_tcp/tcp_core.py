@@ -27,16 +27,15 @@ in mind:
   directly: a wire form goes through the type's `to_wire`, and
   `cognitive_core.serialize_input` is `CognitiveInput`'s encoder (its state
   and action have no other);
-- a checked type overrides `_make` to call the class, so `_make` and
-  `_replace` run the same checks as a call;
+- a checked type lists `CheckedValue` first among its bases, whose `_make`
+  calls the class, so `_make` and `_replace` run the same checks as a call;
 - values are checked where they enter (the wire decoders and public
   construction), each field once. A reader assembles the records whose
   fields it has checked without running the checks again:
   `Segment.from_wire` builds its segment with `Segment.__new__` alone, and
-  `dataset_pipeline.ingest_trace` each `TraceRecord` with `tuple.__new__`,
-  one `FiveTuple` shared by the records of a direction. The agent step
-  builds the values it derives from checked ones with `tuple.__new__` too
-  (`agent_runtime._assemble`).
+  `dataset_pipeline.ingest_trace` each `TraceRecord` with `assemble`, one
+  `FiveTuple` shared by the records of a direction. The agent step builds
+  the values it derives from checked ones with `assemble` too.
 The same rule holds for every record type, containers too: configuration,
 scenarios, grades, reports, `agent_runtime.SessionTranscript` and its
 entries, and `dataset_pipeline.Flow` are NamedTuples, built once by the code
@@ -248,6 +247,22 @@ def zero_payload(key: str, value) -> bytes:
     return bytes(n)
 
 
+# `assemble(T, fields)` builds a value of type T without T's checks, so it
+# must equal `T(*fields)`: only code whose fields are checked already calls it.
+assemble = tuple.__new__
+
+
+class CheckedValue:
+    """The first base of each value type that checks its arguments: `_make`,
+    and so `_replace`, calls the class and runs its checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 class _SegmentFields(NamedTuple):
     seq: int
     ack: int
@@ -266,7 +281,7 @@ def _check_segment(seq: int, ack: int, flags: TcpFlags) -> None:
         raise ValueError("a segment must carry at least one flag")
 
 
-class Segment(_SegmentFields):
+class Segment(CheckedValue, _SegmentFields):
     """A wire-level TCP segment as modeled here: no options, window or checksum."""
 
     __slots__ = ()
@@ -277,10 +292,6 @@ class Segment(_SegmentFields):
 
     def __init__(self, seq: int, ack: int, flags: TcpFlags, payload: bytes = b""):
         _check_segment(seq, ack, flags)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @property
     def payload_len(self) -> int:
@@ -369,7 +380,7 @@ class _LocalActionFields(NamedTuple):
     data: Optional[bytes] = None
 
 
-class LocalAction(_LocalActionFields):
+class LocalAction(CheckedValue, _LocalActionFields):
     __slots__ = ()
 
     def __new__(cls, kind: ActionKind = ActionKind.NONE, data: Optional[bytes] = None):
@@ -379,10 +390,6 @@ class LocalAction(_LocalActionFields):
         elif data is not None:
             raise ValueError(f"{kind.value} action carries no data")
         return tuple.__new__(cls, (kind, data))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 # Built once: every segment-triggered step takes ACTION_NONE, and the
@@ -402,7 +409,7 @@ class _AgentStateFields(NamedTuple):
     rcv_nxt: Optional[int] = None
 
 
-class AgentState(_AgentStateFields):
+class AgentState(CheckedValue, _AgentStateFields):
     """The agent's protocol memory: role, state and sequence variables.
 
     irs/rcv_nxt are None until the peer's ISN is learned.
@@ -426,10 +433,6 @@ class AgentState(_AgentStateFields):
         if rcv_nxt is not None and not 0 <= rcv_nxt < SEQ_MOD:
             raise ValueError(f"rcv_nxt out of range: {rcv_nxt}")
         return tuple.__new__(cls, (role, state, iss, snd_nxt, irs, rcv_nxt))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     @classmethod
     def from_wire(cls, obj: dict) -> "AgentState":

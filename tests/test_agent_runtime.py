@@ -515,7 +515,7 @@ CLIENT_WRAP_SEED, SERVER_WRAP_SEED = 625, 62824
 
 @contextmanager
 def checked_assembly():
-    """Wrap agent_runtime's `_assemble`, which builds the step's values
+    """Wrap agent_runtime's `assemble`, which builds the step's values
     without their types' checks: each value must equal its type's checked
     constructor on the same fields, which must not raise. Yields the list of
     the types built."""
@@ -527,7 +527,7 @@ def checked_assembly():
         built.append(cls)
         return value
 
-    with mock.patch.object(agent_runtime, "_assemble", assemble):
+    with mock.patch.object(agent_runtime, "assemble", assemble):
         yield built
 
 

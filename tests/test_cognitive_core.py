@@ -536,5 +536,5 @@ class TestRemoteCore:
     def test_each_reply_shape_carries_the_decision(self, shape):
         decision = CognitiveDecision(TcpState.SYN_SENT, flags_parse("SYN"), 0, AluTask.INIT_SYN)
         core = RemoteCore(RemoteConfig(endpoint="http://example.invalid"))
-        core._post = lambda payload: json.dumps(shape(serialize_decision(decision))).encode()
+        core.endpoint.post = lambda payload: json.dumps(shape(serialize_decision(decision))).encode()
         assert core.decide(self.make_input()) == decision

@@ -331,6 +331,8 @@ class TestRemoteTransport:
             ("ftp://127.0.0.1/v1/chat/completions", "must be an http(s) URL"),
             ("http:///v1/chat/completions", "must be an http(s) URL"),
             ("http://127.0.0.1:99999/v1", "bad model endpoint"),
+            ("http://127.0.0.1:0/v1", "port 0 takes no connection"),
+            ("https://example.com:0/v1", "port 0 takes no connection"),
             ("http://127.0.0.1:9/v1 x", "not a valid request target"),
             ("http://127.0.0.1:9/v1\x00", "not a valid request target"),
             ("http://127.0.0.1:9/v1/\u00fc", "not a valid request target"),
@@ -525,8 +527,8 @@ class TestReplyFraming:
         with RawReplyServer(first, (OK_2, False)) as server:
             core = RemoteCore(RemoteConfig(endpoint=server.url))
             try:
-                body = core._post(b"{}")
-                assert core._post(b"{}") == b"ok"
+                body = core.endpoint.post(b"{}")
+                assert core.endpoint.post(b"{}") == b"ok"
             finally:
                 core.close()
         assert len(server.requests) == 2
@@ -610,8 +612,8 @@ class TestReplyFraming:
             core = RemoteCore(RemoteConfig(endpoint=server.url))
             try:
                 with pytest.raises(TransportError, match=f"^model endpoint failure: {re.escape(reason)}"):
-                    core._post(b"{}")
-                assert core._idle == []
+                    core.endpoint.post(b"{}")
+                assert core.endpoint.idle == []
             finally:
                 core.close()
 
@@ -620,7 +622,7 @@ class TestReplyFraming:
         with RawReplyServer((OK_2, False)) as server:
             core = RemoteCore(RemoteConfig(endpoint=f"http://127.0.0.1:{server.port}/v1/chat?a=1&b=2", api_key=key))
             try:
-                assert core._post(b'{"x":1}') == b"ok"
+                assert core.endpoint.post(b'{"x":1}') == b"ok"
             finally:
                 core.close()
         assert server.requests == [
@@ -637,6 +639,7 @@ class TestReplyFraming:
             ("http://[::1]:8080/v1", b"[::1]:8080"),
             ("http://[::1]/v1", b"[::1]"),
             ("http://Example.COM:80/v1", b"example.com"),
+            ("http://example.com:/v1", b"example.com"),
             ("https://example.com:443/v1", b"example.com"),
             ("https://example.com:80/v1", b"example.com:80"),
             ("http://b\u00fccher.example/v1", b"xn--bcher-kva.example"),
@@ -644,7 +647,7 @@ class TestReplyFraming:
     )
     def test_host_header(self, endpoint, host):
         # The head is built when the core is; no socket is opened.
-        head = RemoteCore(RemoteConfig(endpoint=endpoint))._head
+        head = RemoteCore(RemoteConfig(endpoint=endpoint)).endpoint.head
         assert head.startswith(b"POST /v1 HTTP/1.1\r\nHost: " + host + b"\r\n")
 
 

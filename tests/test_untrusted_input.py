@@ -30,7 +30,7 @@ from smart_tcp.cognitive_core import (
     parse_decision,
 )
 from smart_tcp.dataset_pipeline import IngestResult, ingest_trace
-from smart_tcp.http11 import open_endpoint
+from smart_tcp.http11 import Endpoint
 from smart_tcp.tcp_core import (
     ActionKind,
     AgentState,
@@ -465,7 +465,7 @@ OPEN_ACTIVE = CognitiveInput(
 @given(response_bodies)
 def test_remote_decide_returns_or_raises_typed_error(body):
     core = RemoteCore(RemoteConfig(endpoint="http://127.0.0.1:9/"))
-    core._post = lambda payload: json.dumps(body).encode()
+    core.endpoint.post = lambda payload: json.dumps(body).encode()
     try:
         decision = core.decide(OPEN_ACTIVE)
     except (TransportError, MalformedDecision):
@@ -487,9 +487,9 @@ endpoint_urls = st.builds(
 @given(endpoint_urls, st.none() | st.text(max_size=8))
 @example("http://h:@]", None)
 @example("http://[]", None)
-def test_open_endpoint_returns_or_raises_transport_error(endpoint, key):
+def test_endpoint_builds_or_raises_transport_error(endpoint, key):
     try:
-        open_endpoint(endpoint, key, 1.0)
+        Endpoint(endpoint, key, 1.0)
     except TransportError:
         pass
 
