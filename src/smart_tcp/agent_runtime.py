@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, INIT_SYN, alu_execute
@@ -73,8 +74,8 @@ from .tcp_core import (
     TcpState,
     TraceRecord,
     assemble,
-    flags_parse,  # noqa: F401  perfbench/tracer.py wraps this name in each module
-    seq_add,
+    flags_parse,  # noqa: F401  perfbench/tracer.py wraps these names in each module
+    seq_add,  # noqa: F401
     segment_consumes,
     wire_str,
     zero_payload,
@@ -95,19 +96,24 @@ class StepFailure(Exception):
 # `advance`; fault replay calls `oracle_transition` and `remember` directly.
 # ---------------------------------------------------------------------------
 
-# The step builds the values it derives (the emitted Segment, the memory after
-# the step, Agent.step's segment-triggered CognitiveInput and oracle_step's
-# input) with `tcp_core.assemble`, skipping their types' checks: each field
-# comes from values that are checked already. Memory's sequence numbers are
-# reduced % SEQ_MOD, irs is a checked segment's seq, the ALU's numbers come
-# from checked memory and seq_add, and the payload is a checked action's
-# data. CognitiveInput checks only that a step has a trigger: a segment
-# trigger is one, and oracle_transition rejects an oracle_step without
-# either. So `assemble(T, fields)` equals `T(*fields)` here; the checks that
-# a decision can fail are StepFailures in `advance`. Values built from
-# outside input take the checked constructors, or the checks of the reader
-# that assembles them (`dataset_pipeline.ingest_trace` and
-# `reconstruct_labels`).
+# The step and the session build every value they derive with
+# `tcp_core.assemble`, skipping their types' checks, because each field is
+# checked already:
+# - the memory after a step (`remember`): its sequence numbers are reduced
+#   % SEQ_MOD, irs is a checked segment's seq, and the rest is checked memory;
+# - the emitted Segment (`advance`): the ALU's numbers come from checked
+#   memory and seq_add, the flags are non-empty, and the payload is a checked
+#   action's data;
+# - a CognitiveInput (`Agent.step`, `oracle_step`): it checks only that a step
+#   has a trigger. Agent.step rejects a step without one itself (ACTION_NONE
+#   is no action), and oracle_transition rejects an oracle_step without one;
+# - StepOutcome, TranscriptEntry and SessionTranscript check nothing, and
+#   neither do `alu.AluResult` and the oracle's SEND decision: assembling
+#   them skips only their generated Python constructors.
+# So `assemble(T, fields)` equals `T(*fields)` here; the checks that a
+# decision can fail are StepFailures in `advance`. Values built from outside
+# input take the checked constructors, or the checks of the reader that
+# assembles them (`dataset_pipeline.ingest_trace` and `reconstruct_labels`).
 
 
 def remember(
@@ -119,7 +125,7 @@ def remember(
     """Memory after moving to next_state, sending `sent` and consuming
     `received`: snd_nxt follows the segment sent, irs is learned from the
     first SYN received and rcv_nxt follows the segment consumed."""
-    snd_nxt, irs, rcv_nxt = s.snd_nxt, s.irs, s.rcv_nxt
+    role, _, iss, snd_nxt, irs, rcv_nxt = s
     # A segment's seq is in range and a footprint is never negative, so the
     # sums need seq_add's wrap but not its checks.
     if sent is not None:
@@ -131,7 +137,7 @@ def remember(
     # No 2MSL timer in a lossless ordered simulation.
     if next_state is TIME_WAIT:
         next_state = CLOSED
-    return assemble(AgentState, (s.role, next_state, s.iss, snd_nxt, irs, rcv_nxt))
+    return assemble(AgentState, (role, next_state, iss, snd_nxt, irs, rcv_nxt))
 
 
 def advance(
@@ -145,25 +151,21 @@ def advance(
     flags without a task, a task the input cannot feed, and a payload_len other
     than the length of the payload sent (the action's data for a SEND's
     segment, and 0 for any other segment or none)."""
-    s = cinput.s
-    if decision.verdict is not NORMAL:
+    s, r, action = cinput
+    next_state, flags, payload_len, t_task, verdict = decision
+    if verdict is not NORMAL:
         return s, None
-    if decision.next_state not in REACHABLE[s.state]:
-        raise StepFailure(
-            f"next_state {decision.next_state.value} is not reachable from {s.state.value}"
-        )
+    if next_state not in REACHABLE[s.state]:
+        raise StepFailure(f"next_state {next_state.value} is not reachable from {s.state.value}")
     emitted: Optional[Segment] = None
-    action = cinput.a
-    flags = decision.flags
     sent_len = 0
-    if decision.t_task is not None:
+    if t_task is not None:
         if flags is None:
             raise StepFailure("decision names a task but no flags to emit")
         if not flags.any():
             raise StepFailure("decision names a task but its flags are empty")
-        alu_r = None if decision.t_task is INIT_SYN else cinput.r
         try:
-            alu = alu_execute(decision.t_task, s, alu_r)
+            seq, ack = alu_execute(t_task, s, None if t_task is INIT_SYN else r)
         except AluError as exc:
             # A schema-valid decision can still name a task the inputs
             # cannot feed, e.g. CALCULATE_ACK before any segment arrived.
@@ -171,15 +173,13 @@ def advance(
         payload = action.data if action.kind is KIND_SEND else b""
         sent_len = len(payload)
         # Segment's own rule: a segment without ACK carries ack 0.
-        emitted = assemble(Segment, (alu.seq, alu.ack if flags.ack else 0, flags, payload))
+        emitted = assemble(Segment, (seq, ack if flags.ack else 0, flags, payload))
     elif flags is not None:
         raise StepFailure("decision names flags but no task to run")
-    if decision.payload_len != sent_len:
-        raise StepFailure(
-            f"decision payload_len {decision.payload_len} but the step sends {sent_len} bytes"
-        )
-    received = cinput.r if action.kind is KIND_NONE else None
-    return remember(s, decision.next_state, emitted, received), emitted
+    if payload_len != sent_len:
+        raise StepFailure(f"decision payload_len {payload_len} but the step sends {sent_len} bytes")
+    received = r if action.kind is KIND_NONE else None
+    return remember(s, next_state, emitted, received), emitted
 
 
 def oracle_step(
@@ -229,19 +229,19 @@ class Agent:
         self, segment: Optional[Segment] = None, action: Optional[LocalAction] = None
     ) -> StepOutcome:
         """Take one step on exactly one trigger: an arrived segment or a
-        local action. An action step carries the last segment received, which
-        the ALU needs for ack computation."""
-        if (segment is None) == (action is None):
+        local action, which ACTION_NONE is not. An action step carries the
+        last segment received, which the ALU needs for ack computation."""
+        if (segment is None) == (action is None or action.kind is KIND_NONE):
             raise ValueError("a step takes exactly one of a segment or an action")
         if segment is not None:
             cinput = assemble(CognitiveInput, (self.state, segment, ACTION_NONE))
         else:
-            cinput = CognitiveInput(self.state, self.last_received, action)
+            cinput = assemble(CognitiveInput, (self.state, self.last_received, action))
         decision = self.core.decide(cinput)
         self.state, emitted = advance(cinput, decision)
         if segment is not None and decision.verdict is NORMAL:
             self.last_received = segment
-        return StepOutcome(emitted, decision)
+        return assemble(StepOutcome, (emitted, decision))
 
 
 # ---------------------------------------------------------------------------
@@ -411,29 +411,30 @@ def replay_deliveries(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache
+def _scripted_actions(scenario: Scenario) -> Tuple[Tuple[Role, LocalAction], ...]:
+    """The scenario's local actions in lifecycle order, each issued once its
+    agent reaches a state where it is valid. Built once per scenario, and
+    shared by equal ones: a scenario is checked where it enters
+    (`Scenario.from_wire`), and an action is immutable."""
+    actions = [(SERVER, LocalAction(KIND_OPEN_PASSIVE)), (CLIENT, ACTION_OPEN_ACTIVE)]
+    for side, n in scenario.data_script:
+        actions.append((side, LocalAction(KIND_SEND, zero_payload("payload_len", n))))
+    other = SERVER if scenario.closer is CLIENT else CLIENT
+    actions.append((scenario.closer, ACTION_CLOSE))
+    actions.append((other, ACTION_CLOSE))
+    return tuple(actions)
+
+
 def run_session(
     client_core: CognitiveCore, server_core: CognitiveCore, scenario: Scenario, seed: int
 ) -> SessionTranscript:
     rng = random.Random(seed)
     client_iss = rng.randint(ISN_MIN, ISN_MAX)
     server_iss = rng.randint(ISN_MIN, ISN_MAX)
-
-    agents = {
-        CLIENT: Agent(CLIENT, client_core, client_iss),
-        SERVER: Agent(SERVER, server_core, server_iss),
-    }
-
-    # Scripted local actions in lifecycle order; each is issued once its
-    # agent reaches a state where it is valid.
-    actions: deque = deque()
-    actions.append((SERVER, LocalAction(KIND_OPEN_PASSIVE)))
-    actions.append((CLIENT, ACTION_OPEN_ACTIVE))
-    for side, n in scenario.data_script:
-        actions.append((side, LocalAction(KIND_SEND, zero_payload("payload_len", n))))
-    other = SERVER if scenario.closer is CLIENT else CLIENT
-    actions.append((scenario.closer, ACTION_CLOSE))
-    actions.append((other, ACTION_CLOSE))
-
+    client = Agent(CLIENT, client_core, client_iss)
+    server = Agent(SERVER, server_core, server_iss)
+    actions = deque(_scripted_actions(scenario))
     in_flight: deque = deque()  # TranscriptEntry; the sender's peer receives it
     entries: List[TranscriptEntry] = []
     halt_reason = ""
@@ -449,7 +450,7 @@ def run_session(
             segment, action = entry.segment, None
         elif actions:
             role, action = actions[0]
-            state = agents[role].state.state
+            state = (client if role is CLIENT else server).state.state
             if state not in ACTION_STATES[action.kind]:
                 halt_reason = f"deadlock: {role.value} cannot {action.kind.value} in {state.value}"
                 break
@@ -459,7 +460,7 @@ def run_session(
             break  # quiescent: session complete
         step += 1
         try:
-            emitted, decision = agents[role].step(segment, action)
+            emitted, decision = (client if role is CLIENT else server).step(segment, action)
         except (MalformedDecision, StepFailure) as exc:
             halt_reason = f"{role.value} step failure: {exc}"
             break
@@ -468,21 +469,22 @@ def run_session(
             halt_reason = f"{role.value} verdict {verdict.value}"
             break
         if emitted is not None:
-            in_flight.append(TranscriptEntry(step, role, emitted, decision))
+            in_flight.append(assemble(TranscriptEntry, (step, role, emitted, decision)))
     else:
         # The budget ran out; a session whose last step used it up is done.
         if in_flight or actions:
             halt_reason = "step budget exhausted"
 
-    client, server = agents[CLIENT].state.state, agents[SERVER].state.state
-    both_closed = client is CLOSED and server is CLOSED
+    client_state, server_state = client.state.state, server.state.state
+    both_closed = client_state is CLOSED and server_state is CLOSED
     phase_results = grade_session(entries, halt_reason, scenario, both_closed)
     if not both_closed and not halt_reason:
         # Nothing in flight and every action issued, but not both closed. Set
         # after grading: every action was issued, so no `halted:` blame.
-        halt_reason = f"quiescent: CLIENT in {client.value}, SERVER in {server.value}"
-    return SessionTranscript(
-        scenario.scenario_id, seed, entries, phase_results, halt_reason, client_iss, server_iss
+        halt_reason = f"quiescent: CLIENT in {client_state.value}, SERVER in {server_state.value}"
+    return assemble(
+        SessionTranscript,
+        (scenario.scenario_id, seed, entries, phase_results, halt_reason, client_iss, server_iss),
     )
 
 
@@ -491,25 +493,25 @@ def grade_session(
 ) -> Dict[str, PhaseResult]:
     """Phase grading from the delivered-segment stream with independent
     counters; never reads agent internals beyond the final-closure flag,
-    which itself is cross-checked against the segment stream."""
-    segs = [(e.direction, e.segment) for e in entries]
+    which itself is cross-checked against the segment stream. Its counters
+    start from segments' seqs, which are in range: they need only the wrap."""
     results: Dict[str, PhaseResult] = {}
 
     # Handshake: SYN / SYN|ACK / ACK with exact ISN+1 acknowledgments.
     hs_fail = None
-    if len(segs) < 3:
+    if len(entries) < 3:
         hs_fail = "fewer than three segments"
     else:
-        (d0, s0), (d1, s1), (d2, s2) = segs[0], segs[1], segs[2]
+        (_, d0, s0, _), (_, d1, s1, _), (_, d2, s2, _) = entries[:3]
         if d0 is not CLIENT or s0.flags != FLAGS_SYN or s0.payload:
             hs_fail = "first segment is not a client SYN"
         elif d1 is not SERVER or s1.flags != FLAGS_SYN_ACK:
             hs_fail = "second segment is not a server SYN|ACK"
-        elif s1.ack != seq_add(s0.seq, 1):
+        elif s1.ack != (s0.seq + 1) % SEQ_MOD:
             hs_fail = "SYN|ACK does not acknowledge client ISN+1"
         elif d2 is not CLIENT or s2.flags != FLAGS_ACK or s2.payload:
             hs_fail = "third segment is not a pure ACK"
-        elif s2.ack != seq_add(s1.seq, 1) or s2.seq != seq_add(s0.seq, 1):
+        elif s2.ack != (s1.seq + 1) % SEQ_MOD or s2.seq != (s0.seq + 1) % SEQ_MOD:
             hs_fail = "handshake ACK numbers wrong"
     results["handshake"] = PhaseResult(hs_fail is None, hs_fail or "")
     if hs_fail is not None:
@@ -519,8 +521,8 @@ def grade_session(
 
     # Independent byte counters seeded from the observed ISNs.
     expected = {
-        CLIENT: seq_add(segs[0][1].seq, 1),
-        SERVER: seq_add(segs[1][1].seq, 1),
+        CLIENT: (s0.seq + 1) % SEQ_MOD,
+        SERVER: (s1.seq + 1) % SEQ_MOD,
     }
     fin_seen = set()  # the roles that have sent a FIN
     fin_acked = {CLIENT: False, SERVER: False}
@@ -528,7 +530,7 @@ def grade_session(
     data_fail = None
     term_fail = None
 
-    for sender, seg in segs[3:]:
+    for _, sender, seg, _ in entries[3:]:
         peer = SERVER if sender is CLIENT else CLIENT
         if seg.flags.syn:
             term_fail = term_fail or "unexpected SYN after handshake"
@@ -543,7 +545,7 @@ def grade_session(
                 script_left.pop(0)
             else:
                 data_fail = data_fail or "data segment does not match script"
-            expected[sender] = seq_add(expected[sender], n)
+            expected[sender] = (expected[sender] + n) % SEQ_MOD
         if seg.flags.fin:
             if sender in fin_seen:
                 term_fail = term_fail or "duplicate FIN"
@@ -551,7 +553,7 @@ def grade_session(
                 if seg.seq != expected[sender]:
                     term_fail = term_fail or "FIN out of sequence"
                 fin_seen.add(sender)
-                expected[sender] = seq_add(expected[sender], 1)
+                expected[sender] = (expected[sender] + 1) % SEQ_MOD
         if seg.flags.ack:
             # Every ACK must acknowledge exactly what the peer has consumed
             # (expected[] already counts the peer's FIN once seen).

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .tcp_core import AgentState, Segment, seq_add, segment_consumes
+from .tcp_core import AgentState, Segment, assemble, seq_add, segment_consumes
 
 
 class AluTask(Enum):
@@ -51,10 +51,10 @@ def alu_execute(task: AluTask, s: AgentState, r: Optional[Segment] = None) -> Al
     if task is INIT_SYN:
         if r is not None:
             raise AluError("INIT_SYN takes no received segment")
-        return AluResult(s.iss, 0)
+        return assemble(AluResult, (s.iss, 0))
     if r is None:
         raise AluError(f"{task.value} requires a received segment")
     # CALCULATE_ACK and CALCULATE_SEQ_ACK compute identical numbers; the
     # distinction tells the caller whether the assembled segment will itself
     # consume sequence space.
-    return AluResult(s.snd_nxt, seq_add(r.seq, segment_consumes(r)))
+    return assemble(AluResult, (s.snd_nxt, seq_add(r.seq, segment_consumes(r))))

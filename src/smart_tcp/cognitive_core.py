@@ -32,6 +32,7 @@ from .tcp_core import (
     SYNCHRONIZED_STATES,
     TcpFlags,
     TcpState,
+    assemble,
     flags_parse,
     parse_state,
     seq_lt,
@@ -436,7 +437,10 @@ def oracle_transition(
             raise ValueError(f"action {kind.value} is not valid in state {s.state.value}")
         if a.data is None:
             return reply
-        return CognitiveDecision(reply.next_state, reply.flags, len(a.data), reply.t_task)
+        # The decision type checks nothing, and the length is a checked SEND's.
+        return assemble(
+            CognitiveDecision, (reply.next_state, reply.flags, len(a.data), reply.t_task, NORMAL)
+        )
     if r is None:
         raise ValueError("no trigger: neither segment nor action")
     state = s.state

@@ -34,8 +34,11 @@ in mind:
   fields it has checked without running the checks again:
   `Segment.from_wire` builds its segment with `Segment.__new__` alone, and
   `dataset_pipeline.ingest_trace` each `TraceRecord` with `assemble`, one
-  `FiveTuple` shared by the records of a direction. The agent step builds
-  the values it derives from checked ones with `assemble` too.
+  `FiveTuple` shared by the records of a direction. The agent step and the
+  session assemble every value they derive from checked ones: memory, the
+  emitted segment, the step's input and outcome, the ALU's result, the
+  oracle's SEND decision and the transcript (`agent_runtime` says why each
+  field is checked already).
 The same rule holds for every record type, containers too: configuration,
 scenarios, grades, reports, `agent_runtime.SessionTranscript` and its
 entries, and `dataset_pipeline.Flow` are NamedTuples, built once by the code

@@ -104,6 +104,36 @@ class TestAgentStep:
         assert agent.state == before
         assert agent.last_received is None
 
+    @pytest.mark.parametrize("none", [ACTION_NONE, LocalAction(ActionKind.NONE)])
+    def test_action_none_is_no_trigger(self, none):
+        # A server in SYN_RCVD after the SYN: with ACTION_NONE as its trigger,
+        # the core would judge the SYN again and answer ORDER_ERROR.
+        server = Agent(Role.SERVER, OracleCore(), iss=7000)
+        act(server, ActionKind.OPEN_PASSIVE)
+        server.step(segment=Segment(seq=100, ack=0, flags=flags_parse("SYN")))
+        before, received = server.state, server.last_received
+        with pytest.raises(ValueError, match="exactly one of a segment or an action"):
+            server.step(action=none)
+        assert server.state == before and server.last_received is received
+
+    def test_action_none_does_not_ack_consumed_data_again(self):
+        class AckEverything(CognitiveCore):
+            """NORMAL, ACK and CALCULATE_ACK for every input it is given."""
+
+            inputs = []
+
+            def decide(self, i):
+                self.inputs.append(i)
+                return CognitiveDecision(i.s.state, flags_parse("ACK"), 0, AluTask.CALCULATE_ACK)
+
+        agent = Agent(Role.CLIENT, AckEverything(), iss=100)
+        agent.state = ESTABLISHED._replace(rcv_nxt=1001)
+        data = Segment(seq=1001, ack=101, flags=flags_parse("PSH|ACK"), payload=bytes(100))
+        assert agent.step(segment=data).emitted == Segment(101, 1101, flags_parse("ACK"))
+        with pytest.raises(ValueError, match="exactly one of a segment or an action"):
+            agent.step(action=ACTION_NONE)
+        assert len(agent.core.inputs) == 1 and agent.state.rcv_nxt == 1101
+
 
 def handshake_pair(client_iss=1_000_000, server_iss=2_000_000):
     client = Agent(Role.CLIENT, OracleCore(), iss=client_iss)
@@ -290,6 +320,17 @@ EARLY_END = re.compile(
     r"|quiescent: CLIENT in \w+, SERVER in \w+$"
 )
 
+# Scenarios with up to four scripted sends; two draws may share an id.
+SCENARIOS = st.builds(
+    Scenario,
+    data_script=st.lists(
+        st.tuples(st.sampled_from(list(Role)), st.integers(1, 1460)), max_size=4
+    ).map(tuple),
+    closer=st.sampled_from(list(Role)),
+    steps_budget=st.just(Scenario().steps_budget),
+    scenario_id=st.sampled_from(["a", "b"]),
+)
+
 
 class TestRunSession:
     def test_oracle_session_all_phases_pass(self):
@@ -422,6 +463,19 @@ class TestRunSession:
         else:
             # A session without a halt reason ended with both endpoints CLOSED.
             assert t.phase_results["termination"].reason != "agents did not both reach CLOSED"
+
+    @settings(deadline=None)
+    @given(SCENARIOS, SCENARIOS, st.integers(0, 2**32 - 1))
+    def test_the_script_memo_keeps_each_scenario_its_own(self, a, b, seed):
+        core = OracleCore()
+        first, other, again = (run_session(core, core, sc, seed) for sc in (a, b, a))
+        assert again.trace_records() == first.trace_records()
+        assert again.phase_results == first.phase_results
+        assert again.halt_reason == first.halt_reason
+        for scenario, t in ((a, first), (b, other), (a, again)):
+            sends = [(e.direction, e.decision.payload_len) for e in t.entries if e.segment.payload]
+            assert sends == list(scenario.data_script)
+            assert all(e.decision.payload_len == len(e.segment.payload) for e in t.entries)
 
     def test_a_payload_len_the_step_does_not_send_halts_the_session(self):
         plus_7 = EditedOracleCore(lambda d: d._replace(payload_len=d.payload_len + 7))

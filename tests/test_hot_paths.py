@@ -33,6 +33,8 @@ HOT_FUNCTIONS = (
     "agent_runtime.Agent.step",
     "agent_runtime.Agent.__init__",
     "agent_runtime.run_session",
+    # Memoized per scenario; the check reads the function behind the memo.
+    "agent_runtime._scripted_actions.__wrapped__",
     "agent_runtime.grade_session",
     "agent_runtime.replay_deliveries",
     "cognitive_core.oracle_transition",
