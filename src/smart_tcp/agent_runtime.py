@@ -9,7 +9,10 @@ decision is not NORMAL, whether a delivery or a scripted action began it; one
 that goes quiet before both endpoints are CLOSED gets a `quiescent` reason.
 A NORMAL decision may move only to a state that the oracle's tables reach
 from the current one. `run_session` builds its `SessionTranscript` once the
-deliveries and the halt reason are graded.
+deliveries and the halt reason are graded. `run_trials` hands each one to a
+sink as the sessions finish, in seed order (`simulate` writes its session
+files there), and keeps only the pass counts: on the oracle core, a trial's
+memory does not grow with its session count.
 `SessionTranscript.write` records a session as a trace (`trace_records`,
 written through `tcp_core.TraceRecord.to_wire`) with a trailer line, so
 `trace2sft` and `inject` read a session file as they read any other trace.
@@ -29,7 +32,7 @@ import json
 import random
 from collections import deque
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .alu import AluError, INIT_SYN, alu_execute
 from .cognitive_core import (
@@ -598,7 +601,6 @@ class TrialReport(NamedTuple):
     data_transfer: float
     termination: float
     trial_accuracy: float
-    transcripts: List[SessionTranscript]
 
     def to_wire(self) -> dict:
         return {
@@ -618,53 +620,49 @@ class TrialReport(NamedTuple):
         )
 
 
-def derive_seeds(base_seed: int, n: int) -> List[int]:
-    rng = random.Random(base_seed)
-    return [rng.getrandbits(32) for _ in range(n)]
-
-
 def run_trials(
     client_core: CognitiveCore,
     server_core: CognitiveCore,
     n: int,
     base_seed: int,
     scenario: Optional[Scenario] = None,
+    sink: Optional[Callable[[SessionTranscript], None]] = None,
 ) -> TrialReport:
     """Run n independent full-lifecycle sessions with derived seeds.
 
     Sessions run on min(n, client_core.concurrency, server_core.concurrency)
-    threads; transcripts come back in seed order and are the same as a
-    serial run's. The first exception in seed order (a TransportError, say)
-    drops the sessions not yet started and is re-raised here."""
+    threads; `sink` gets each transcript, the same as a serial run's, in seed
+    order. The first exception in seed order (a TransportError, or the
+    sink's own) drops the sessions not yet started and is re-raised here."""
     if n < 1:
         raise ValueError("need at least one session")
     scenario = scenario or Scenario()
-    seeds = derive_seeds(base_seed, n)
+    rng = random.Random(base_seed)
+    seeds = (rng.getrandbits(32) for _ in range(n))
 
-    def session(i: int) -> SessionTranscript:
-        return run_session(client_core, server_core, scenario, seeds[i])
+    def session(seed: int) -> SessionTranscript:
+        return run_session(client_core, server_core, scenario, seed)
+
+    def tally(transcripts) -> TrialReport:
+        passed = dict.fromkeys(("handshake", "data_transfer", "termination"), 0)
+        trials = 0
+        for t in transcripts:
+            for phase in passed:
+                passed[phase] += t.phase_results[phase].passed
+            trials += t.all_passed()
+            if sink is not None:
+                sink(t)
+        return TrialReport(n, *(k / n for k in passed.values()), trials / n)
 
     workers = min(n, client_core.concurrency, server_core.concurrency)
     if workers == 1:
         # A one-thread pool cost the CPU-bound oracle ~10% of its sessions/s.
-        transcripts = [session(i) for i in range(n)]
-    else:
-        # Sessions share nothing but the cores, so I/O-bound cores serve
-        # several at once; each transcript still depends on its seed alone.
-        from concurrent.futures import ThreadPoolExecutor
+        return tally(map(session, seeds))
+    # Sessions share nothing but the cores, so I/O-bound cores serve several
+    # at once. Closing the results cancels the sessions not yet started if
+    # the sink raises; the pool's exit would otherwise wait for them all.
+    from concurrent.futures import ThreadPoolExecutor
+    from contextlib import closing
 
-        with ThreadPoolExecutor(workers) as pool:
-            transcripts = list(pool.map(session, range(n)))
-    phases = ("handshake", "data_transfer", "termination")
-    rates = {
-        p: sum(1 for t in transcripts if t.phase_results[p].passed) / n for p in phases
-    }
-    trial = sum(1 for t in transcripts if t.all_passed()) / n
-    return TrialReport(
-        n=n,
-        handshake=rates["handshake"],
-        data_transfer=rates["data_transfer"],
-        termination=rates["termination"],
-        trial_accuracy=trial,
-        transcripts=transcripts,
-    )
+    with ThreadPoolExecutor(workers) as pool, closing(pool.map(session, seeds)) as transcripts:
+        return tally(transcripts)

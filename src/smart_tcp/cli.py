@@ -5,7 +5,10 @@ dropped: <k>/<n> records skipped` line for each flow the labeler drops
 (through `logging`'s last-resort handler). `main` is the one error exit: it
 prints `error: <message>` once and maps what a command raised to an exit
 code, 0 completed, 1 usage (`UsageError`), 2 I/O (`OSError`, `InputError`)
-and 3 remote transport (`TransportError`).
+and 3 remote transport (`TransportError`). A trial that fails mid-run (a
+`TransportError`, or an `OSError` while a session file is written) leaves
+the files of the sessions before it in seed order, and writes no
+`trial_report.json` and no summary line.
 A command turns a library ValueError into `UsageError` or `InputError`,
 since only the command knows which it is; anything else is a bug and ends
 in a traceback.
@@ -81,17 +84,21 @@ def cmd_simulate(args) -> None:
     except ValueError as exc:  # bad JSON and undecodable bytes included
         raise UsageError(f"bad scenario {args.scenario}: {exc}") from exc
     outdir = Path(args.out) if args.out else None
+    sink = None
     if outdir is not None:
         # Made before the trial runs, so that a bad path costs no sessions.
         outdir.mkdir(parents=True, exist_ok=True)
+        paths = (outdir / f"session-{i:03d}.jsonl" for i in range(args.sessions))
+
+        def sink(t) -> None:
+            t.write(next(paths))
+
     core = _make_core(args)
     try:
-        report = run_trials(core, core, args.sessions, args.seed, scenario)
+        report = run_trials(core, core, args.sessions, args.seed, scenario, sink)
     finally:
         core.close()
     if outdir is not None:
-        for i, t in enumerate(report.transcripts):
-            t.write(outdir / f"session-{i:03d}.jsonl")
         with open(outdir / "trial_report.json", "w", encoding="utf-8") as fh:
             json.dump(report.to_wire(), fh, indent=2)
             fh.write("\n")

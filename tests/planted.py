@@ -38,9 +38,9 @@ class PlantedCore(CognitiveCore):
         return planted_transition(input.s, input.r, input.a, self.planted)
 
 
-def isses(report, sessions, role=Role.SERVER):
-    """The ISSs of one side in the given sessions of a trial report."""
+def isses(transcripts, sessions, role=Role.SERVER):
+    """The ISSs of one side in the given sessions of a trial's transcripts."""
     return {
         t.server_iss if role is Role.SERVER else t.client_iss
-        for t in (report.transcripts[i] for i in sessions)
+        for t in (transcripts[i] for i in sessions)
     }

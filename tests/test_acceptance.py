@@ -58,7 +58,8 @@ def verdict_line(criterion: str, ok: bool) -> None:
 
 def test_criterion_1_oracle_end_to_end_soundness():
     t0 = time.perf_counter()
-    report = run_trials(OracleCore(), OracleCore(), 30, base_seed=7)
+    transcripts = []
+    report = run_trials(OracleCore(), OracleCore(), 30, base_seed=7, sink=transcripts.append)
     elapsed = time.perf_counter() - t0
     ok = (
         report.handshake == 1.0
@@ -69,7 +70,7 @@ def test_criterion_1_oracle_end_to_end_soundness():
     )
     # The 93.33% trial figure belongs to a trained model; the harness must
     # reproduce the number exactly when a core fails 2 of 30 sessions.
-    core = PlantedCore(isses(report, (3, 17)))
+    core = PlantedCore(isses(transcripts, (3, 17)))
     fixture = run_trials(core, core, 30, base_seed=7)
     ok = ok and fixture.to_wire()["trial_accuracy"] == "93.33%"
     verdict_line(

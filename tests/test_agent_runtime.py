@@ -1,7 +1,9 @@
 """Agent step loop, dual-agent sessions, grading and fault injection."""
 
 import json
+import random
 import re
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -479,9 +481,10 @@ class TestRunSession:
 
     def test_a_payload_len_the_step_does_not_send_halts_the_session(self):
         plus_7 = EditedOracleCore(lambda d: d._replace(payload_len=d.payload_len + 7))
-        report = run_trials(plus_7, OracleCore(), 5, base_seed=1)
+        transcripts = []
+        report = run_trials(plus_7, OracleCore(), 5, base_seed=1, sink=transcripts.append)
         assert report.trial_accuracy == 0.0
-        for t in report.transcripts:
+        for t in transcripts:
             # The client's first decision, OPEN_ACTIVE, sends the bare SYN.
             assert t.halt_reason == (
                 "CLIENT step failure: decision payload_len 7 but the step sends 0 bytes"
@@ -493,9 +496,10 @@ class TestRunSession:
         ack_silent = EditedOracleCore(
             lambda d: d if d.flags else d._replace(flags=flags_parse("ACK"))
         )
-        report = run_trials(OracleCore(), ack_silent, 5, base_seed=1)
+        transcripts = []
+        report = run_trials(OracleCore(), ack_silent, 5, base_seed=1, sink=transcripts.append)
         assert report.trial_accuracy == 0.0
-        for t in report.transcripts:
+        for t in transcripts:
             # The server's first decision, OPEN_PASSIVE, is silent.
             assert t.halt_reason == "SERVER step failure: decision names flags but no task to run"
             assert t.entries == []
@@ -551,9 +555,12 @@ class TestRunSession:
             lambda d: d._replace(next_state=TcpState.CLOSED) if d.next_state is TcpState.TIME_WAIT else d
         )
         cores = (skip, OracleCore()) if closer is Role.CLIENT else (OracleCore(), skip)
-        report = run_trials(*cores, 10, base_seed=1, scenario=Scenario(closer=closer))
+        transcripts = []
+        report = run_trials(
+            *cores, 10, base_seed=1, scenario=Scenario(closer=closer), sink=transcripts.append
+        )
         assert report.trial_accuracy == 0.0
-        for t in report.transcripts:
+        for t in transcripts:
             assert t.halt_reason == (
                 f"{closer.value} step failure: next_state CLOSED is not reachable from FIN_WAIT_2"
             )
@@ -714,21 +721,24 @@ class TestRunTrials:
         assert report.trial_accuracy == 1.0
 
     def test_degenerate_core_fails_handshake(self):
-        report = run_trials(AlwaysAckCore(), OracleCore(), 3, base_seed=1)
+        transcripts = []
+        report = run_trials(AlwaysAckCore(), OracleCore(), 3, base_seed=1, sink=transcripts.append)
         assert report.handshake == 0.0
         assert report.trial_accuracy == 0.0
-        assert report.transcripts[0].phase_results["handshake"].reason
+        assert transcripts[0].phase_results["handshake"].reason
 
     def test_failed_handshake_fails_downstream_phases(self):
-        report = run_trials(AlwaysAckCore(), OracleCore(), 1, base_seed=1)
-        t = report.transcripts[0]
+        transcripts = []
+        run_trials(AlwaysAckCore(), OracleCore(), 1, base_seed=1, sink=transcripts.append)
+        t = transcripts[0]
         assert not t.phase_results["data_transfer"].passed
         assert not t.phase_results["termination"].passed
 
     def test_alu_error_halts_and_grades_the_session(self):
-        report = run_trials(ACK_BEFORE_RECEIVE, OracleCore(), 3, base_seed=1)
+        transcripts = []
+        report = run_trials(ACK_BEFORE_RECEIVE, OracleCore(), 3, base_seed=1, sink=transcripts.append)
         assert report.handshake == 0.0
-        for t in report.transcripts:
+        for t in transcripts:
             assert t.halt_reason == (
                 "CLIENT step failure: CALCULATE_ACK requires a received segment"
             )
@@ -740,11 +750,48 @@ class TestRunTrials:
 
     def test_two_forced_failures_give_93_33(self):
         # 28/30 full passes formats as the 93.33% fixture.
-        clean = run_trials(OracleCore(), OracleCore(), 30, base_seed=7)
+        clean = []
+        run_trials(OracleCore(), OracleCore(), 30, base_seed=7, sink=clean.append)
         core = PlantedCore(isses(clean, (3, 17)))
         report = run_trials(core, core, 30, base_seed=7)
         assert report.to_wire()["trial_accuracy"] == "93.33%"
         assert report.to_wire()["handshake"] == "100.00%"
+
+    def test_the_sink_gets_each_seeds_transcript_in_seed_order(self):
+        scenario = Scenario(closer=Role.SERVER)
+        rng = random.Random(7)
+        seeds = [rng.getrandbits(32) for _ in range(12)]
+        got = []
+        run_trials(OracleCore(), OracleCore(), 12, 7, scenario, sink=got.append)
+        assert got == [run_session(OracleCore(), OracleCore(), scenario, s) for s in seeds]
+
+    def test_a_failing_sink_stops_the_trial(self, monkeypatch):
+        sessions = []
+
+        def counted(*args):
+            sessions.append(args)
+            return run_session(*args)
+
+        def sink(t):
+            if len(sessions) == 3:
+                raise OSError("sink failed")
+
+        monkeypatch.setattr(agent_runtime, "run_session", counted)
+        with pytest.raises(OSError, match="sink failed"):
+            run_trials(OracleCore(), OracleCore(), 10, base_seed=7, sink=sink)
+        assert len(sessions) == 3
+
+    def test_trial_memory_does_not_grow_with_the_session_count(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_trials(OracleCore(), OracleCore(), n, base_seed=7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # Holding each transcript costs ~3.5 KB a session, ~6 MB over 1,800.
+        assert peak(2000) - peak(200) < 64 * 1024
 
 
 # Seed 1's default session, 11 deliveries: 0 SYN, 1 SYN|ACK, 2 ACK (client),
@@ -789,6 +836,8 @@ class TestGradeSession:
         "doctor, expected",
         [
             (dict(keep=2), ("fewer than three segments", *HS_FAILED)),
+            # A clean handshake and nothing more: three segments are enough.
+            (dict(keep=3, script=(), both_closed=False), ("", "", "closer never sent FIN")),
             (dict(index=0, flags="SYN|ACK"), ("first segment is not a client SYN", *HS_FAILED)),
             (dict(index=1, flags="SYN"), ("second segment is not a server SYN|ACK", *HS_FAILED)),
             (dict(index=1, ack_delta=1), ("SYN|ACK does not acknowledge client ISN+1", *HS_FAILED)),

@@ -191,6 +191,43 @@ class TestSimulate:
         )
         assert code == EXIT_IO and stderr.startswith("error: ") and stdout == ""
 
+    def test_a_transport_error_mid_trial_keeps_the_earlier_session_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        class FailsOnDecision(OracleCore):
+            """The oracle, until its n-th decision raises TransportError."""
+
+            def __init__(self, n):
+                self.left = n
+
+            def decide(self, input):
+                self.left -= 1
+                if self.left == 0:
+                    raise TransportError("decision 40 failed")
+                return super().decide(input)
+
+        clean = tmp_path / "clean"
+        assert run(capsys, "simulate", "--sessions", "2", "--out", str(clean))[0] == EXIT_OK
+        # A default session takes 17 decisions, so the 40th is session 2's.
+        monkeypatch.setattr(cli, "_make_core", lambda args: FailsOnDecision(40))
+        out = tmp_path / "runs"
+        code, stdout, stderr = run(capsys, "simulate", "--sessions", "5", "--out", str(out))
+        assert (code, stdout, stderr) == (EXIT_TRANSPORT, "", "error: decision 40 failed\n")
+        names = ["session-000.jsonl", "session-001.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+    def test_an_unwritable_session_file_mid_trial_keeps_the_earlier_ones(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        (out / "session-002.jsonl").mkdir(parents=True)
+        code, stdout, stderr = run(capsys, "simulate", "--sessions", "5", "--out", str(out))
+        assert code == EXIT_IO and stderr.startswith("error: ") and stdout == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "session-000.jsonl", "session-001.jsonl", "session-002.jsonl"
+        ]
+        assert (out / "session-001.jsonl").is_file() and (out / "session-002.jsonl").is_dir()
+
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
 

@@ -36,6 +36,7 @@ from smart_tcp.tcp_core import (
     AgentState,
     LocalAction,
     Role,
+    SEQ_MOD,
     Segment,
     TcpState,
     flags_parse,
@@ -252,6 +253,26 @@ class TestReconstruct:
 
     def test_deterministic(self):
         assert reconstruct_labels(self.make_flow()) == reconstruct_labels(self.make_flow())
+
+    def test_a_flow_with_a_fifth_of_its_records_skipped_keeps_its_samples(self):
+        # One client send: SYN, SYN|ACK, ACK, data, ACK, FIN|ACK, ACK,
+        # FIN|ACK, ACK. A retransmitted SYN first has no trigger, and an ACK
+        # of one byte too many diverges from the oracle.
+        scenario = Scenario(data_script=((Role.CLIENT, 5),))
+        records = session_records(scenario=scenario)
+        records.insert(0, records[0]._replace(ts=-0.0005))
+
+        def ack_one_more(i):
+            seg = records[i].segment
+            records[i] = records[i]._replace(segment=seg._replace(ack=(seg.ack + 1) % SEQ_MOD))
+
+        ack_one_more(5)  # the server's ACK of the data
+        (flow,) = extract_flows(records)
+        assert len(flow.records) == 10
+        assert len(reconstruct_labels(flow)) == 8
+        ack_one_more(7)  # and the server's ACK of the client's FIN: 3 of 10
+        (flow,) = extract_flows(records)
+        assert reconstruct_labels(flow) == []
 
 
 def reconstructed(flows):

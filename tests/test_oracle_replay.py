@@ -108,15 +108,16 @@ def test_planted_sessions_are_exactly_the_failed_ones(scenario, base_seed, data)
     n = data.draw(st.integers(min_value=1, max_value=6), label="sessions")
     failing = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)), label="planted")
     non_closer = Role.SERVER if scenario.closer is Role.CLIENT else Role.CLIENT
-    clean = run_trials(OracleCore(), OracleCore(), n, base_seed, scenario)
-    core = PlantedCore(isses(clean, failing, non_closer))
-    report = run_trials(core, core, n, base_seed, scenario)
+    clean_transcripts, transcripts = [], []
+    clean = run_trials(OracleCore(), OracleCore(), n, base_seed, scenario, clean_transcripts.append)
+    core = PlantedCore(isses(clean_transcripts, failing, non_closer))
+    report = run_trials(core, core, n, base_seed, scenario, transcripts.append)
 
     assert clean.trial_accuracy == 1.0
     assert report.trial_accuracy == (n - len(failing)) / n
-    halted = {i for i, t in enumerate(report.transcripts) if t.halt_reason}
+    halted = {i for i, t in enumerate(transcripts) if t.halt_reason}
     assert halted == failing
     for i in failing:
-        assert report.transcripts[i].halt_reason == f"{scenario.closer.value} verdict FLAG_ERROR"
-    for t in clean.transcripts + report.transcripts:
+        assert transcripts[i].halt_reason == f"{scenario.closer.value} verdict FLAG_ERROR"
+    for t in clean_transcripts + transcripts:
         assert all(e.segment.flags == e.decision.flags for e in t.entries)

@@ -2,6 +2,7 @@
 transport failures surface, and connections are reused and closed."""
 
 import json
+import random
 import re
 import socket
 import ssl
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from smart_tcp import cli, cognitive_core, http11
-from smart_tcp.agent_runtime import run_trials
+from smart_tcp.agent_runtime import Scenario, run_session, run_trials
 from smart_tcp.cognitive_core import (
     CognitiveInput,
     OracleCore,
@@ -44,19 +45,20 @@ def oracle_reply(messages, planted=frozenset()):
 
 
 def oracle_run(n, seed, planted=frozenset()):
-    """Serial reference run; returns (report, decisions made)."""
+    """Serial reference run; returns (report, transcripts, decisions made)."""
     client, server = PlantedCore(planted), PlantedCore(planted)
-    report = run_trials(client, server, n, seed)
-    return report, client.decisions + server.decisions
+    transcripts = []
+    report = run_trials(client, server, n, seed, sink=transcripts.append)
+    return report, transcripts, client.decisions + server.decisions
 
 
-def session_files(report):
-    """The bytes of each session file the report's transcripts write:
-    deliveries, decisions, halt reason and grades."""
+def session_files(transcripts):
+    """The bytes of each session file the transcripts write: deliveries,
+    decisions, halt reason and grades."""
     files = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.jsonl"
-        for t in report.transcripts:
+        for t in transcripts:
             t.write(path)
             files.append(path.read_bytes())
     return files
@@ -85,18 +87,19 @@ class SleepyRemote(RemoteCore):
 
 class TestConcurrentTrials:
     def test_matches_serial_oracle_with_exact_counts(self):
-        planted = isses(oracle_run(30, 7)[0], (3, 17))
-        expected, decisions = oracle_run(30, 7, planted)
+        planted = isses(oracle_run(30, 7)[1], (3, 17))
+        expected, expected_transcripts, decisions = oracle_run(30, 7, planted)
         client, server = SleepyRemote(planted=planted), SleepyRemote(planted=planted)
         assert client.concurrency > 1
         # Switch threads often so that an unlocked count would lose updates.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            report = run_trials(client, server, 30, 7)
+            transcripts = []
+            report = run_trials(client, server, 30, 7, sink=transcripts.append)
         finally:
             sys.setswitchinterval(interval)
-        assert session_files(report) == session_files(expected)
+        assert session_files(transcripts) == session_files(expected_transcripts)
         assert report.to_wire() == expected.to_wire()
         assert report.trial_accuracy < 1.0
         assert client.request_count + server.request_count == decisions
@@ -107,7 +110,31 @@ class TestConcurrentTrials:
         with pytest.raises(TransportError, match="call 5 failed"):
             run_trials(client, server, 64, 3)
         # Sessions not yet started when the error surfaced were dropped.
-        _, decisions = oracle_run(64, 3)
+        _, _, decisions = oracle_run(64, 3)
+        assert client.request_count + server.request_count < decisions // 2
+
+    def test_the_sink_gets_each_seeds_transcript_in_seed_order(self):
+        rng = random.Random(5)
+        seeds = [rng.getrandbits(32) for _ in range(12)]
+        client, server = SleepyRemote(), SleepyRemote()
+        assert min(client.concurrency, server.concurrency) > 1
+        got = []
+        run_trials(client, server, 12, 5, sink=got.append)
+        serial = [run_session(SleepyRemote(), SleepyRemote(), Scenario(), s) for s in seeds]
+        assert got == serial
+
+    def test_a_failing_sink_cancels_the_sessions_not_yet_started(self):
+        client, server = SleepyRemote(), SleepyRemote()
+        written = []
+
+        def sink(t):
+            written.append(t)
+            if len(written) == 2:
+                raise OSError("sink failed")
+
+        with pytest.raises(OSError, match="sink failed"):
+            run_trials(client, server, 64, 3, sink=sink)
+        _, _, decisions = oracle_run(64, 3)
         assert client.request_count + server.request_count < decisions // 2
 
     def test_a_serial_core_never_serves_two_decisions_at_once(self):
@@ -219,33 +246,35 @@ class LoopbackModel:
 
 class TestRemoteTransport:
     def test_loopback_model_matches_oracle_over_reused_connections(self):
-        expected, decisions = oracle_run(6, 11)
+        _, expected, decisions = oracle_run(6, 11)
         with LoopbackModel() as model:
             client = RemoteCore(RemoteConfig(endpoint=model.url))
             server = RemoteCore(RemoteConfig(endpoint=model.url))
+            transcripts = []
             try:
-                report = run_trials(client, server, 6, 11)
+                run_trials(client, server, 6, 11, sink=transcripts.append)
             finally:
                 client.close()
                 server.close()
             assert model.wait_all_closed()
-        assert session_files(report) == session_files(expected)
+        assert session_files(transcripts) == session_files(expected)
         assert client.request_count + server.request_count == decisions
         assert model.requests == decisions
         assert model.connections < model.requests
 
     def test_idle_connection_dropped_by_the_server_is_resent_once(self):
-        expected, decisions = oracle_run(1, 11)
+        _, expected, decisions = oracle_run(1, 11)
         with LoopbackModel(drop_after=3) as model:
             client = RemoteCore(RemoteConfig(endpoint=model.url))
             server = RemoteCore(RemoteConfig(endpoint=model.url))
+            transcripts = []
             try:
-                report = run_trials(client, server, 1, 11)
+                run_trials(client, server, 1, 11, sink=transcripts.append)
             finally:
                 client.close()
                 server.close()
             assert model.wait_all_closed()
-        assert session_files(report) == session_files(expected)
+        assert session_files(transcripts) == session_files(expected)
         assert client.request_count + server.request_count == decisions
         assert model.requests == decisions
         # One connection per core for a serial session, plus the one that
