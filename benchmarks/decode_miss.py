@@ -5,12 +5,14 @@
 Both trees' ``smart_tcp`` packages are loaded into one process under separate
 names. Each round decodes 20,000 valid decision objects that differ only in
 payload_len, so every decode is a miss. It runs twice: "cold" empties the
-decision memo of a tree that has one before each round, so the round's first
-4,096 decodes also store; "full" first fills it to its bound with other
-decisions, so no decode stores. The two trees take turns batch by batch
-(1,000 objects), so both see the same load on the machine, and the best time
-of each batch over all rounds is kept. Prints the cost per decode of each
-tree and their ratio, for each memo state, as one JSON line.
+decision memo before each round; "full" first fills it to its bound with
+other decisions. The memo is the ``_DECISION_MEMO`` dict of a tree that has
+one, which stores until it is full, or else the ``lru_cache`` on
+``_decode_decision``, which stores every miss and evicts once full. The two
+trees take turns batch by batch (1,000 objects), so both see the same load
+on the machine, and the best time of each batch over all rounds is kept.
+Prints the cost per decode of each tree and their ratio, for each memo
+state, as one JSON line.
 """
 
 from __future__ import annotations
@@ -60,10 +62,12 @@ def main() -> None:
                 memo = getattr(cc, "_DECISION_MEMO", None)
                 if memo is not None:
                     memo.clear()
-                    if memo_state == "full":
-                        # Other decisions fill the memo up to its bound, untimed.
-                        for n in range(cc.DECISION_MEMO_SIZE):
-                            cc.CognitiveDecision.from_wire(dict(objs[0], payload_len=OBJECTS + n))
+                else:
+                    cc._decode_decision.cache_clear()
+                if memo_state == "full":
+                    # Other decisions fill the memo up to its bound, untimed.
+                    for n in range(cc.DECISION_MEMO_SIZE):
+                        cc.CognitiveDecision.from_wire(dict(objs[0], payload_len=OBJECTS + n))
             for j, batch in enumerate(batches):
                 for name in (("base", "src") if (r + j) % 2 == 0 else ("src", "base")):
                     decode = trees[name].CognitiveDecision.from_wire

@@ -9,22 +9,34 @@ change first. Every run's result is appended to ``--out`` (made if missing,
 with ``--change`` as its description), and the file's ``summary`` is
 recomputed for every workload and seed it holds: the median ``ops_per_s`` of
 each side, the parent's quartiles, in how many pairs the change was faster
-and whether every run's output checks passed. With ``--trace 1`` one traced run of this checkout is recorded under
-``traced_runs`` instead.
+and whether every run's output checks passed. Each ``ops_per_s`` entry also
+states its confidence: the one-sided sign test's p for the change being
+faster in that many pairs (exact binomial, ties dropped), and the ratio of
+the change's median to the parent's with a seeded 95% bootstrap interval
+over the pairs. The ratio and its interval are null when any run of the set
+reads 0 or less, as a ``simulate-remote`` run can: a ratio of such medians
+means nothing. With ``--trace 1`` one traced run of this checkout is
+recorded under ``traced_runs`` instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+# Resamples of the bootstrap interval, and the seed that draws them, so that
+# a BENCH file's summary recomputes to the same numbers.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -37,6 +49,30 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     if not lines:
         raise SystemExit(f"{checkout}: run.py printed nothing (exit {out.returncode}): {out.stderr}")
     return json.loads(lines[-1])
+
+
+def sign_test_p(faster: int, slower: int) -> float:
+    """One-sided sign test: the chance of `faster` or more wins in
+    `faster + slower` pairs (ties dropped) if either side wins each pair
+    with probability 1/2."""
+    n = faster + slower
+    return sum(math.comb(n, k) for k in range(faster, n + 1)) / 2**n
+
+
+def median_ratio(pairs: list) -> dict:
+    """The change's median over the parent's, for (parent, change) value
+    pairs, and a 95% bootstrap interval that resamples whole pairs; all null
+    when any value is 0 or less."""
+    if any(v <= 0 for pair in pairs for v in pair):
+        return {"median_ratio": None, "median_ratio_95ci": None}
+
+    def ratio(sample):
+        return statistics.median(c for _, c in sample) / statistics.median(p for p, _ in sample)
+
+    rng = random.Random(BOOTSTRAP_SEED)
+    ratios = sorted(ratio(rng.choices(pairs, k=len(pairs))) for _ in range(BOOTSTRAP_RESAMPLES))
+    low, high = ratios[int(0.025 * len(ratios))], ratios[int(0.975 * len(ratios)) - 1]
+    return {"median_ratio": ratio(pairs), "median_ratio_95ci": [low, high]}
 
 
 def summarize(runs: list) -> dict:
@@ -54,13 +90,14 @@ def summarize(runs: list) -> dict:
         for metric in ("ops_per_s", "setup_s", "peak_rss_mb"):
             sides = {s: [p[s][metric]["value"] for p in pairs] for s in ("parent", "change")}
             entry[metric] = {f"{s}_median": statistics.median(v) for s, v in sides.items()}
-        parent = [p["parent"]["ops_per_s"]["value"] for p in pairs]
-        if len(parent) >= 2:
-            q1, _, q3 = statistics.quantiles(parent, n=4)
+        ops = [(p["parent"]["ops_per_s"]["value"], p["change"]["ops_per_s"]["value"]) for p in pairs]
+        if len(ops) >= 2:
+            q1, _, q3 = statistics.quantiles([p for p, _ in ops], n=4)
             entry["ops_per_s"]["parent_quartiles"] = [q1, q3]
-        entry["ops_per_s"]["change_faster_pairs"] = sum(
-            p["change"]["ops_per_s"]["value"] > p["parent"]["ops_per_s"]["value"] for p in pairs
-        )
+        faster = sum(c > p for p, c in ops)
+        entry["ops_per_s"]["change_faster_pairs"] = faster
+        entry["ops_per_s"]["sign_test_p"] = sign_test_p(faster, sum(c < p for p, c in ops))
+        entry["ops_per_s"].update(median_ratio(ops))
         summary[f"{workload} seed {seed}"] = entry
     return summary
 

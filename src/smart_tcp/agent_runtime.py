@@ -11,8 +11,8 @@ A NORMAL decision may move only to a state that the oracle's tables reach
 from the current one. `run_session` builds its `SessionTranscript` once the
 deliveries and the halt reason are graded. `run_trials` hands each one to a
 sink as the sessions finish, in seed order (`simulate` writes its session
-files there), and keeps only the pass counts: on the oracle core, a trial's
-memory does not grow with its session count.
+files there), and keeps only the pass counts: on one thread or on several,
+a trial's memory does not grow with its session count.
 `SessionTranscript.write` records a session as a trace (`trace_records`,
 written through `tcp_core.TraceRecord.to_wire`) with a trailer line, so
 `trace2sft` and `inject` read a session file as they read any other trace.
@@ -659,10 +659,24 @@ def run_trials(
         # A one-thread pool cost the CPU-bound oracle ~10% of its sessions/s.
         return tally(map(session, seeds))
     # Sessions share nothing but the cores, so I/O-bound cores serve several
-    # at once. Closing the results cancels the sessions not yet started if
-    # the sink raises; the pool's exit would otherwise wait for them all.
+    # at once. At most 2 * workers of them are submitted ahead of the sink,
+    # so the pending sessions do not grow with n.
     from concurrent.futures import ThreadPoolExecutor
-    from contextlib import closing
 
-    with ThreadPoolExecutor(workers) as pool, closing(pool.map(session, seeds)) as transcripts:
-        return tally(transcripts)
+    window = deque()  # submitted sessions, in seed order
+
+    def transcripts(pool):
+        for seed in seeds:
+            window.append(pool.submit(session, seed))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            return tally(transcripts(pool))
+        finally:
+            # Otherwise, after an exception, the pool's exit waits for all of them.
+            for future in window:
+                future.cancel()

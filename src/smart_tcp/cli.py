@@ -156,7 +156,7 @@ def cmd_inject(args) -> None:
     for lineno, reason in rejects:
         if reason.startswith("malformed:") or lineno != last_line:
             raise InputError(f"{path} line {lineno}: {reason}")
-    connections = len({rec.five_tuple.normalized() for rec in records})
+    connections = len({ft.normalized() for ft in {rec.five_tuple for rec in records}})
     if connections != 1:
         raise UsageError(f"{path} holds {connections} connections; inject replays exactly one")
     # The records in trace order; the first one's sender is the client.

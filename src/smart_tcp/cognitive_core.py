@@ -12,6 +12,7 @@ import functools
 import json
 import threading
 from enum import Enum
+from operator import itemgetter
 from typing import List, NamedTuple, Optional
 
 from .alu import AluTask, alu_parse_task
@@ -120,48 +121,33 @@ class CognitiveDecision(NamedTuple):
         try:
             if len(obj) != len(_DECISION_KEY_SET):
                 raise KeyError
-            next_state = obj["next_state"]
-            flags = obj["flags"]
-            payload_len = obj["payload_len"]
-            t_task = obj["t_task"]
-            verdict = obj["verdict"]
+            fields = _decision_fields(obj)
         except KeyError:
             unknown = set(obj) - _DECISION_KEY_SET
             if unknown:
                 raise MalformedDecision(f"unknown keys: {sorted(unknown)}") from None
             raise MalformedDecision(f"missing keys: {sorted(_DECISION_KEY_SET - set(obj))}") from None
-        # Only a decision that decodes enters the memo, so every stored key
-        # holds str tokens (flags and t_task may be None) and an int
+        # Cached decodes are frozen decisions of str tokens (or None) and an int
         # payload_len. No other JSON value equals a str or None, but true == 1
         # and 1.0 == 1: a payload_len of another type must not be looked up.
-        if type(payload_len) is not int:
-            return _decode_decision(next_state, flags, payload_len, t_task, verdict)
-        key = (next_state, flags, payload_len, t_task, verdict)
+        if type(fields[2]) is not int:
+            return _decode_decision.__wrapped__(*fields)
         try:
-            decision = _DECISION_MEMO.get(key)
+            return _decode_decision(*fields)
         except TypeError:  # a list or dict token does not hash
-            return _decode_decision(next_state, flags, payload_len, t_task, verdict)
-        if decision is None:
-            decision = _decode_decision(next_state, flags, payload_len, t_task, verdict)
-            # A full memo stops growing rather than evicting, so a miss pays
-            # no eviction. Threads deciding at once may store an equal
-            # decision twice or pass the bound by a few entries, no more.
-            if len(_DECISION_MEMO) < DECISION_MEMO_SIZE:
-                _DECISION_MEMO[key] = decision
-        return decision
+            return _decode_decision.__wrapped__(*fields)
 
 
 DECISION_KEYS = ("next_state", "flags", "payload_len", "t_task", "verdict")
 _DECISION_KEY_SET = frozenset(DECISION_KEYS)
+_decision_fields = itemgetter(*DECISION_KEYS)
 
-# Bound on memoized decisions. Decisions repeat a few dozen token tuples, but
-# payload_len alone takes 65,536 values, which must not grow the memo.
+# Bound on each decision memo. Decisions repeat a few dozen token tuples, but
+# payload_len alone takes 65,536 values, which must not grow a memo.
 DECISION_MEMO_SIZE = 4096
-# Decoded decisions by their raw field values. A decision is frozen, so one
-# instance serves every record that spells it the same way.
-_DECISION_MEMO: dict = {}
 
 
+@functools.lru_cache(maxsize=DECISION_MEMO_SIZE)
 def _decode_decision(next_state, flags, payload_len, t_task, verdict) -> CognitiveDecision:
     """Validate the five raw field values of a decision object, in key order."""
     try:
@@ -215,7 +201,6 @@ def decode_stripped(line: str):
     return obj
 
 
-# Equal decisions serialize alike, and a dataset repeats a few dozen of them.
 @functools.lru_cache(maxsize=DECISION_MEMO_SIZE)
 def serialize_decision(d: CognitiveDecision) -> str:
     return encode_compact(d.to_wire())

@@ -782,16 +782,29 @@ class TestRunTrials:
         assert len(sessions) == 3
 
     def test_trial_memory_does_not_grow_with_the_session_count(self):
-        def peak(n):
-            tracemalloc.start()
-            try:
-                run_trials(OracleCore(), OracleCore(), n, base_seed=7)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         # Holding each transcript costs ~3.5 KB a session, ~6 MB over 1,800.
-        assert peak(2000) - peak(200) < 64 * 1024
+        assert trial_peak(OracleCore, 2000) - trial_peak(OracleCore, 200) < 64 * 1024
+
+    def test_threaded_trial_memory_does_not_grow_with_the_session_count(self):
+        # Submitting every session up front costs ~2 KB a session, ~4 MB
+        # over 1,800.
+        assert trial_peak(FourWayOracle, 2000) - trial_peak(FourWayOracle, 200) < 64 * 1024
+
+
+class FourWayOracle(OracleCore):
+    """The oracle, served to four sessions at once as a remote core is."""
+
+    concurrency = 4
+
+
+def trial_peak(core_type, n):
+    """tracemalloc's peak, in bytes, over a trial of n sessions."""
+    tracemalloc.start()
+    try:
+        run_trials(core_type(), core_type(), n, base_seed=7)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # Seed 1's default session, 11 deliveries: 0 SYN, 1 SYN|ACK, 2 ACK (client),

@@ -9,7 +9,9 @@ import math
 import os
 import random
 import re
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +20,7 @@ from smart_tcp.alu import AluError, AluTask, alu_parse_task
 from smart_tcp.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from smart_tcp.cognitive_core import (
     DECISION_KEYS,
-    _DECISION_MEMO,
+    DECISION_MEMO_SIZE,
     CognitiveDecision,
     CognitiveInput,
     MalformedDecision,
@@ -419,7 +421,7 @@ def outcome(decode, obj):
 
 
 def plain_decode(obj):
-    return _decode_decision(*(obj[k] for k in DECISION_KEYS))
+    return _decode_decision.__wrapped__(*(obj[k] for k in DECISION_KEYS))
 
 
 ONE = {"next_state": "ESTABLISHED", "flags": "ACK", "payload_len": 1, "t_task": None, "verdict": "NORMAL"}
@@ -428,7 +430,7 @@ ONE = {"next_state": "ESTABLISHED", "flags": "ACK", "payload_len": 1, "t_task": 
 @example(objs=[ONE, dict(ONE, payload_len=True), dict(ONE, payload_len=1.0)], rng=random.Random(0))
 @given(memo_objects, st.randoms(use_true_random=False))
 def test_memoized_decode_matches_the_plain_decode(objs, rng):
-    _DECISION_MEMO.clear()
+    _decode_decision.cache_clear()
     expected = [outcome(plain_decode, obj) for obj in objs]
     assert [outcome(CognitiveDecision.from_wire, obj) for obj in objs] == expected
     # Again with the memo warm, in another order.
@@ -437,6 +439,36 @@ def test_memoized_decode_matches_the_plain_decode(objs, rng):
     assert [outcome(CognitiveDecision.from_wire, objs[i]) for i in order] == [
         expected[i] for i in order
     ]
+
+
+def test_threads_decoding_at_once_match_the_plain_decode():
+    # More distinct decisions than the memo holds, so threads evict while
+    # others look up; 1, True and 1.0 must stay apart, and a list token
+    # cannot be a key.
+    objs = [dict(ONE, payload_len=n) for n in range(DECISION_MEMO_SIZE + 600)]
+    objs += [dict(ONE, payload_len=True), dict(ONE, payload_len=1.0), dict(ONE, flags=["ACK"])]
+    objs += [dict(ONE, payload_len=MAX_PAYLOAD_LEN + 1), dict(ONE, verdict="LOST")]
+    random.Random(3).shuffle(objs)
+    expected = [outcome(plain_decode, obj) for obj in objs]
+    results = {}
+
+    def decode_all(i):
+        results[i] = [outcome(CognitiveDecision.from_wire, obj) for obj in objs]
+
+    _decode_decision.cache_clear()
+    threads = [threading.Thread(target=decode_all, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: expected for i in range(8)}
+    assert _decode_decision.cache_info().currsize <= DECISION_MEMO_SIZE
 
 
 # Reply bodies in the shapes RemoteCore accepts, each part valid half the time.
